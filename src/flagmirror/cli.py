@@ -271,12 +271,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         if args.command == "verify-identity" and not args.sweep_max_n:
             if not (args.shape and args.j is not None and args.i is not None):
                 ap.error("verify-identity needs --shape/--j/--i or --sweep-max-n")
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
         return args.func(args)
     except (FlagMirrorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

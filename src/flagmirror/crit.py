@@ -4,7 +4,9 @@ and the Toeplitz criterion residual for each accepted point."""
 
 from __future__ import annotations
 
+import logging
 import random
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -14,6 +16,8 @@ from .combinat import FlagShape
 from .errors import NearPole, PivotFailure
 from .exactalg import complex_to_json, lu_unipotent
 from .mirror import f_minus_chart, wPw0_matrix, z_from_vector, zchart
+
+log = logging.getLogger("flagmirror")
 
 __all__ = [
     "CritConfig",
@@ -29,8 +33,11 @@ __all__ = [
 class CritConfig:
     """Budgets and tolerances of the multistart Newton solver.
 
-    ``starts=None`` means 12x the expected number of critical points
-    (the Schubert-basis size); explicit smaller budgets trigger a warning.
+    ``starts=None`` means 100x the expected number of critical points
+    (the Schubert-basis size); budgets below 10x trigger a warning.  The
+    multistart stops early once at least the expected number of valid chart
+    lifts is known and ``max(200, 3 * expected)`` starts in a row have added
+    none.
     """
 
     starts: int | None = None
@@ -124,12 +131,18 @@ def _corner_minor(M: np.ndarray, k: int) -> complex:
 
 
 def _toeplitz_system(shape: FlagShape, q):
-    """The critical-point equations in Toeplitz coordinates.
+    """The critical-point equations in Toeplitz coordinates, reduced.
 
     A critical point of the q-fiber corresponds to a lower-triangular Toeplitz
     matrix T in the Bruhat cell of w_P w_0; membership and the fiber condition
     pin the bottom-left corner minors of T: they vanish except at the step
     complements, where they equal the matching products of the q-scaling.
+
+    A leading run of m zero targets forces the last m diagonals to vanish:
+    with the trailing diagonals zero, the k x k corner minor is x[n-k]^k, a
+    non-reduced equation on which Newton stalls.  Those diagonals are set to
+    zero and their equations dropped, so the returned F maps the first n - m
+    diagonals to n - m residuals.  Returns (F, m).
     """
     n = shape.n
     W = wPw0_matrix(shape)
@@ -144,16 +157,17 @@ def _toeplitz_system(shape: FlagShape, q):
         else:
             targets.append(0.0 + 0j)
     det_target = complex(np.prod(t))
+    m = n - 1 - shape.steps[-1]  # targets[0..m-1] are zero
 
-    def F(x):
-        T = _toeplitz_from_diagonals(x)
-        out = np.empty(n, dtype=complex)
-        for idx in range(n - 1):
-            out[idx] = _corner_minor(T, idx + 1) - targets[idx]
-        out[n - 1] = x[0] ** n - det_target
+    def F(y):
+        T = _toeplitz_from_diagonals(np.concatenate([y, np.zeros(m, dtype=complex)]))
+        out = np.empty(n - m, dtype=complex)
+        for idx in range(m, n - 1):
+            out[idx - m] = _corner_minor(T, idx + 1) - targets[idx]
+        out[n - m - 1] = y[0] ** n - det_target
         return out
 
-    return F
+    return F, m
 
 
 def _solve_toeplitz_system(F, x0, maxiter: int = 200, tol: float = 1e-13,
@@ -224,11 +238,12 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     """Deduplicated converged critical points, sorted by critical value.
 
     Multistart Newton runs on the Toeplitz-coordinate critical-point system
-    (random seeds); every solution is mapped back to the chart and polished by
-    damped Newton on the exact symbolic gradient, which also discards the
-    solutions belonging to other q-fibers or smaller strata.  For generic q
-    the final count equals the Schubert-basis size; a mismatch is reported as
-    a warning, not an error.
+    (random seeds); every new solution is mapped back to the chart, and the
+    lifts where the exact symbolic gradient is not already small (solutions
+    belonging to other q-fibers or smaller strata) are dropped.  The rest are
+    polished by damped Newton on that gradient.  For generic q the final
+    count equals the Schubert-basis size; a mismatch is reported as a
+    warning, not an error.
     """
     cfg = cfg or CritConfig()
     fm = f_minus_chart(shape)
@@ -243,41 +258,59 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     if any(v == 0 for v in q):
         raise ValueError("all quantum parameters must be nonzero")
 
-    system = _toeplitz_system(shape, q)
+    system, m = _toeplitz_system(shape, q)
+    n = shape.n
+    t0 = time.perf_counter()
     tsols: list[np.ndarray] = []
+    lifts: list[np.ndarray] = []
+    runs = converged = rejected_stratum = rejected_gradient = 0
     idle, idle_cap = 0, max(200, 3 * expected)
     for _ in range(starts):
-        if idle >= idle_cap:
-            break  # deterministic early stop: no new solution for a while
+        if idle >= idle_cap and len(lifts) >= expected:
+            break  # deterministic early stop: no new valid lift for a while
+        runs += 1
+        # draw all n diagonals, so that the random stream does not depend on m
         x0 = [(lo + (hi - lo) * rng.random())
-              * np.exp(2j * np.pi * rng.random()) for _ in range(shape.n)]
-        x = _solve_toeplitz_system(system, x0)
+              * np.exp(2j * np.pi * rng.random()) for _ in range(n)]
+        y = _solve_toeplitz_system(system, x0[:n - m])
         idle += 1
-        if x is None:
+        if y is None:
             continue
-        if all(np.linalg.norm(x - s) > 1e-8 * (1 + np.linalg.norm(s)) for s in tsols):
-            tsols.append(x)
-            idle = 0
-
-    found = []
-    for x in tsols:
+        converged += 1
+        if any(np.linalg.norm(y - s) <= 1e-8 * (1 + np.linalg.norm(s)) for s in tsols):
+            continue
+        tsols.append(y)
+        x = np.concatenate([y, np.zeros(m, dtype=complex)])
         vec = _chart_point_from_toeplitz(shape, _toeplitz_from_diagonals(x), q)
         if vec is None:
+            rejected_stratum += 1
             continue
+        # a Toeplitz solution of another q-fiber or stratum lifts to a point
+        # where the gradient is of order one; polishing it only fails slowly
+        try:
+            gn = float(np.linalg.norm(fm.gradient(vec, q, cfg.pole_guard)))
+        except NearPole:
+            gn = float("inf")
+        if gn > 1e-6 * (1 + float(np.linalg.norm(vec))):
+            rejected_gradient += 1
+            continue
+        lifts.append(vec)
+        idle = 0
+    t1 = time.perf_counter()
+
+    found = []
+    for vec in lifts:
         z = _newton_polish(fm, vec, q, cfg)
         if z is None:
             continue
-        try:
-            pairs = fm.term_values(z)
-        except Exception:
-            continue
-        if any(abs(d) < cfg.pole_guard * (1 + abs(n)) for n, d in pairs):
+        if any(abs(d) < cfg.pole_guard * (1 + abs(v)) for v, d in fm.term_values(z)):
             continue
         gn = float(np.linalg.norm(fm.gradient(z, q, cfg.pole_guard)))
         if gn >= cfg.newton_tol:
             continue
         val = fm.value(z, q, cfg.pole_guard)
         found.append((val, z, gn))
+    t2 = time.perf_counter()
 
     # deterministic merge order, then greedy clustering in chart coordinates
     found.sort(key=lambda t: (t[0].real, t[0].imag,
@@ -336,6 +369,12 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
         except PivotFailure:
             p.toeplitz_residual = float("inf")
     points.sort(key=lambda p: (p.value.real, p.value.imag))
+    log.debug(
+        "crit %s: %d starts, %d Toeplitz converged, %d distinct (m=%d); "
+        "lifts rejected: %d stratum, %d gradient; %d polishes failed; "
+        "%d points; search %.3fs, polish %.3fs",
+        shape.to_string(), runs, converged, len(tsols), m, rejected_stratum,
+        rejected_gradient, len(lifts) - len(found), len(points), t1 - t0, t2 - t1)
     total = sum(p.multiplicity for p in points)
     if total != expected:
         warnings.warn(

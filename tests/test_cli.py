@@ -89,6 +89,8 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     code, _, err = run(capsys, "superpotential", "--shape", "nonsense")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "verify-identity", "--shape", "2,4;7")
+    assert code == 2 and "--sweep-max-n" in err
 
 
 def test_cache_dir_flag(tmp_path, capsys):

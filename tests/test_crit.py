@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from flagmirror.combinat import FlagShape
 from flagmirror.crit import (
     CritConfig,
     CritPoint,
+    _toeplitz_system,
     chart_vector,
     crit_report,
     find_critical_points,
@@ -168,3 +170,62 @@ def test_chart_vector_roundtrip():
     vec = random_z_vector(shape, random.Random(0))
     z = z_from_vector(shape, vec)
     assert np.allclose(chart_vector(shape, z), vec)
+
+
+# m, the number of Toeplitz diagonals forced to zero, per acceptance shape
+ELIMINATED = {"1;2": 0, "1;3": 1, "2;4": 1, "1,2;3": 0, "1,2;4": 1,
+              "1,3;4": 0, "2;5": 2, "1,2,3;4": 0}
+
+
+def _fd_jacobian(F, y, h=1e-7):
+    J = np.empty((len(y), len(y)), dtype=complex)
+    for a in range(len(y)):
+        e = np.zeros(len(y), dtype=complex)
+        e[a] = h
+        J[:, a] = (F(y + e) - F(y - e)) / (2 * h)
+    return J
+
+
+@pytest.mark.parametrize("sstr", list(ELIMINATED))
+def test_reduced_toeplitz_system_is_well_posed(sstr):
+    # a generic fiber (q = 1 is degenerate for 1,3;4): every accepted point's
+    # Toeplitz diagonals solve the reduced system at a reduced, isolated root
+    shape = FlagShape.from_string(sstr)
+    q = [1.0 + 0.2j * (-1) ** j + 0.05 * j for j in range(shape.r)]
+    F, m = _toeplitz_system(shape, q)
+    assert m == ELIMINATED[sstr]
+    pts = find_critical_points(shape, q, CritConfig(seed=0))
+    assert sum(p.multiplicity for p in pts) == shape.basis_size
+    for p in pts:
+        L, _ = lu_unipotent(z_from_vector(shape, p.z))
+        x = (np.diag(toeplitz_scaling(shape, q)) @ np.asarray(L, dtype=complex))[:, 0]
+        assert np.all(np.abs(x[shape.n - m:]) < 1e-12)
+        y = x[:shape.n - m]
+        assert np.linalg.norm(F(y)) < 1e-10
+        sv = np.linalg.svd(_fd_jacobian(F, y), compute_uv=False)
+        assert sv[-1] > 1e-6 * sv[0]
+
+
+def test_early_stop_waits_for_expected_count_fl4():
+    # the search used to stop after 258 starts with 23 of the 24 points
+    pts = find_critical_points(FlagShape.from_string("1,2,3;4"), [1.0, 1.0, 1.0],
+                               CritConfig(seed=132976331))
+    assert len(pts) == 24
+
+
+def test_gr25_complete_for_every_seed():
+    shape = FlagShape.from_string("2;5")
+    for seed in range(10):
+        pts = find_critical_points(shape, [1.0], CritConfig(seed=seed))
+        assert len(pts) == 10, seed
+
+
+def test_debug_log_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="flagmirror"):
+        find_critical_points(FlagShape(4, (2,)), [1.0], CritConfig(seed=1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
+    assert len(lines) == 1
+    assert lines[0].startswith("crit 2;4:")
+    for part in ("starts", "Toeplitz converged", "distinct (m=1)", "stratum",
+                 "gradient", "polishes failed", "6 points", "search", "polish"):
+        assert part in lines[0]
