@@ -76,7 +76,7 @@ def cmd_divisors(args) -> int:
 def cmd_qh_mult(args) -> int:
     u = Permutation.from_string(args.u)
     v = Permutation.from_string(args.v)
-    out = class_product(u, v, args.n, args.cache_dir)
+    out = class_product(u, v, args.n)
     if args.format == "json":
         print(json_dumps(out.to_json()))
     else:
@@ -117,14 +117,14 @@ def cmd_crit(args) -> int:
 def cmd_verify_identity(args) -> int:
     ok = True
     if args.sweep_max_n:
-        reports = key_identity_sweep(args.sweep_max_n, args.cache_dir, strict=False)
+        reports = key_identity_sweep(args.sweep_max_n, strict=False)
         for r in reports:
             ok = ok and r.ok
             print(f"{'PASS' if r.ok else 'FAIL'} shape {r.shape} j={r.j} i={r.i} "
                   f"({r.terms} terms, {r.elapsed:.2f}s)")
     else:
         shape = FlagShape.from_string(args.shape)
-        r = check_key_identity(shape, args.j, args.i, args.cache_dir, strict=False)
+        r = check_key_identity(shape, args.j, args.i, strict=False)
         ok = r.ok
         print(f"{'PASS' if r.ok else 'FAIL'} shape {r.shape} j={r.j} i={r.i} "
               f"({r.terms} terms)")
@@ -167,11 +167,10 @@ def cmd_report_all(args) -> int:
         terms = superpotential(FlagShape.from_string(s))
         print(f"  {s}: {len(terms)} terms")
     print("== key identity ==")
-    r = check_key_identity(FlagShape.from_string("2,4;7"), 1, 4,
-                           args.cache_dir, strict=False)
+    r = check_key_identity(FlagShape.from_string("2,4;7"), 1, 4, strict=False)
     ok &= r.ok
     print(f"  {'PASS' if r.ok else 'FAIL'} (2,4;7) j=1 i=4")
-    for r in key_identity_sweep(5 if args.quick else 6, args.cache_dir, strict=False):
+    for r in key_identity_sweep(5 if args.quick else 6, strict=False):
         ok &= r.ok
         if not r.ok:
             print(f"  FAIL {r.shape} j={r.j} i={r.i}")
@@ -202,9 +201,6 @@ def cmd_report_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flagmirror",
                                  description=__doc__.splitlines()[0])
-    ap.add_argument("--cache-dir", default=None,
-                    help="operator cache directory (default: "
-                         "$FLAGMIRROR_CACHE_DIR or ~/.cache/flagmirror)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("superpotential", help="print the superpotential terms")

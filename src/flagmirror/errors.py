@@ -45,6 +45,11 @@ class NonIntegralCoefficient(FlagMirrorError):
     """A Schubert-basis coefficient came out non-integral (implementation bug)."""
 
 
+class ExpansionFailure(FlagMirrorError):
+    """An integer e-expansion slice found no unit pivot or failed its
+    multiply-back check."""
+
+
 class BadSubsetSize(FlagMirrorError):
     """Pluecker column set has a size that is not one of the flag steps."""
 

@@ -1,25 +1,29 @@
 """Quantum Schubert calculus in the complete-flag ring QH*(Fl_n).
 
 Multiplication by the divisor classes is realized by sparse Monk operators on
-the Schubert basis; products of general classes evaluate one factor's quantum
-Schubert polynomial in the commuting operators X_i = M_i - M_{i-1}.  A
-linear-algebra-free straightening of polynomials modulo the quantum ideal
-I_n^q is kept as an independent small-n oracle (normal_form).
+the Schubert basis, built in memory from one-line words; products of general
+classes evaluate one factor's quantum Schubert polynomial in the commuting
+operators X_i = M_i - M_{i-1}.  Quantum Schubert polynomials come from the
+standard elementary-monomial expansion, a Z-basis, computed by exact integer
+elimination and checked by multiplying back.  A linear-algebra-free
+straightening of polynomials modulo the quantum ideal I_n^q is kept as an
+independent small-n oracle (normal_form).
 """
 
 from __future__ import annotations
 
-import gzip
 import itertools
-import json
-import os
+import logging
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
+from math import lcm
+
+import numpy as np
 
 from .combinat import FlagShape, Permutation
-from .errors import NonIntegralCoefficient, NotInGroup, SizeCap
+from .errors import ExpansionFailure, NonIntegralCoefficient, NotInGroup, SizeCap
 from .exactalg import MPoly, VarTable
 
 __all__ = [
@@ -37,12 +41,11 @@ __all__ = [
     "omega_involution",
     "normal_form",
     "QHClass",
-    "CACHE_ENV",
 ]
 
-CACHE_FORMAT_VERSION = 1
-CACHE_ENV = "FLAGMIRROR_CACHE_DIR"
+log = logging.getLogger("flagmirror")
 _MAX_N = 8
+_INT64_LIMIT = 2 ** 63
 
 
 @lru_cache(maxsize=None)
@@ -233,46 +236,82 @@ def symmetric_to_e(f: MPoly, n: int) -> dict[tuple[int, ...], MPoly]:
 # -- e-monomial expansion and quantization -----------------------------------
 
 
+def _emono_terms(imono: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """e_{i_1}(x_1) e_{i_2}(x_1, x_2) ... e_{i_{n-1}}(x_1..x_{n-1}) as integer
+    terms {x-exponent: coefficient}."""
+    terms = {(0,) * n: 1}
+    for k, ik in enumerate(imono, start=1):
+        if not ik:
+            continue
+        nxt: dict[tuple[int, ...], int] = {}
+        for subset in itertools.combinations(range(k), ik):
+            for e, c in terms.items():
+                g = list(e)
+                for j in subset:
+                    g[j] += 1
+                g = tuple(g)
+                nxt[g] = nxt.get(g, 0) + c
+        terms = nxt
+    return terms
+
+
+def _unimodular_inverse(mat: np.ndarray) -> np.ndarray:
+    """Exact inverse of an integer matrix by Gauss-Jordan elimination on +-1
+    pivots, checked by multiplying back; raises ExpansionFailure when a column
+    has no unit pivot or the check fails."""
+    size = len(mat)
+    aug = np.concatenate([mat, np.eye(size, dtype=np.int64)], axis=1)
+    free = np.ones(size, dtype=bool)
+    pivot_row = np.empty(size, dtype=np.intp)
+    for c in range(size):
+        cand = np.flatnonzero(free & (np.abs(aug[:, c]) == 1))
+        if not cand.size:
+            raise ExpansionFailure(f"slice matrix column {c} has no unit pivot")
+        p = cand[0]
+        free[p] = False
+        pivot_row[c] = p
+        aug[p] *= aug[p, c]  # a +-1 pivot becomes 1
+        factors = aug[:, c].copy()
+        factors[p] = 0
+        rows = np.flatnonzero(factors)
+        aug[rows] -= factors[rows, None] * aug[p]
+    inv = aug[pivot_row, size:]
+    # a row sum of |mat| times max |inv| bounds every entry of mat @ inv, so
+    # below 2^63 the check is exact in int64 even if elimination overflowed
+    bound = int(np.abs(mat).sum(axis=1).max(initial=0)) * int(np.abs(inv).max(initial=0))
+    if bound >= _INT64_LIMIT:
+        raise ExpansionFailure("slice inverse too large for an exact int64 check")
+    if not np.array_equal(mat @ inv, np.eye(size, dtype=np.int64)):
+        raise ExpansionFailure("slice inverse failed the multiply-back check")
+    return inv
+
+
 @lru_cache(maxsize=None)
 def _slice_expander(n: int, m: int):
     """Transition data between degree-m substaircase monomials (exponents
-    a_k <= n-k) and standard elementary monomials e_{i_1..i_{n-1}}."""
+    a_k <= n-k) and standard elementary monomials e_{i_1..i_{n-1}}.
+
+    Returns (subst, emonos, col, inv): mat[r, col[e]] is the coefficient of
+    x^e in emonos[r], and inv is its exact inverse.  The standard elementary
+    monomials are a Z-basis of the substaircase span (Fomin-Gelfand-Postnikov),
+    so mat is unimodular; it is built in int64, inverted by integer elimination
+    on unit pivots and checked by multiplying back.
+    """
+    t0 = time.perf_counter()
     subst = [e for e in itertools.product(*(range(n - k + 1) for k in range(1, n + 1)))
              if sum(e) == m]
     emonos = [i for i in itertools.product(*(range(k + 1) for k in range(1, n)))
               if sum(i) == m]
     assert len(subst) == len(emonos)
     col = {e: idx for idx, e in enumerate(subst)}
-    mat = []
-    for imono in emonos:
-        prod = MPoly.const(xq_table(n), 1)
-        for k, ik in enumerate(imono, start=1):
-            if ik:
-                prod = prod * _elementary(ik, k, n)
-        row = [Fraction(0)] * len(subst)
-        for e, c in prod.terms.items():
-            row[col[e[:n]]] += c
-        mat.append(row)
-    inv = _fraction_inverse(mat)
+    mat = np.zeros((len(emonos), len(subst)), dtype=np.int64)
+    for r, imono in enumerate(emonos):
+        for e, c in _emono_terms(imono, n).items():
+            mat[r, col[e]] = c
+    inv = _unimodular_inverse(mat)
+    log.debug("slice n=%d m=%d: %d x %d, %.3fs", n, m, len(subst), len(subst),
+              time.perf_counter() - t0)
     return subst, emonos, col, inv
-
-
-def _fraction_inverse(mat):
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise AssertionError("singular slice matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        if pv != 1:
-            aug[c] = [v / pv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def elementary_expand(p: MPoly, n: int) -> dict[tuple[int, ...], Fraction]:
@@ -286,16 +325,19 @@ def elementary_expand(p: MPoly, n: int) -> dict[tuple[int, ...], Fraction]:
         by_deg.setdefault(sum(e[:n]), {})[e[:n]] = c
     for m, terms in by_deg.items():
         subst, emonos, col, inv = _slice_expander(n, m)
-        vec = [Fraction(0)] * len(subst)
+        scale = lcm(*(c.denominator for c in terms.values()))
+        vec = [0] * len(subst)
         for e, c in terms.items():
             if e not in col:
                 raise ValueError(f"monomial {e} outside the substaircase span")
-            vec[col[e]] = c
-        # p = sum_i c_i emono_i means vec = mat^T c, so c = (mat^{-1})^T vec
-        for row_idx, imono in enumerate(emonos):
-            c = sum((inv[k][row_idx] * vec[k] for k in range(len(vec))), Fraction(0))
+            vec[col[e]] = c.numerator * (scale // c.denominator)
+        # p = sum_i c_i emono_i means vec = mat^T c, so c = inv^T vec; Python
+        # integers take over where int64 could overflow
+        exact = sum(map(abs, vec)) * int(np.abs(inv).max(initial=0)) < _INT64_LIMIT
+        coeffs = inv.T @ np.array(vec, dtype=np.int64 if exact else object)
+        for imono, c in zip(emonos, coeffs.tolist()):
             if c:
-                out[imono] = c
+                out[imono] = Fraction(c, scale)
     return out
 
 
@@ -384,101 +426,56 @@ def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
 
 
 def _build_monk(n: int) -> MonkOperators:
+    """Monk's rule on one-line words: M_k sends sigma_w to the sum over
+    positions a < k <= b (1-based k) of sigma_{w t_ab} when l(w t_ab) = l(w) + 1
+    (no value between positions a and b lies between w(a) < w(b)), and of
+    q_a..q_{b-1} sigma_{w t_ab} when l(w t_ab) = l(w) + 1 - 2(b - a) (every
+    value between them lies between w(b) < w(a))."""
     basis = _sorted_perms(n)
-    index = {w: i for i, w in enumerate(basis)}
+    rank = {w.oneline: i for i, w in enumerate(basis)}
     zero_q = (0,) * (n - 1)
+    qexps = {(a, b): tuple(int(a <= i < b) for i in range(n - 1))
+             for a in range(n) for b in range(a + 1, n)}
     columns: list[dict[int, list[Entry]]] = [dict() for _ in range(n - 1)]
     for ci, w in enumerate(basis):
         ol = w.oneline
         for a in range(n - 1):
+            va = ol[a]
+            hi = n   # least value above va between a and b
+            lo = va  # least value between a and b; -1 once one exceeds va
             for b in range(a + 1, n):
-                jump = _length_jump(ol, a, b)
-                target = None
-                if jump == 1:
-                    target = (index[w.times_transposition(a, b)], zero_q)
-                elif jump == 1 - 2 * (b - a):
-                    qexp = tuple(1 if a <= i < b else 0 for i in range(n - 1))
-                    target = (index[w.times_transposition(a, b)], qexp)
-                if target is None:
+                vb = ol[b]
+                if vb > va:
+                    lo = -1
+                    if vb >= hi:
+                        continue
+                    hi = vb
+                    qexp = zero_q
+                elif vb < lo:
+                    lo = vb
+                    qexp = qexps[a, b]
+                else:
                     continue
-                for k in range(a, b):  # all k with a+1 <= k+1 <= b in 1-based terms
-                    columns[k].setdefault(ci, []).append(target)
-    return MonkOperators(n=n, basis=basis, index=index, columns=columns)
+                swapped = list(ol)
+                swapped[a], swapped[b] = vb, va
+                entry = (rank[tuple(swapped)], qexp)
+                for k in range(a, b):
+                    columns[k].setdefault(ci, []).append(entry)
+    return MonkOperators(n=n, basis=basis, index={w: i for i, w in enumerate(basis)},
+                         columns=columns)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "flagmirror"
-
-
-def _cache_path(n: int, cache_dir: Path) -> Path:
-    return cache_dir / f"monk_n{n}_v{CACHE_FORMAT_VERSION}.json.gz"
-
-
-def _save_monk(ops: MonkOperators, path: Path) -> None:
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "n": ops.n,
-        "basis_ordering": "length-lex-oneline",
-        "operators": [
-            [[row, col, list(qexp), 1] for col, entries in sorted(cols.items())
-             for row, qexp in entries]
-            for cols in ops.columns
-        ],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with gzip.open(tmp, "wt") as fh:
-        json.dump(payload, fh)
-    tmp.replace(path)
-
-
-def _load_monk(n: int, path: Path) -> MonkOperators | None:
-    try:
-        with gzip.open(path, "rt") as fh:
-            payload = json.load(fh)
-        if (payload["format_version"] != CACHE_FORMAT_VERSION or payload["n"] != n
-                or payload["basis_ordering"] != "length-lex-oneline"):
-            return None
-        basis = _sorted_perms(n)
-        index = {w: i for i, w in enumerate(basis)}
-        columns: list[dict[int, list[Entry]]] = [dict() for _ in range(n - 1)]
-        ops_payload = payload["operators"]
-        if len(ops_payload) != n - 1:
-            return None
-        for k, entries in enumerate(ops_payload):
-            for row, col, qexp, coeff in entries:
-                if coeff != 1 or len(qexp) != n - 1:
-                    return None
-                columns[k].setdefault(col, []).append((row, tuple(qexp)))
-        return MonkOperators(n=n, basis=basis, index=index, columns=columns)
-    except Exception:
-        return None  # corrupt caches are rebuilt, never trusted
-
-
-_monk_memory: dict[int, MonkOperators] = {}
-
-
-def monk_operators(n: int, cache_dir: Path | str | None = None) -> MonkOperators:
-    """Monk operators for QH*(Fl_n), 2 <= n <= 8; disk-cached for n >= 6."""
+@lru_cache(maxsize=None)
+def monk_operators(n: int) -> MonkOperators:
+    """Monk operators for QH*(Fl_n), 2 <= n <= 8, built in memory once per
+    process; nothing is read from or written to disk."""
     if not (2 <= n <= _MAX_N):
         raise SizeCap(f"monk operators support 2 <= n <= {_MAX_N}, got {n}")
-    if n in _monk_memory:
-        return _monk_memory[n]
-    cdir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    ops = None
-    if n >= 6:
-        ops = _load_monk(n, _cache_path(n, cdir))
-    if ops is None:
-        ops = _build_monk(n)
-        if n >= 6:
-            try:
-                _save_monk(ops, _cache_path(n, cdir))
-            except OSError:
-                pass
-    _monk_memory[n] = ops
+    t0 = time.perf_counter()
+    ops = _build_monk(n)
+    log.debug("monk n=%d: %d basis elements, %d entries, %.3fs", n, len(ops.basis),
+              sum(len(e) for cols in ops.columns for e in cols.values()),
+              time.perf_counter() - t0)
     return ops
 
 
@@ -587,8 +584,7 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[int, dict]) -> d
 
 
 @lru_cache(maxsize=512)
-def class_product(u: Permutation, v: Permutation, n: int,
-                  cache_dir: str | None = None) -> QHClass:
+def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
     """Quantum product sigma_u * sigma_v in QH*(Fl_n).
 
     The shorter factor's quantum Schubert polynomial is evaluated in the
@@ -598,7 +594,7 @@ def class_product(u: Permutation, v: Permutation, n: int,
         raise NotInGroup(f"{u}, {v} must lie in S_{n}")
     if u.length > v.length:
         u, v = v, u
-    ops = monk_operators(n, cache_dir)
+    ops = monk_operators(n)
     vec = {ops.index[v]: {(0,) * (n - 1): 1}}
     out = apply_polynomial(ops, quantum_schubert(u, n), vec)
     result = _vec_to_class(out, ops)

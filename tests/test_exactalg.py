@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tests_support import fraction_inverse
 
 from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure, SingularMatrix
 from flagmirror.exactalg import (
@@ -111,21 +112,6 @@ def test_bareiss_on_polynomial_matrix():
     assert det(M2) == x1 * x2 - q1
 
 
-def _fraction_inverse(A):
-    n = len(A)
-    M = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if M[r][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        pv = M[c][c]
-        M[c] = [v / pv for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return [row[n:] for row in M]
-
-
 def test_jacobi_identity_200_random():
     rng = random.Random(1)
     done = 0
@@ -136,7 +122,7 @@ def test_jacobi_identity_200_random():
         dA = det(A)
         if dA == 0:
             continue
-        Ainv = _fraction_inverse(A)
+        Ainv = fraction_inverse(A)
         size = rng.randint(1, min(3, n))
         J = sorted(rng.sample(range(n), size))
         K = sorted(rng.sample(range(n), size))

@@ -1,16 +1,25 @@
 import itertools
+import logging
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from tests_support import fraction_inverse
 
 from flagmirror.combinat import Permutation
-from flagmirror.errors import SizeCap
+from flagmirror.errors import ExpansionFailure, SizeCap
 from flagmirror.exactalg import MPoly, VarTable, det
 from flagmirror.schubring import (
     QHClass,
+    _build_monk,
     _elementary,
+    _slice_expander,
     _sorted_perms,
+    _unimodular_inverse,
     class_product,
+    elementary_expand,
     monk_operators,
     normal_form,
     omega_involution,
@@ -251,19 +260,101 @@ def test_normal_form_examples():
     assert got == QHClass(("complete", 2), {P("12"): MPoly.var(q_table(2), "q1")})
 
 
-def test_cache_roundtrip(tmp_path):
-    import flagmirror.schubring as sr
+def _slice_matrix_slow(n, m):
+    """The degree-m slice matrix from Fraction products of the _elementary
+    polynomials (the route the integer expander replaced)."""
+    subst, emonos, col, _ = _slice_expander(n, m)
+    mat = [[Fraction(0)] * len(subst) for _ in emonos]
+    for r, imono in enumerate(emonos):
+        prod = MPoly.const(xq_table(n), 1)
+        for k, ik in enumerate(imono, start=1):
+            prod = prod * _elementary(ik, k, n)
+        for e, c in prod.terms.items():
+            mat[r][col[e[:n]]] += c
+    return mat
 
-    sr._monk_memory.pop(6, None)
-    ops1 = monk_operators(6, tmp_path)
-    path = tmp_path / f"monk_n6_v{sr.CACHE_FORMAT_VERSION}.json.gz"
-    assert path.exists()
-    sr._monk_memory.pop(6, None)
-    ops2 = monk_operators(6, tmp_path)  # reloaded from disk
-    assert ops1.columns == ops2.columns
-    # corrupt cache is rebuilt, never trusted
-    path.write_bytes(b"garbage")
-    sr._monk_memory.pop(6, None)
-    ops3 = monk_operators(6, tmp_path)
-    assert ops3.columns == ops1.columns
-    sr._monk_memory.pop(6, None)
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_slice_inverse_matches_fraction_inverse(n):
+    for m in range(n * (n - 1) // 2 + 1):
+        inv = _slice_expander(n, m)[3]
+        assert inv.dtype == np.int64
+        assert inv.tolist() == fraction_inverse(_slice_matrix_slow(n, m))
+
+
+def test_unimodular_inverse_rejects_non_unit_pivots():
+    with pytest.raises(ExpansionFailure, match="no unit pivot"):
+        _unimodular_inverse(np.array([[2, 0], [0, 1]], dtype=np.int64))
+    with pytest.raises(ExpansionFailure, match="no unit pivot"):
+        _unimodular_inverse(np.array([[1, 1], [1, 1]], dtype=np.int64))
+
+
+def test_elementary_expand_rational_and_out_of_span():
+    n = 3
+    p = schubert_poly(P("312"), n) * Fraction(1, 2)
+    want = {k: v / 2 for k, v in elementary_expand(schubert_poly(P("312"), n), n).items()}
+    assert elementary_expand(p, n) == want
+    big = 2 ** 70  # past int64: the mat-vec runs on Python integers
+    assert elementary_expand(p * big, n) == {k: v * big for k, v in want.items()}
+    with pytest.raises(ValueError, match="outside the substaircase span"):
+        elementary_expand(x(n, 3), n)
+
+
+def _monk_reference(n):
+    """Monk's rule by lengths: for a < k <= b, M_k sigma_w gains sigma_{w t_ab}
+    when l(w t_ab) = l(w) + 1, and q_a..q_{b-1} sigma_{w t_ab} when
+    l(w t_ab) = l(w) + 1 - 2(b - a)."""
+    basis = _sorted_perms(n)
+    index = {w: i for i, w in enumerate(basis)}
+    columns = [dict() for _ in range(n - 1)]
+    for ci, w in enumerate(basis):
+        for a in range(n - 1):
+            for b in range(a + 1, n):
+                u = w.times_transposition(a, b)
+                if u.length == w.length + 1:
+                    qexp = (0,) * (n - 1)
+                elif u.length == w.length + 1 - 2 * (b - a):
+                    qexp = tuple(int(a <= i < b) for i in range(n - 1))
+                else:
+                    continue
+                for k in range(a, b):
+                    columns[k].setdefault(ci, []).append((index[u], qexp))
+    return columns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_build_monk_matches_monk_rule_reference(n):
+    ops = _build_monk(n)
+    assert ops.basis == _sorted_perms(n)
+    assert ops.columns == _monk_reference(n)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.permutations(range(5)), st.permutations(range(5)))
+def test_operator_vs_oracle_random_pairs_s5(u, v):
+    u, v = Permutation(tuple(u)), Permutation(tuple(v))
+    # the oracle's cost grows steeply with l(u) + l(v): about a minute at 16
+    assume(u.length + v.length <= 12)
+    assert class_product(u, v, 5) == normal_form(
+        quantum_schubert(u, 5) * quantum_schubert(v, 5), 5)
+
+
+def test_monk_operators_touch_no_disk(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLAGMIRROR_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monk_operators.cache_clear()
+    assert len(monk_operators(6).basis) == 720
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_debug_log_lines(caplog):
+    monk_operators.cache_clear()
+    _slice_expander.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="flagmirror"):
+        monk_operators(5)
+        _slice_expander(5, 3)
+    lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
+    assert len(lines) == 2
+    assert lines[0].startswith("monk n=5: 120 basis elements, ")
+    assert "entries" in lines[0] and lines[0].endswith("s")
+    assert lines[1].startswith("slice n=5 m=3: 15 x 15, ")
