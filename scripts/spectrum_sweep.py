@@ -10,9 +10,7 @@ import numpy as np
 
 from flagmirror.combinat import FlagShape
 from flagmirror.crit import CritConfig
-from flagmirror.verify import check_mirror_spectrum
-
-SHAPES = ["1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "2;5", "1,2,3;4"]
+from flagmirror.verify import ACCEPTANCE_SHAPES, check_mirror_spectrum
 
 
 def main():
@@ -23,7 +21,7 @@ def main():
 
     rng = random.Random(args.seed)
     ok = True
-    for sstr in SHAPES:
+    for sstr in ACCEPTANCE_SHAPES:
         shape = FlagShape.from_string(sstr)
         fibers = [[1.0] * shape.r]
         for _ in range(args.perturbations):

@@ -15,12 +15,8 @@ from .combinat import (
 )
 from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_residual
 from .exactalg import (
-    CMatrix,
     MPoly,
-    Rational,
-    RationalFn,
     VarTable,
-    cramer_generalized,
     det,
     eigenvalues,
     lu_unipotent,

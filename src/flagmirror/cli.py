@@ -9,11 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import schubring
 from .combinat import FlagShape, Permutation
-from .crit import CritConfig, crit_report, find_critical_points
+from .crit import CritConfig, crit_report
 from .errors import FlagMirrorError
 from .exactalg import json_dumps
 from .mirror import (
@@ -26,6 +23,7 @@ from .mirror import (
 from .qhpartial import spectrum_report
 from .schubring import class_product
 from .verify import (
+    ACCEPTANCE_SHAPES,
     check_det_formula,
     check_key_identity,
     check_mirror_spectrum,
@@ -44,10 +42,6 @@ def _parse_q(text: str) -> list[complex]:
     return out
 
 
-def _poly_text(p) -> str:
-    return str(p)
-
-
 def cmd_superpotential(args) -> int:
     shape = FlagShape.from_string(args.shape)
     terms = young_view(shape) if args.young else superpotential(shape)
@@ -58,7 +52,7 @@ def cmd_superpotential(args) -> int:
     else:
         for t in terms:
             print(f"D{t.divisor_k:<3} [{t.family}{t.index}]  "
-                  f"({_poly_text(t.numerator)}) / ({_poly_text(t.denominator)})")
+                  f"({t.numerator}) / ({t.denominator})")
     return 0
 
 
@@ -186,9 +180,7 @@ def cmd_report_all(args) -> int:
         ok &= r.ok
         print(f"  {'PASS' if r.ok else 'FAIL'} {s}")
     print("== mirror spectrum ==")
-    shapes = ["1;2", "1;3", "2;4", "1,2;3"] if args.quick else \
-             ["1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "2;5", "1,2,3;4"]
-    for s in shapes:
+    for s in ACCEPTANCE_SHAPES[:4] if args.quick else ACCEPTANCE_SHAPES:
         shape = FlagShape.from_string(s)
         rep = check_mirror_spectrum(shape, [1.0] * shape.r, CritConfig(seed=args.seed))
         ok &= rep.passed

@@ -38,7 +38,7 @@ class FlagShape:
 
     >>> s = FlagShape.from_string("2,4;7")
     >>> s.block_sizes, s.qdegs, s.dim, s.basis_size
-    ((2, 2, 3), (4, 5), 16, 105)
+    ((2, 2, 3), (4, 5), 16, 210)
     """
 
     n: int
@@ -148,11 +148,6 @@ class Permutation:
         for i, v in enumerate(w):
             inv[v] = i
         return Permutation(tuple(inv))
-
-    def descents(self) -> tuple[int, ...]:
-        """1-based descent positions: i with w(i) > w(i+1)."""
-        w = self.oneline
-        return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
     @cached_property
     def is_321_avoiding(self) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 from .combinat import FlagShape
 from .errors import NearPole, PivotFailure
 from .exactalg import complex_to_json, lu_unipotent
-from .mirror import f_minus_chart, wPw0_matrix, z_from_vector, zchart
+from .mirror import chart_vector, f_minus_chart, wPw0_matrix, z_from_vector
 
 log = logging.getLogger("flagmirror")
 
@@ -29,31 +29,32 @@ __all__ = [
 ]
 
 
+NEWTON_MAX_ITER = 100
+NEWTON_TOL = 1e-12
+DEDUPE_RADIUS = 1e-6
+POLE_GUARD = 1e-10
+START_BOX = (0.2, 2.0)
+
+
 @dataclass(frozen=True)
 class CritConfig:
-    """Budgets and tolerances of the multistart Newton solver.
+    """Budget and seed of the multistart Newton solver.
 
     ``starts=None`` means 100x the expected number of critical points
     (the Schubert-basis size); budgets below 10x trigger a warning.  The
     multistart stops early once at least the expected number of valid chart
     lifts is known and ``max(200, 3 * expected)`` starts in a row have added
     none.
+
+    The tolerances are fixed module constants: at most ``NEWTON_MAX_ITER =
+    100`` damped Newton steps per polish down to ``|grad F| < NEWTON_TOL =
+    1e-12``, polished points within ``DEDUPE_RADIUS = 1e-6`` (relative) are
+    merged, denominators below ``POLE_GUARD = 1e-10`` (relative) count as
+    poles, and start moduli are uniform in ``START_BOX = (0.2, 2.0)``.
     """
 
     starts: int | None = None
     seed: int = 0
-    newton_max_iter: int = 100
-    newton_tol: float = 1e-12
-    dedupe_radius: float = 1e-6
-    pole_guard: float = 1e-10
-    start_box: tuple[float, float] = (0.2, 2.0)
-
-    def __post_init__(self):
-        for name in ("newton_tol", "dedupe_radius", "pole_guard"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.start_box[0] <= 0 or self.start_box[1] <= self.start_box[0]:
-            raise ValueError("start_box must be 0 < lo < hi")
 
 
 @dataclass
@@ -74,15 +75,14 @@ class CritPoint:
         }
 
 
-def _newton_polish(fm, z0, q, cfg: CritConfig, shift=None, tol=None):
+def _newton_polish(fm, z0, q, shift=None, tol=NEWTON_TOL):
     """Damped Newton on the exact symbolic gradient (halving on residual
     increase), used to polish candidate points in chart coordinates.  With a
     ``shift`` vector it solves grad F = shift instead (local degree counts)."""
     z = np.array(z0, dtype=complex)
-    tol = cfg.newton_tol if tol is None else tol
 
     def resid(zz):
-        g = fm.gradient(zz, q, cfg.pole_guard)
+        g = fm.gradient(zz, q, POLE_GUARD)
         return g - shift if shift is not None else g
 
     try:
@@ -90,11 +90,11 @@ def _newton_polish(fm, z0, q, cfg: CritConfig, shift=None, tol=None):
     except NearPole:
         return None
     gn = float(np.linalg.norm(g))
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if gn < tol:
             return z
         try:
-            H = fm.hessian(z, q, cfg.pole_guard)
+            H = fm.hessian(z, q, POLE_GUARD)
             step = np.linalg.solve(H, -g)
         except (NearPole, np.linalg.LinAlgError):
             return None
@@ -227,7 +227,7 @@ def _chart_point_from_toeplitz(shape: FlagShape, T: np.ndarray, q,
     if float(np.abs(np.tril(U, -1)).max()) > tol * scale:
         return None
     z = b @ np.linalg.inv(U)
-    vec = np.array([z[r, c] for (r, c) in zchart(shape).coords])
+    vec = chart_vector(shape, z)
     rebuilt = z_from_vector(shape, vec)
     if float(np.abs(rebuilt - z).max()) > tol * max(1.0, float(np.abs(z).max())):
         return None
@@ -253,7 +253,7 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
         warnings.warn(f"starts={starts} is below 10x the expected count {expected}",
                       stacklevel=2)
     rng = random.Random(cfg.seed)
-    lo, hi = cfg.start_box
+    lo, hi = START_BOX
     q = [complex(v) for v in q]
     if any(v == 0 for v in q):
         raise ValueError("all quantum parameters must be nonzero")
@@ -288,7 +288,7 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
         # a Toeplitz solution of another q-fiber or stratum lifts to a point
         # where the gradient is of order one; polishing it only fails slowly
         try:
-            gn = float(np.linalg.norm(fm.gradient(vec, q, cfg.pole_guard)))
+            gn = float(np.linalg.norm(fm.gradient(vec, q, POLE_GUARD)))
         except NearPole:
             gn = float("inf")
         if gn > 1e-6 * (1 + float(np.linalg.norm(vec))):
@@ -300,15 +300,15 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
 
     found = []
     for vec in lifts:
-        z = _newton_polish(fm, vec, q, cfg)
+        z = _newton_polish(fm, vec, q)
         if z is None:
             continue
-        if any(abs(d) < cfg.pole_guard * (1 + abs(v)) for v, d in fm.term_values(z)):
+        if any(abs(d) < POLE_GUARD * (1 + abs(v)) for v, d in fm.term_values(z)):
             continue
-        gn = float(np.linalg.norm(fm.gradient(z, q, cfg.pole_guard)))
-        if gn >= cfg.newton_tol:
+        gn = float(np.linalg.norm(fm.gradient(z, q, POLE_GUARD)))
+        if gn >= NEWTON_TOL:
             continue
-        val = fm.value(z, q, cfg.pole_guard)
+        val = fm.value(z, q, POLE_GUARD)
         found.append((val, z, gn))
     t2 = time.perf_counter()
 
@@ -320,7 +320,7 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
         dup = False
         for _, zr, _ in reps:
             if np.linalg.norm(np.asarray(z) - np.asarray(zr)) <= \
-                    cfg.dedupe_radius * (1 + np.linalg.norm(zr)):
+                    DEDUPE_RADIUS * (1 + np.linalg.norm(zr)):
                 dup = True
                 break
         if not dup:
@@ -330,7 +330,7 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     # near-converged artifacts wider than the dedupe radius; merge those and
     # measure the local multiplicity by counting roots of grad F = eps*v
     def is_degenerate(z):
-        sv = np.linalg.svd(fm.hessian(z, q, cfg.pole_guard), compute_uv=False)
+        sv = np.linalg.svd(fm.hessian(z, q, POLE_GUARD), compute_uv=False)
         return sv[-1] < 1e-6 * max(1.0, sv[0])
 
     merged: list[list] = []
@@ -354,12 +354,12 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
         val, z, gn = grp[0]
         if len(grp) > 1:
             center = np.mean([g[1] for g in grp], axis=0)
-            zz = _newton_polish(fm, center, q, cfg)
+            zz = _newton_polish(fm, center, q)
             if zz is not None:
                 z = zz
-                gn = float(np.linalg.norm(fm.gradient(z, q, cfg.pole_guard)))
-                val = fm.value(z, q, cfg.pole_guard)
-        mult = _local_degree(fm, z, q, cfg, rng) if deg else 1
+                gn = float(np.linalg.norm(fm.gradient(z, q, POLE_GUARD)))
+                val = fm.value(z, q, POLE_GUARD)
+        mult = _local_degree(fm, z, q, rng) if deg else 1
         points.append(CritPoint(z=np.asarray(z), value=complex(val),
                                 gradient_norm=gn, multiplicity=mult))
 
@@ -383,7 +383,7 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     return points
 
 
-def _local_degree(fm, zstar, q, cfg: CritConfig, rng) -> int:
+def _local_degree(fm, zstar, q, rng) -> int:
     """Local multiplicity of a degenerate critical point: the number of
     solutions of grad F = eps*v near it, for a small generic shift eps*v."""
     dim = len(zstar)
@@ -396,7 +396,7 @@ def _local_degree(fm, zstar, q, cfg: CritConfig, rng) -> int:
     for _ in range(24 + 8 * dim):
         z0 = zstar + 0.05 * scale * np.array(
             [np.exp(2j * np.pi * rng.random()) * rng.random() for _ in range(dim)])
-        z = _newton_polish(fm, z0, q, cfg, shift=shift, tol=1e-10)
+        z = _newton_polish(fm, z0, q, shift=shift, tol=1e-10)
         if z is None or np.linalg.norm(z - zstar) > ball:
             continue
         if all(np.linalg.norm(z - r) > 1e-6 * scale for r in roots):
@@ -447,9 +447,3 @@ def crit_report(shape: FlagShape, q, cfg: CritConfig | None = None) -> dict:
         "total_multiplicity": sum(p.multiplicity for p in points),
         "expected_dim": shape.basis_size,
     }
-
-
-def chart_vector(shape: FlagShape, z) -> np.ndarray:
-    """Free coordinates of a numeric chart matrix."""
-    z = np.asarray(z, dtype=complex)
-    return np.array([z[r, c] for (r, c) in zchart(shape).coords])

@@ -25,10 +25,6 @@ class DimensionMismatch(FlagMirrorError):
     """Row/column index sets do not select a square submatrix."""
 
 
-class SingularMatrix(FlagMirrorError):
-    """Matrix inversion or generalized Cramer requires an invertible matrix."""
-
-
 class PivotFailure(FlagMirrorError):
     """A leading principal minor vanishes; LU with unipotent U impossible."""
 

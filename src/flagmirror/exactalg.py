@@ -19,23 +19,17 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     PivotFailure,
-    SingularMatrix,
 )
 
 __all__ = [
-    "Rational",
     "VarTable",
     "MPoly",
-    "RationalFn",
-    "CMatrix",
     "minor",
     "det",
-    "cramer_generalized",
     "lu_unipotent",
     "eigenvalues",
 ]
 
-Rational = Fraction
 Exp = tuple
 
 
@@ -123,10 +117,6 @@ class MPoly:
     def wdeg(self, exp: Exp) -> int:
         return sum(e * w for e, w in zip(exp, self.table.weights))
 
-    def weighted_degree(self) -> int:
-        """Max weighted degree; -1 for the zero polynomial."""
-        return max((self.wdeg(e) for e in self.terms), default=-1)
-
     def _order_key(self, exp: Exp):
         # graded lexicographic: weighted degree first, then lex on exponents
         return (self.wdeg(exp), exp)
@@ -140,9 +130,6 @@ class MPoly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=self._order_key)
         return e, self.terms[e]
-
-    def coeff(self, exp: Exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def constant(self) -> Fraction:
         return self.terms.get(_aszero(self.table), Fraction(0))
@@ -338,73 +325,8 @@ class MPoly:
         return {self.monomial_string(e): str(self.terms[e]) for e in self.monomials()}
 
 
-@dataclass(frozen=True)
-class RationalFn:
-    """Quotient of two MPolys, normalized so the denominator's canonical
-    leading coefficient is +1."""
-
-    numerator: MPoly
-    denominator: MPoly
-
-    def __post_init__(self):
-        if self.denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        _, lc = self.denominator.leading()
-        if lc != 1:
-            object.__setattr__(self, "numerator", self.numerator * (1 / lc))
-            object.__setattr__(self, "denominator", self.denominator * (1 / lc))
-
-    def substitute(self, values):
-        return self.numerator.substitute(values) / self.denominator.substitute(values)
-
-    def derivative(self, idx: int) -> "RationalFn":
-        n, d = self.numerator, self.denominator
-        return RationalFn(n.derivative(idx) * d - n * d.derivative(idx), d * d)
-
-    def __str__(self) -> str:
-        return f"({self.numerator})/({self.denominator})"
-
-
-class CMatrix:
-    """Dense complex double-precision matrix; entries must be finite."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.array(data, dtype=complex)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite entries")
-        self.data = arr
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __matmul__(self, other):
-        other = other.data if isinstance(other, CMatrix) else other
-        return CMatrix(self.data @ other)
-
-    def inverse(self) -> "CMatrix":
-        try:
-            return CMatrix(np.linalg.inv(self.data))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from None
-
-    def to_json(self):
-        return [[[z.real, z.imag] for z in row] for row in self.data]
-
-    def __repr__(self):
-        return f"CMatrix({self.data!r})"
-
-
 def _as_rows(M):
     """Normalize matrix-ish input to a list of row lists."""
-    if isinstance(M, CMatrix):
-        return [list(r) for r in M.data]
-    if isinstance(M, np.ndarray):
-        return [list(r) for r in M]
     return [list(r) for r in M]
 
 
@@ -483,27 +405,6 @@ def minor(M, rows, cols):
     return det(sub)
 
 
-def cramer_generalized(A, X, Y, J, K):
-    """Minor of X from A X = Y without touching X: det(A_Y(J, K)) / det(A).
-
-    A_Y(J, K) replaces the columns J of A (order preserving) by the columns K
-    of Y.  J and K are equal-size 0-based column sets.
-    """
-    a = _as_rows(A)
-    y = _as_rows(Y)
-    J, K = sorted(J), sorted(K)
-    if len(J) != len(K):
-        raise DimensionMismatch(f"|J|={len(J)} != |K|={len(K)}")
-    da = det(a)
-    if da == 0:
-        raise SingularMatrix("det A = 0 in generalized Cramer")
-    b = [list(r) for r in a]
-    for jc, kc in zip(J, K):
-        for i in range(len(b)):
-            b[i][jc] = y[i][kc]
-    return det(b) / da
-
-
 def lu_unipotent(A, tol: float = 1e-12):
     """Factor A = L U with L lower-triangular and U unipotent upper-triangular.
 
@@ -541,7 +442,7 @@ def eigenvalues(M) -> np.ndarray:
     Delegates to LAPACK's nonsymmetric QR (numpy.linalg.eigvals); the trace
     consistency check guards against a silently bad result.
     """
-    arr = M.data if isinstance(M, CMatrix) else np.array(M, dtype=complex)
+    arr = np.array(M, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {arr.shape}")
     try:
@@ -558,10 +459,6 @@ def eigenvalues(M) -> np.ndarray:
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def complex_from_json(pair) -> complex:
-    return complex(pair[0], pair[1])
 
 
 def json_dumps(obj) -> str:

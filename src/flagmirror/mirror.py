@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinat import FlagShape, Partition, Permutation, partition_of_columns
-from .errors import BadSubsetSize, NearPole, PivotFailure
+from .combinat import FlagShape, Partition, partition_of_columns
+from .errors import BadSubsetSize, NearPole
 from .exactalg import MPoly, VarTable, lu_unipotent, minor
 
 __all__ = [
@@ -25,11 +25,10 @@ __all__ = [
     "chart_table",
     "symbolic_z",
     "z_from_vector",
+    "chart_vector",
     "random_z_vector",
     "wPw0_matrix",
     "w0_matrix",
-    "simple_reflection_matrix",
-    "word_matrix",
     "pluecker_table",
     "pluecker_name",
     "pluecker",
@@ -111,6 +110,22 @@ def symbolic_z(shape: FlagShape):
     return M
 
 
+def _symbolic_minors(shape: FlagShape) -> dict[tuple[int, ...], MPoly]:
+    """Every minor of the first k rows of symbolic_z on a column set K
+    (0-based, sorted), for k up to the last step.  Laplace expansion along
+    row k reuses the (k-1)-row minors, so no polynomial division occurs."""
+    zsym = symbolic_z(shape)
+    out = {(): MPoly.const(chart_table(shape), 1)}
+    for k in range(1, shape.steps[-1] + 1):
+        for K in itertools.combinations(range(shape.n), k):
+            total = MPoly.zero(chart_table(shape))
+            for t, c in enumerate(K):
+                term = zsym[k - 1][c] * out[K[:t] + K[t + 1:]]
+                total = total + term if (k - 1 + t) % 2 == 0 else total - term
+            out[K] = total
+    return out
+
+
 def z_from_vector(shape: FlagShape, vec) -> np.ndarray:
     """Numeric chart matrix from the free-coordinate vector."""
     n = shape.n
@@ -122,30 +137,18 @@ def z_from_vector(shape: FlagShape, vec) -> np.ndarray:
     return M
 
 
+def chart_vector(shape: FlagShape, z) -> np.ndarray:
+    """Free coordinates of a numeric chart matrix."""
+    z = np.asarray(z, dtype=complex)
+    return np.array([z[r, c] for (r, c) in zchart(shape).coords])
+
+
 def random_z_vector(shape: FlagShape, rng, lo: float = 0.2, hi: float = 2.0) -> np.ndarray:
     """Free coordinates with modulus uniform in [lo, hi] and uniform phase."""
     dim = shape.dim
     mod = lo + (hi - lo) * np.array([rng.random() for _ in range(dim)])
     phase = 2 * np.pi * np.array([rng.random() for _ in range(dim)])
     return mod * np.exp(1j * phase)
-
-
-def simple_reflection_matrix(i: int, n: int) -> np.ndarray:
-    """exp(E_{i,i+1}) exp(-E_{i+1,i}) exp(E_{i,i+1}); i is 1-based."""
-    M = np.eye(n)
-    M[i - 1, i - 1] = 0.0
-    M[i, i] = 0.0
-    M[i - 1, i] = 1.0
-    M[i, i - 1] = -1.0
-    return M
-
-
-def word_matrix(word, n: int) -> np.ndarray:
-    """Representative matrix of s_{i_1} ... s_{i_m} from a reduced word."""
-    M = np.eye(n)
-    for i in word:
-        M = M @ simple_reflection_matrix(i, n)
-    return M
 
 
 def w0_matrix(n: int) -> np.ndarray:
@@ -332,7 +335,7 @@ def divisor_equations(shape: FlagShape) -> dict[int, MPoly]:
 # -- uv factorization route ------------------------------------------------------
 
 
-def uv_from_z(z, shape: FlagShape, tol: float = 1e-12):
+def uv_from_z(z, shape: FlagShape):
     """The unipotent factors (u, v) of a numeric chart matrix.
 
     u is the unipotent upper factor of z = b U (b lower-triangular), and
@@ -340,7 +343,7 @@ def uv_from_z(z, shape: FlagShape, tol: float = 1e-12):
     superdiagonal entries at the non-step positions.
     """
     z = np.asarray(z, dtype=complex)
-    _, u = lu_unipotent(z, tol=tol)
+    _, u = lu_unipotent(z)
     v = wPw0_matrix(shape) @ np.linalg.inv(z)
     n = shape.n
     scale = max(1.0, float(np.abs(v).max()))
@@ -382,19 +385,11 @@ class FMinusChart:
         self.shape = shape
         self.chart = zchart(shape)
         dim = self.chart.dim
-        zsym = symbolic_z(shape)
         ptab = pluecker_table(shape)
-        used = set()
-        for term in superpotential(shape):
-            for e in (*term.numerator.terms, *term.denominator.terms):
-                used.update(i for i, k in enumerate(e) if k)
-        # chart-coordinate value of every Plucker symbol that actually occurs
-        pvals: list = [0] * ptab.size
-        for idx in used:
-            if ptab.kinds[idx] == "q":
-                continue
-            cols = _columns_of_pname(ptab.names[idx])
-            pvals[idx] = minor(zsym, range(len(cols)), cols)
+        # chart-coordinate value of every Plucker symbol; q symbols stay 0
+        minors = _symbolic_minors(shape)
+        pvals = [0 if kind == "q" else minors[tuple(_columns_of_pname(name))]
+                 for name, kind in zip(ptab.names, ptab.kinds)]
         self.terms = []
         for term in superpotential(shape):
             qj = term.index[0] if term.family == "quantum" else None
@@ -505,38 +500,14 @@ def f_minus_chart(shape: FlagShape) -> FMinusChart:
 
 
 def f_minus_eval(z, q, shape: FlagShape, pole_guard: float = 1e-12) -> complex:
-    """Superpotential value via the Plucker-term route: evaluate every needed
-    Plucker coordinate as a numeric minor of z and plug into the term sums."""
-    z = np.asarray(z, dtype=complex)
-    ptab = pluecker_table(shape)
-    terms = superpotential(shape)
-    used = set()
-    for term in terms:
-        for e in (*term.numerator.terms, *term.denominator.terms):
-            used.update(i for i, k in enumerate(e) if k)
-    vals: list = [0j] * ptab.size
-    for j in range(1, shape.r + 1):
-        vals[ptab.index(f"q{shape.nj(j)}")] = complex(q[j - 1])
-    for idx in used:
-        if ptab.kinds[idx] != "q":
-            cols = _columns_of_pname(ptab.names[idx])
-            vals[idx] = minor(z, range(len(cols)), cols)
-    total = 0j
-    for term in terms:
-        nv = complex(term.numerator.substitute(vals))
-        dv = complex(term.denominator.substitute(vals))
-        if abs(dv) < pole_guard * (1.0 + abs(nv)):
-            raise NearPole(f"denominator {abs(dv):.3e} at divisor {term.divisor_k}")
-        total += nv / dv
-    return total
+    """Superpotential value via the Plucker-term route, evaluated by the
+    compiled chart evaluator at the free coordinates of z."""
+    return f_minus_chart(shape).value(chart_vector(shape, z), q, pole_guard)
 
 
 def f_minus_grad(z, q, shape: FlagShape, pole_guard: float = 1e-12) -> np.ndarray:
     """Exact symbolic gradient over the free chart coordinates, numerically evaluated."""
-    chart = zchart(shape)
-    z = np.asarray(z, dtype=complex)
-    zvec = [z[r, c] for (r, c) in chart.coords]
-    return f_minus_chart(shape).gradient(zvec, q, pole_guard)
+    return f_minus_chart(shape).gradient(chart_vector(shape, z), q, pole_guard)
 
 
 # -- Young diagram rendering -------------------------------------------------------
@@ -601,13 +572,6 @@ def _partitions_in_box(rows: int, cols: int):
     yield from rec(rows, cols)
 
 
-def _conjugate(parts) -> tuple[int, ...]:
-    parts = [p for p in parts if p > 0]
-    if not parts:
-        return ()
-    return tuple(sum(1 for a in parts if a > m) for m in range(max(parts)))
-
-
 def _join_rect_above(shape: FlagShape, l: int, rect_rows: int, nu) -> MPoly:
     """p^{(l)} of the vertical join ((n-l)^{rect_rows}, nu), or zero if it is
     not a partition inside the l x (n-l) box."""
@@ -627,7 +591,7 @@ def _L_denominator(shape: FlagShape, j: int, m: int) -> MPoly:
     for mu in _partitions_in_box(k, m):
         sgn = (-1) ** (sum(mu) + k * m)
         tail = tuple(m - mu[k - 1 - t] for t in range(k))  # (m-mu_k, ..., m-mu_1)
-        nu = _conjugate(tail)
+        nu = Partition(tail).conjugate().parts
         joined = _join_rect_above(shape, l, l - m, list(nu))
         if joined.is_zero():
             continue
@@ -650,7 +614,7 @@ def _L_numerator(shape: FlagShape, j: int, m: int) -> MPoly:
         else:
             tail = tuple(m - mu[k - 1 - t] for t in range(k)) + (1,)
             sgn = (-1) ** (sum(mu) + k * m)
-        joined = _join_rect_above(shape, l, l - m, list(_conjugate(tail)))
+        joined = _join_rect_above(shape, l, l - m, list(Partition(tail).conjugate().parts))
         if joined.is_zero():
             continue
         out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined

@@ -509,14 +509,6 @@ class QHClass:
         return (isinstance(other, QHClass) and self.ring == other.ring
                 and self.terms == other.terms)
 
-    def coefficient(self, w: Permutation) -> MPoly:
-        table = next((c.table for c in self.terms.values()), None)
-        if w in self.terms:
-            return self.terms[w]
-        if table is None:
-            raise KeyError(w)
-        return MPoly.zero(table)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -618,7 +610,7 @@ def omega_involution(p: MPoly, n: int) -> MPoly:
     return p.map_vars(target)
 
 
-def normal_form(p: MPoly, n: int, _cap: int = 10_000) -> QHClass:
+def normal_form(p: MPoly, n: int) -> QHClass:
     """Image of p in Z[q,x]/I_n^q in the quantum Schubert basis (oracle path).
 
     Straightening is triangular in q-degree: classically decompose each
@@ -637,7 +629,7 @@ def normal_form(p: MPoly, n: int, _cap: int = 10_000) -> QHClass:
     steps = 0
     while not work.is_zero():
         steps += 1
-        if steps > _cap:
+        if steps > 10_000:
             raise AssertionError("normal_form failed to terminate")
         beta = min(sum(e[n:]) for e in work.terms)
         slice_terms = {e: c for e, c in work.terms.items() if sum(e[n:]) == beta}

@@ -4,7 +4,6 @@ domain, and the spectrum-versus-critical-values comparison."""
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,11 +22,12 @@ from .combinat import (
 from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_scaling
 from .errors import FormulaViolation, IdentityViolation, PivotFailure
 from .exactalg import complex_to_json, det, lu_unipotent, minor
-from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector, zchart
+from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
 from .qhpartial import c1_spectrum
 from .schubring import QHClass, class_product, normal_form, quantum_H, xq_table
 
 __all__ = [
+    "ACCEPTANCE_SHAPES",
     "G_function",
     "G_1",
     "tau",
@@ -44,6 +44,10 @@ __all__ = [
     "EquivalenceReport",
     "check_equivalence_route",
 ]
+
+# the desk-scale shapes of the mirror acceptance check; `report-all --quick`
+# runs the first four
+ACCEPTANCE_SHAPES = ("1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "2;5", "1,2,3;4")
 
 
 # -- rational functions on the flag variety side ---------------------------------

@@ -35,6 +35,7 @@ from flagmirror.schubring import (
     quantum_schubert,
 )
 from flagmirror.verify import (
+    ACCEPTANCE_SHAPES,
     check_det_formula,
     check_key_identity,
     check_mirror_spectrum,
@@ -186,9 +187,6 @@ def test_criterion_4_desk_numbers():
     t2 = time.time() - t0b
     assert t2 < 30.0
     _report(4, True, t1 + t2, 60.0, "12 points (one at -3) and 6 points")
-
-
-ACCEPTANCE_SHAPES = ["1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "2;5", "1,2,3;4"]
 
 
 def test_criterion_5_and_9_mirror_spectrum():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flagmirror.cli import main
+from flagmirror.verify import ACCEPTANCE_SHAPES
 
 
 def run(capsys, *argv):
@@ -95,3 +96,12 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "--cache-dir=ops", "qh-mult", "--n", "3",
                        "--u", "213", "--v", "213")
     assert code == 2 and "unrecognized arguments: --cache-dir" in err
+
+
+def test_report_all_quick(capsys):
+    code, out, _ = run(capsys, "report-all", "--quick")
+    assert code == 0
+    assert "== overall: PASS ==" in out
+    for s in ACCEPTANCE_SHAPES[:4]:
+        assert f"  PASS {s} q=1:" in out
+    assert f"{ACCEPTANCE_SHAPES[4]} q=1" not in out

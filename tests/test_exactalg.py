@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_support import fraction_inverse
 
-from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure, SingularMatrix
+from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure
 from flagmirror.exactalg import (
-    CMatrix,
     MPoly,
-    RationalFn,
     VarTable,
-    cramer_generalized,
     det,
     eigenvalues,
     lu_unipotent,
@@ -65,14 +62,6 @@ def test_derivative_and_substitute():
     assert p.substitute([2, 3, Fraction(1, 2)]) == 13
     f = p.as_pyfunc()
     assert abs(f([2.0, 3.0, 0.5]) - 13.0) < 1e-12
-
-
-def test_rationalfn_normalization():
-    x1, x2, _ = _vars()
-    r = RationalFn(x1, -2 * x2)
-    _, lc = r.denominator.leading()
-    assert lc == 1
-    assert r.numerator == x1 * Fraction(-1, 2)
 
 
 def test_minor_basics():
@@ -132,25 +121,6 @@ def test_jacobi_identity_200_random():
         Kc = [i for i in range(n) if i not in K]
         assert lhs == sign * minor(A, Kc, Jc) / dA
         done += 1
-
-
-def test_cramer_generalized():
-    rng = random.Random(2)
-    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    X = [[Fraction(rng.randint(-5, 5)) for _ in range(2)] for _ in range(4)]
-    assert cramer_generalized(eye, X, X, [1, 2], [0, 1]) == minor(X, [1, 2], [0, 1])
-    for _ in range(10):
-        A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-             for _ in range(4)]
-        if det(A) == 0:
-            continue
-        X = [[Fraction(rng.randint(-5, 5)) for _ in range(2)] for _ in range(4)]
-        Y = [[sum(A[i][k] * X[k][j] for k in range(4)) for j in range(2)]
-             for i in range(4)]
-        assert cramer_generalized(A, X, Y, [0, 3], [0, 1]) == minor(X, [0, 3], [0, 1])
-    with pytest.raises(SingularMatrix):
-        zero = [[Fraction(0)] * 2 for _ in range(2)]
-        cramer_generalized(zero, X[:2], X[:2], [0], [0])
 
 
 def test_lu_unipotent_examples():
@@ -224,12 +194,3 @@ def test_eigenvalue_similarity_invariance():
     b = sorted(eigenvalues(S @ M @ np.linalg.inv(S)),
                key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     assert np.abs(np.array(a) - np.array(b)).max() < 1e-6
-
-
-def test_cmatrix_validation():
-    with pytest.raises(ValueError):
-        CMatrix([[np.inf, 0], [0, 1]])
-    with pytest.raises(DimensionMismatch):
-        CMatrix([1, 2, 3])
-    m = CMatrix([[1, 2], [3, 4]])
-    assert m.to_json() == [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]

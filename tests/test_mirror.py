@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, PivotFailure
 from flagmirror.exactalg import MPoly, minor
 from flagmirror.mirror import (
+    _symbolic_minors,
     divisor_equations,
     f_minus_chart,
     f_minus_eval,
@@ -17,7 +20,6 @@ from flagmirror.mirror import (
     pluecker_name,
     pluecker_table,
     random_z_vector,
-    simple_reflection_matrix,
     superpotential,
     symbolic_z,
     term_to_json,
@@ -25,7 +27,6 @@ from flagmirror.mirror import (
     uv_from_z,
     w0_matrix,
     wPw0_matrix,
-    word_matrix,
     young_name,
     young_view,
     z_from_vector,
@@ -186,8 +187,35 @@ def test_symbolic_z_and_chart():
                     assert abs(complex(got) - z2[i, j]) < 1e-12
 
 
+def test_symbolic_minors_match_bareiss():
+    for n in range(2, 6):
+        for shape in all_shapes(n):
+            zsym = symbolic_z(shape)
+            for K, poly in _symbolic_minors(shape).items():
+                assert poly == minor(zsym, range(len(K)), K)
+
+
+def simple_reflection_matrix(i: int, n: int) -> np.ndarray:
+    """exp(E_{i,i+1}) exp(-E_{i+1,i}) exp(E_{i,i+1}); i is 1-based."""
+    M = np.eye(n)
+    M[i - 1, i - 1] = 0.0
+    M[i, i] = 0.0
+    M[i - 1, i] = 1.0
+    M[i, i - 1] = -1.0
+    return M
+
+
+def word_matrix(word, n: int) -> np.ndarray:
+    """Representative matrix of s_{i_1} ... s_{i_m} from a reduced word."""
+    M = np.eye(n)
+    for i in word:
+        M = M @ simple_reflection_matrix(i, n)
+    return M
+
+
 def test_representative_matrices():
-    # the simple-reflection representative and word independence
+    # the closed forms of w0_matrix and wPw0_matrix against products of
+    # simple-reflection representatives, and word independence
     s1 = simple_reflection_matrix(1, 2)
     assert np.allclose(s1, [[0, 1], [-1, 0]])
     for n in range(2, 6):
@@ -272,6 +300,41 @@ def test_route_agreement_and_gradient():
                 fd = (f_minus_eval(z_from_vector(shape, zp), q, shape)
                       - f_minus_eval(z_from_vector(shape, zm), q, shape)) / (2 * h)
                 assert abs(g[idx] - fd) < 1e-5 * (1 + abs(fd))
+
+
+SHAPES_UP_TO_6 = [s for n in range(2, 7) for s in all_shapes(n)]
+
+
+def _complex_in_annulus(draw, lo, hi):
+    mod = draw(st.floats(lo, hi))
+    return mod * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_chart_derivatives_against_central_differences(data):
+    # gradient against differences of value, Hessian against differences of
+    # gradient, at a random chart point and fiber of a random shape, n <= 6
+    shape = data.draw(st.sampled_from(SHAPES_UP_TO_6))
+    zv = np.array([_complex_in_annulus(data.draw, 0.5, 1.5) for _ in range(shape.dim)])
+    q = [_complex_in_annulus(data.draw, 0.7, 1.3) for _ in range(shape.r)]
+    fm = f_minus_chart(shape)
+    try:
+        g = fm.gradient(zv, q)
+        H = fm.hessian(zv, q)
+    except NearPole:
+        assume(False)
+    h = 1e-6
+    fd_g = np.empty(shape.dim, dtype=complex)
+    fd_H = np.empty((shape.dim, shape.dim), dtype=complex)
+    for a in range(shape.dim):
+        e = np.zeros(shape.dim, dtype=complex)
+        e[a] = h
+        fd_g[a] = (fm.value(zv + e, q) - fm.value(zv - e, q)) / (2 * h)
+        fd_H[:, a] = (fm.gradient(zv + e, q) - fm.gradient(zv - e, q)) / (2 * h)
+    assert np.linalg.norm(g - fd_g) <= 1e-7 * (1 + np.linalg.norm(g))
+    assert np.linalg.norm(H - fd_H) <= 1e-7 * (1 + np.linalg.norm(H))
+    assert np.allclose(H, H.T)
 
 
 def test_full_flag_fl3_instantiation():

@@ -4,12 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from flagmirror import verify
+from flagmirror.cli import main
 from flagmirror.combinat import FlagShape, Permutation
 from flagmirror.crit import CritConfig, toeplitz_scaling
 from flagmirror.errors import FormulaViolation, IdentityViolation
 from flagmirror.exactalg import MPoly, lu_unipotent, minor
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
-from flagmirror.schubring import QHClass, q_table, quantum_H, normal_form, xq_table
+from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, normal_form, xq_table
 from flagmirror.verify import (
     G_1,
     G_function,
@@ -162,12 +164,46 @@ def test_v_entry_formula_at_generic_points():
             assert abs(v[nj - 1, nj] - want) < 1e-9 * (1 + abs(want))
 
 
-def test_strict_flags_raise():
-    class Boom(Exception):
-        pass
+def _fault_in_first_product(monkeypatch):
+    """Double the first class product that verify computes; the cached
+    product in schubring is left untouched."""
+    calls = []
 
-    # identity violations raise IdentityViolation when strict
-    rep = check_key_identity(FlagShape(6, (2, 4)), 1, 3, strict=True)
-    assert rep.ok
+    def faulty(u, v, n):
+        calls.append((u, v))
+        out = class_product(u, v, n)
+        return out.scaled(2) if len(calls) == 1 else out
+
+    monkeypatch.setattr(verify, "class_product", faulty)
+
+
+def _fault_in_det_formula(monkeypatch):
+    real = verify.det_formula_class
+    monkeypatch.setattr(verify, "det_formula_class", lambda w, n: real(w, n).scaled(2))
+
+
+def test_strict_flags_raise(monkeypatch):
+    shape = FlagShape(7, (2, 4))
+    _fault_in_first_product(monkeypatch)
+    with pytest.raises(IdentityViolation):
+        check_key_identity(shape, 1, 4, strict=True)
+    _fault_in_first_product(monkeypatch)
+    rep = check_key_identity(shape, 1, 4, strict=False)
+    assert not rep.ok and rep.residual is not None and not rep.residual.is_zero()
+
+    _fault_in_det_formula(monkeypatch)
     with pytest.raises(FormulaViolation):
-        raise FormulaViolation("synthetic")
+        check_det_formula(3, strict=True)
+    rep = check_det_formula(3, strict=False)
+    assert not rep.ok and rep.checked == 5 and len(rep.failures) == 5
+
+
+def test_cli_fail_exit(monkeypatch, capsys):
+    _fault_in_first_product(monkeypatch)
+    assert main(["verify-identity", "--shape", "2,4;7", "--j", "1", "--i", "4"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL shape") and "residual:" in out
+    _fault_in_det_formula(monkeypatch)
+    assert main(["verify-detformula", "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL determinantal formula n=3") and out.count("failed:") == 5
