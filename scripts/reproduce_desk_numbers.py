@@ -6,11 +6,8 @@
 * Gr(2,4) at q = 1: six critical points with values {+-4 sqrt2, +-4i sqrt2, 0, 0}.
 """
 
-import numpy as np
-
 from flagmirror.combinat import FlagShape
-from flagmirror.crit import CritConfig, find_critical_points
-from flagmirror.qhpartial import c1_spectrum
+from flagmirror.crit import CritConfig
 from flagmirror.verify import check_mirror_spectrum
 
 

@@ -52,4 +52,18 @@ from .verify import (
     check_tau_symmetry,
 )
 
+__all__ = [
+    "FlagShape", "Partition", "Permutation", "SkewShape", "all_shapes",
+    "build_xi_and_wJ", "code", "minimal_reps", "skew_shape_321", "CritConfig",
+    "CritPoint", "find_critical_points", "toeplitz_residual", "MPoly",
+    "VarTable", "det", "eigenvalues", "lu_unipotent", "minor",
+    "SuperpotentialTerm", "ZChart", "divisor_equations", "f_minus_eval",
+    "f_minus_grad", "pluecker", "superpotential", "uv_from_z", "young_view",
+    "PartialRing", "c1_class", "c1_spectrum", "chevalley_multiply",
+    "partial_ring", "MonkOperators", "QHClass", "class_product",
+    "monk_operators", "normal_form", "omega_involution", "quantum_E",
+    "quantum_H", "quantum_schubert", "check_det_formula",
+    "check_key_identity", "check_mirror_spectrum", "check_tau_symmetry",
+]
+
 __version__ = "0.1.0"

@@ -65,12 +65,12 @@ class FlagShape:
             return self.n
         return self.steps[j - 1]
 
-    @property
+    @cached_property
     def block_sizes(self) -> tuple[int, ...]:
         """a_j = n_j - n_{j-1} for j in 1..r+1."""
         return tuple(self.nj(j) - self.nj(j - 1) for j in range(1, self.r + 2))
 
-    @property
+    @cached_property
     def qdegs(self) -> tuple[int, ...]:
         """Degree of q_{n_j}: n_{j+1} - n_{j-1}, for j in 1..r."""
         return tuple(self.nj(j + 1) - self.nj(j - 1) for j in range(1, self.r + 1))

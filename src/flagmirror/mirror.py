@@ -84,15 +84,13 @@ def chart_table(shape: FlagShape) -> VarTable:
     return VarTable.make([(f"z{r + 1}_{c + 1}", "chart", 0) for (r, c) in coords])
 
 
-def _fixed_entries(shape: FlagShape):
-    """Yield (row, col, +-1) for the anti-diagonal identity blocks."""
+@lru_cache(maxsize=None)
+def _fixed_entries(shape: FlagShape) -> tuple[tuple[int, int, int], ...]:
+    """(row, col, +-1) for the anti-diagonal identity blocks."""
     n = shape.n
-    for j in range(1, shape.r + 2):
-        sign = -1 if shape.nj(j - 1) % 2 else 1
-        for t in range(shape.block_sizes[j - 1]):
-            row = shape.nj(j - 1) + t
-            col = (n - shape.nj(j)) + t
-            yield row, col, sign
+    return tuple((shape.nj(j - 1) + t, n - shape.nj(j) + t,
+                  -1 if shape.nj(j - 1) % 2 else 1)
+                 for j in range(1, shape.r + 2) for t in range(shape.block_sizes[j - 1]))
 
 
 @lru_cache(maxsize=None)

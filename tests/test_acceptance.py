@@ -5,15 +5,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the mirror-spectrum results are shared between criteria 5 and 9.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from flagmirror.combinat import FlagShape, Permutation, all_shapes
+from flagmirror.combinat import FlagShape, all_shapes
 from flagmirror.crit import CritConfig, find_critical_points
 from flagmirror.errors import NearPole, PivotFailure
 from flagmirror.exactalg import MPoly, det, minor

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from flagmirror.cli import main
 from flagmirror.verify import ACCEPTANCE_SHAPES
 

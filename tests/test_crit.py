@@ -1,13 +1,18 @@
 import logging
+import random
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from flagmirror.combinat import FlagShape
+from flagmirror import crit
+from flagmirror.combinat import FlagShape, Permutation, min_rep_of
 from flagmirror.crit import (
     CritConfig,
     CritPoint,
+    _Search,
     _toeplitz_system,
     crit_report,
     find_critical_points,
@@ -16,6 +21,15 @@ from flagmirror.crit import (
 )
 from flagmirror.exactalg import lu_unipotent
 from flagmirror.mirror import chart_vector, f_minus_chart, random_z_vector, z_from_vector
+from flagmirror.qhpartial import partial_ring
+from flagmirror.verify import ACCEPTANCE_SHAPES
+
+
+def _multistart_points(shape, q, seed, starts=None):
+    """The random Toeplitz multistart alone (the fill-in step), certified."""
+    search = _Search(shape, [complex(v) for v in q], seed)
+    search.multistart(starts if starts is not None else 100 * shape.basis_size)
+    return search.certify()
 
 
 def _values(points):
@@ -94,10 +108,12 @@ def test_determinism():
 
 def test_seed_and_starts_invariance():
     shape = FlagShape(4, (2,))
-    a = _values(find_critical_points(shape, [1.0], CritConfig(seed=1)))
-    b = _values(find_critical_points(shape, [1.0],
-                                     CritConfig(seed=77, starts=1200)))
+    a = _values(_multistart_points(shape, [1.0], seed=1))
+    b = _values(_multistart_points(shape, [1.0], seed=77, starts=1200))
+    c = _values(find_critical_points(shape, [1.0], CritConfig(seed=77, starts=1200)))
+    assert len(a) == 6
     assert np.allclose(a, b, atol=1e-7)
+    assert np.allclose(a, c, atol=1e-7)
 
 
 def test_fd_gradient_reverification():
@@ -157,6 +173,14 @@ def test_report_schema():
     assert rep["total_multiplicity"] == 2
     assert all(set(p) == {"z", "value", "gradient_norm", "toeplitz_residual",
                           "multiplicity"} for p in rep["points"])
+    search = rep["search"]
+    assert set(search) == {
+        "characters", "clusters", "roots_tried", "character_rejected_stratum",
+        "character_rejected_gradient", "fill_in_starts", "toeplitz_converged",
+        "toeplitz_distinct", "eliminated", "rejected_stratum", "rejected_gradient",
+        "polishes_failed", "points", "search_s", "polish_s"}
+    assert search["characters"] == 2 and search["roots_tried"] == 4
+    assert search["fill_in_starts"] == 0 and search["points"] == 2
 
 
 def test_chart_vector_roundtrip():
@@ -202,17 +226,18 @@ def test_reduced_toeplitz_system_is_well_posed(sstr):
 
 
 def test_early_stop_waits_for_expected_count_fl4():
-    # the search used to stop after 258 starts with 23 of the 24 points
-    pts = find_critical_points(FlagShape.from_string("1,2,3;4"), [1.0, 1.0, 1.0],
-                               CritConfig(seed=132976331))
-    assert len(pts) == 24
+    # the multistart used to stop after 258 starts with 23 of the 24 points
+    shape = FlagShape.from_string("1,2,3;4")
+    assert len(_multistart_points(shape, [1.0, 1.0, 1.0], seed=132976331)) == 24
+    assert len(find_critical_points(shape, [1.0, 1.0, 1.0],
+                                    CritConfig(seed=132976331))) == 24
 
 
 def test_gr25_complete_for_every_seed():
     shape = FlagShape.from_string("2;5")
     for seed in range(10):
-        pts = find_critical_points(shape, [1.0], CritConfig(seed=seed))
-        assert len(pts) == 10, seed
+        assert len(_multistart_points(shape, [1.0], seed)) == 10, seed
+        assert len(find_critical_points(shape, [1.0], CritConfig(seed=seed))) == 10, seed
 
 
 def test_debug_log_line(caplog):
@@ -222,5 +247,103 @@ def test_debug_log_line(caplog):
     assert len(lines) == 1
     assert lines[0].startswith("crit 2;4:")
     for part in ("starts", "Toeplitz converged", "distinct (m=1)", "stratum",
-                 "gradient", "polishes failed", "6 points", "search", "polish"):
+                 "gradient", "polishes failed", "6 points", "search", "polish",
+                 "6 characters", "clusters of dim > 1", "24 roots tried",
+                 "fill-in: 0 starts"):
         assert part in lines[0]
+
+
+# -- the character route against the multistart -------------------------------------
+
+
+def _fibers(sstr):
+    """q = 1 and two fibers drawn as the benchmark's desk workload draws them."""
+    r = FlagShape.from_string(sstr).r
+    rng = random.Random(sum(map(ord, sstr)))
+    return [[1.0] * r] + [
+        [1.0 + 0.29 * rng.random() ** 0.5 * np.exp(2j * np.pi * rng.random())
+         for _ in range(r)] for _ in range(2)]
+
+
+@lru_cache(maxsize=None)
+def _multistart_reference(sstr):
+    shape = FlagShape.from_string(sstr)
+    return [(q, _multistart_points(shape, q, seed=0)) for q in _fibers(sstr)]
+
+
+def _same_multiset(a, b, tol=1e-7):
+    """Critical values within tol, paired one to one with equal multiplicities."""
+    if len(a) != len(b):
+        return False
+    cost = np.array([[abs(p.value - r.value) + (p.multiplicity != r.multiplicity)
+                      for r in b] for p in a])
+    rows, cols = linear_sum_assignment(cost)
+    return bool(cost[rows, cols].max() < tol)
+
+
+@pytest.mark.parametrize("sstr", ACCEPTANCE_SHAPES)
+def test_character_route_matches_multistart(sstr):
+    shape = FlagShape.from_string(sstr)
+    for q, reference in _multistart_reference(sstr):
+        assert sum(p.multiplicity for p in reference) == shape.basis_size
+        points = find_critical_points(shape, q, CritConfig(seed=0))
+        assert _same_multiset(points, reference), q
+
+
+def _character_misfit(shape, q, x):
+    """Relative misfit of x_d / x_0^d = (-1)^d prod_j q_{n_j}^(-min(n_j, d))
+    chi(sigma_{w_d}), 1 <= d <= n_r, for the best-fitting character chi:
+    inside each eigenvalue cluster of a random divisor combination, the
+    least-squares fit of its left eigenvectors to chi(1) = 1 and the values
+    read off x."""
+    n, ring = shape.n, partial_ring(shape)
+    rows, want = [ring.index(Permutation.identity(n))], [1.0]
+    for d in range(1, shape.steps[-1] + 1):
+        word = Permutation(tuple(range(n - d, n)) + tuple(range(1, n - d)) + (0,))
+        rows.append(ring.index(min_rep_of(word, shape)))
+        factor = (-1) ** d * np.prod([complex(q[j - 1]) ** -min(shape.nj(j), d)
+                                      for j in range(1, shape.r + 1)])
+        want.append(x[d] / x[0] ** d / factor)
+    want = np.array(want)
+    rng = random.Random(5)
+    M = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * ring.chevalley_matrix(j, q)
+            for j in range(1, shape.r + 1))
+    lam, V = np.linalg.eig(M.T)
+    best = np.inf
+    for i in range(len(lam)):
+        B = V[rows][:, np.abs(lam - lam[i]) < 1e-4 * (1 + np.abs(lam).max())]
+        a = np.linalg.lstsq(B, want, rcond=None)[0]
+        best = min(best, np.linalg.norm(B @ a - want) / np.linalg.norm(want))
+    return best
+
+
+@pytest.mark.parametrize("sstr", ACCEPTANCE_SHAPES)
+def test_closed_formula_at_multistart_points(sstr):
+    shape = FlagShape.from_string(sstr)
+    for q, reference in _multistart_reference(sstr):
+        for p in reference:
+            L, _ = lu_unipotent(z_from_vector(shape, p.z))
+            x = (np.diag(toeplitz_scaling(shape, q)) @ np.asarray(L, dtype=complex))[:, 0]
+            assert np.all(np.abs(x[shape.steps[-1] + 1:]) < 1e-12)
+            assert _character_misfit(shape, q, x) < 1e-9, (q, p.value)
+
+
+@pytest.mark.parametrize("sstr", [s for s in ACCEPTANCE_SHAPES if "," in s])
+def test_combination_seed_independence(sstr, monkeypatch):
+    shape = FlagShape.from_string(sstr)
+    for q in _fibers(sstr):
+        reference = find_critical_points(shape, q, CritConfig(seed=0))
+        for seed in range(10):
+            monkeypatch.setattr(crit, "CHARACTER_SEED", seed)
+            points, stats = crit._search(shape, q, CritConfig(seed=0))
+            assert stats["fill_in_starts"] == 0, (q, seed)
+            assert _same_multiset(points, reference), (q, seed)
+
+
+def test_fill_in_completes_colliding_characters_gr26():
+    # on Gr(2,6) at q = 1 one divisor does not separate the characters: they
+    # give 12 of the 15 points and the multistart finds the other three
+    shape = FlagShape.from_string("2;6")
+    points, stats = crit._search(shape, [1.0], CritConfig(seed=0))
+    assert len(points) == 15 and sum(p.multiplicity for p in points) == 15
+    assert stats["clusters"] >= 1 and stats["fill_in_starts"] > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_support import fraction_inverse
 
-from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure
+from flagmirror.errors import DimensionMismatch, PivotFailure
 from flagmirror.exactalg import (
     MPoly,
     VarTable,

@@ -1,0 +1,44 @@
+"""Unused imports, found with ``ast``: no linter runs on this repository."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "scripts")
+
+
+def _unused_imports(source: str, is_package_init: bool = False) -> list[tuple[int, str]]:
+    """(line, name) of every imported name that the module never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if is_package_init:
+        # the names listed in a package's __all__ are its re-exports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))
+              for line, name in _unused_imports(path.read_text(),
+                                                path.name == "__init__.py")]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_scan_sees_unused_and_reexported_names():
+    src = ("from __future__ import annotations\nimport os\nimport os.path\n"
+           "import sys as system\nfrom math import pi, tau\n__all__ = ['pi']\n"
+           "print(tau)\n")
+    assert _unused_imports(src) == [(3, "os"), (4, "system"), (5, "pi")]
+    assert _unused_imports(src, is_package_init=True) == [(3, "os"), (4, "system")]

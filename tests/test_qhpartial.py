@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -17,7 +16,6 @@ from flagmirror.combinat import (
 from flagmirror.errors import NotMinimalRep
 from flagmirror.exactalg import MPoly
 from flagmirror.qhpartial import (
-    PartialRing,
     c1_class,
     c1_matrix,
     c1_spectrum,
@@ -26,7 +24,7 @@ from flagmirror.qhpartial import (
     partial_ring,
     spectrum_report,
 )
-from flagmirror.schubring import QHClass, class_product, q_table
+from flagmirror.schubring import QHClass, class_product
 
 
 def P(s):

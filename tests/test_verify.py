@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -9,12 +8,11 @@ from flagmirror.cli import main
 from flagmirror.combinat import FlagShape, Permutation
 from flagmirror.crit import CritConfig, toeplitz_scaling
 from flagmirror.errors import FormulaViolation, IdentityViolation
-from flagmirror.exactalg import MPoly, lu_unipotent, minor
+from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
-from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, normal_form, xq_table
+from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, xq_table
 from flagmirror.verify import (
     G_1,
-    G_function,
     check_det_formula,
     check_equivalence_route,
     check_key_identity,
