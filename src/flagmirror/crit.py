@@ -36,6 +36,7 @@ __all__ = [
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 DEDUPE_RADIUS = 1e-6
+MERGE_RADIUS = 1e-4
 POLE_GUARD = 1e-10
 START_BOX = (0.2, 2.0)
 # seed of the divisor combination whose eigenvectors are the characters (the
@@ -61,8 +62,9 @@ class CritConfig:
     The tolerances are fixed module constants: at most ``NEWTON_MAX_ITER =
     100`` damped Newton steps per polish down to ``|grad F| < NEWTON_TOL =
     1e-12``, polished points within ``DEDUPE_RADIUS = 1e-6`` (relative) are
-    merged, denominators below ``POLE_GUARD = 1e-10`` (relative) count as
-    poles, and start moduli are uniform in ``START_BOX = (0.2, 2.0)``.
+    merged, Hessian-degenerate ones within ``MERGE_RADIUS = 1e-4`` (relative)
+    form one point, denominators below ``POLE_GUARD = 1e-10`` (relative) count
+    as poles, and start moduli are uniform in ``START_BOX = (0.2, 2.0)``.
     """
 
     starts: int | None = None
@@ -309,7 +311,11 @@ class _Search:
     def __init__(self, shape: FlagShape, q, seed: int):
         self.shape, self.q = shape, q
         self.fm = f_minus_chart(shape)
+        # one stream for the multistart and one for the local-degree shifts, so
+        # that the fill-in draws the same starts as a multistart run alone
         self.rng = random.Random(seed)
+        self.degree_rng = random.Random(seed)
+        self.degrees: list[tuple[np.ndarray, int]] = []  # (point, local degree)
         self.m = shape.n - 1 - shape.steps[-1]  # diagonals forced to zero
         self.tsols: list[np.ndarray] = []  # Toeplitz solutions of kept lifts and starts
         self.lifts: list[np.ndarray] = []
@@ -388,6 +394,16 @@ class _Search:
                 idle = 0
         stats["search_s"] += time.perf_counter() - t0
 
+    def _degree(self, z) -> int:
+        """The local degree of the degenerate point z, measured once: a later
+        certify reuses it for a merged centre within the merge radius."""
+        for zc, mult in self.degrees:
+            if np.linalg.norm(z - zc) <= MERGE_RADIUS * (1 + np.linalg.norm(zc)):
+                return mult
+        mult = _local_degree(self.fm, z, self.q, self.degree_rng)
+        self.degrees.append((z, mult))
+        return mult
+
     def certify(self) -> list[CritPoint]:
         """Polish the lifts not polished yet; dedupe all polished points,
         merge degenerate clouds and measure their local degree."""
@@ -437,7 +453,7 @@ class _Search:
             if deg:
                 for grp, gflag in zip(merged, flags):
                     if gflag and np.linalg.norm(z - grp[0][1]) <= \
-                            1e-4 * (1 + np.linalg.norm(grp[0][1])):
+                            MERGE_RADIUS * (1 + np.linalg.norm(grp[0][1])):
                         grp.append((val, z, gn))
                         placed = True
                         break
@@ -455,7 +471,7 @@ class _Search:
                     z = zz
                     gn = float(np.linalg.norm(fm.gradient(z, q, POLE_GUARD)))
                     val = fm.value(z, q, POLE_GUARD)
-            mult = _local_degree(fm, z, q, self.rng) if deg else 1
+            mult = self._degree(z) if deg else 1
             points.append(CritPoint(z=np.asarray(z), value=complex(val),
                                     gradient_norm=gn, multiplicity=mult))
 

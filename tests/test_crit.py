@@ -347,3 +347,23 @@ def test_fill_in_completes_colliding_characters_gr26():
     points, stats = crit._search(shape, [1.0], CritConfig(seed=0))
     assert len(points) == 15 and sum(p.multiplicity for p in points) == 15
     assert stats["clusters"] >= 1 and stats["fill_in_starts"] > 0
+
+
+def test_fill_in_reuses_local_degrees_and_multistart_stream(monkeypatch):
+    # the fill-in's second certify must not measure a degenerate point's local
+    # degree again, and the multistart after it draws a fresh seeded stream
+    measured = []
+    local_degree = crit._local_degree
+    monkeypatch.setattr(crit, "_local_degree",
+                        lambda *a: measured.append(a[1]) or local_degree(*a))
+    shape = FlagShape.from_string("1,3;4")
+    search = _Search(shape, [1.0, 1.0], seed=3)
+    search.characters()
+    first = search.certify()
+    assert [p.multiplicity for p in first if p.multiplicity > 1] == [3]
+    assert len(measured) == 1
+    assert search.rng.getstate() == random.Random(3).getstate()
+    search.multistart(60)
+    second = search.certify()
+    assert len(measured) == 1
+    assert _values(second) == _values(first)
