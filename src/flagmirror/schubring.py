@@ -1,11 +1,12 @@
 """Quantum Schubert calculus in the complete-flag ring QH*(Fl_n).
 
 Multiplication by the divisor classes is realized by sparse Monk operators on
-the Schubert basis, built in memory from one-line words; products of general
-classes evaluate one factor's quantum Schubert polynomial in the commuting
-operators X_i = M_i - M_{i-1}.  Quantum Schubert polynomials come from the
-standard elementary-monomial expansion, a Z-basis, computed by exact integer
-elimination and checked by multiplying back.  A linear-algebra-free
+the Schubert basis, keyed by one-line word; a word's Monk column is computed
+on demand and kept in memory (no n!-sized build, no disk cache).  Products of
+general classes evaluate one factor's quantum Schubert polynomial in the
+commuting operators X_i = M_i - M_{i-1}.  Quantum Schubert polynomials come
+from the standard elementary-monomial expansion, a Z-basis, computed by exact
+integer elimination and checked by multiplying back.  A linear-algebra-free
 straightening of polynomials modulo the quantum ideal I_n^q is kept as an
 independent small-n oracle (normal_form).
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .combinat import FlagShape, Permutation
 from .errors import ExpansionFailure, NonIntegralCoefficient, NotInGroup, SizeCap
-from .exactalg import MPoly, VarTable
+from .exactalg import MPoly, VarTable, det
 
 __all__ = [
     "xq_table",
@@ -102,8 +103,6 @@ def quantum_H(l: int, k: int, n: int) -> MPoly:
         return MPoly.const(tab, 1)
     if k + l - 1 > n:
         raise ValueError(f"H_{l}^{k} needs k+l-1 <= n = {n}")
-    from .exactalg import det
-
     rows = [[quantum_E(j - i + 1, k + j - 1, n) for j in range(1, l + 1)] for i in range(1, l + 1)]
     return det(rows)
 
@@ -363,26 +362,62 @@ def quantum_schubert(w: Permutation, n: int) -> MPoly:
 
 # -- Monk operators and products ----------------------------------------------
 
-QExp = tuple
-Entry = tuple  # (row, qexp)
-
 
 @dataclass
 class MonkOperators:
     """Multiplication operators by the divisor classes sigma_{s_k} on the
-    Schubert basis of QH*(Fl_n), ordered by (length, one-line)."""
+    Schubert basis of QH*(Fl_n), on sparse vectors keyed by one-line word."""
 
     n: int
-    basis: tuple[Permutation, ...]
-    index: dict[Permutation, int]
-    columns: list[dict[int, list[Entry]]] = field(repr=False)  # [k-1][col] -> entries
+    # word -> [k-1] -> entries (one-line word of the image, q-exponent)
+    columns: dict[tuple, list[list[tuple]]] = field(default_factory=dict, repr=False)
+    build_s: float = 0.0  # seconds spent computing columns
 
-    def apply(self, k: int, vec: dict[int, dict]) -> dict[int, dict]:
+    def column(self, ol: tuple[int, ...]) -> list[list[tuple]]:
+        """Monk's rule at sigma_w for the one-line word ol of w: M_k sends
+        sigma_w to the sum over positions a < k <= b (1-based k) of
+        sigma_{w t_ab} when l(w t_ab) = l(w) + 1 (no value between positions
+        a and b lies between w(a) < w(b)), and of q_a..q_{b-1} sigma_{w t_ab}
+        when l(w t_ab) = l(w) + 1 - 2(b - a) (every value between them lies
+        between w(b) < w(a)).  Returns the entry lists of M_1..M_{n-1},
+        computed on first use and memoised per word."""
+        cols = self.columns.get(ol)
+        if cols is not None:
+            return cols
+        t0 = time.perf_counter()
+        n = self.n
+        cols = [[] for _ in range(n - 1)]
+        for a in range(n - 1):
+            va = ol[a]
+            hi = n   # least value above va between a and b
+            lo = va  # least value between a and b; -1 once one exceeds va
+            for b in range(a + 1, n):
+                vb = ol[b]
+                if vb > va:
+                    lo = -1
+                    if vb >= hi:
+                        continue
+                    hi = vb
+                    qexp = (0,) * (n - 1)
+                elif vb < lo:
+                    lo = vb
+                    qexp = tuple(int(a <= i < b) for i in range(n - 1))
+                else:
+                    continue
+                swapped = list(ol)
+                swapped[a], swapped[b] = vb, va
+                entry = (tuple(swapped), qexp)
+                for k in range(a, b):
+                    cols[k].append(entry)
+        self.columns[ol] = cols
+        self.build_s += time.perf_counter() - t0
+        return cols
+
+    def apply(self, k: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
         """Apply M_k (k in 1..n-1) to a sparse vector of q-polynomials."""
-        cols = self.columns[k - 1]
-        out: dict[int, dict] = {}
-        for ci, poly in vec.items():
-            for row, qexp in cols.get(ci, ()):
+        out: dict[tuple, dict] = {}
+        for word, poly in vec.items():
+            for row, qexp in self.column(word)[k - 1]:
                 acc = out.setdefault(row, {})
                 if any(qexp):
                     for b, c in poly.items():
@@ -401,7 +436,7 @@ class MonkOperators:
                             del acc[b]
         return {r: p for r, p in out.items() if p}
 
-    def apply_x(self, i: int, vec: dict[int, dict]) -> dict[int, dict]:
+    def apply_x(self, i: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
         """Apply X_i = M_i - M_{i-1} (M_0 = 0)."""
         out = self.apply(i, vec) if i >= 1 else {}
         if i >= 2:
@@ -425,58 +460,15 @@ def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
     return (1 + 2 * between) * (1 if va < vb else -1)
 
 
-def _build_monk(n: int) -> MonkOperators:
-    """Monk's rule on one-line words: M_k sends sigma_w to the sum over
-    positions a < k <= b (1-based k) of sigma_{w t_ab} when l(w t_ab) = l(w) + 1
-    (no value between positions a and b lies between w(a) < w(b)), and of
-    q_a..q_{b-1} sigma_{w t_ab} when l(w t_ab) = l(w) + 1 - 2(b - a) (every
-    value between them lies between w(b) < w(a))."""
-    basis = _sorted_perms(n)
-    rank = {w.oneline: i for i, w in enumerate(basis)}
-    zero_q = (0,) * (n - 1)
-    qexps = {(a, b): tuple(int(a <= i < b) for i in range(n - 1))
-             for a in range(n) for b in range(a + 1, n)}
-    columns: list[dict[int, list[Entry]]] = [dict() for _ in range(n - 1)]
-    for ci, w in enumerate(basis):
-        ol = w.oneline
-        for a in range(n - 1):
-            va = ol[a]
-            hi = n   # least value above va between a and b
-            lo = va  # least value between a and b; -1 once one exceeds va
-            for b in range(a + 1, n):
-                vb = ol[b]
-                if vb > va:
-                    lo = -1
-                    if vb >= hi:
-                        continue
-                    hi = vb
-                    qexp = zero_q
-                elif vb < lo:
-                    lo = vb
-                    qexp = qexps[a, b]
-                else:
-                    continue
-                swapped = list(ol)
-                swapped[a], swapped[b] = vb, va
-                entry = (rank[tuple(swapped)], qexp)
-                for k in range(a, b):
-                    columns[k].setdefault(ci, []).append(entry)
-    return MonkOperators(n=n, basis=basis, index={w: i for i, w in enumerate(basis)},
-                         columns=columns)
-
-
 @lru_cache(maxsize=None)
 def monk_operators(n: int) -> MonkOperators:
-    """Monk operators for QH*(Fl_n), 2 <= n <= 8, built in memory once per
-    process; nothing is read from or written to disk."""
+    """The Monk operators of QH*(Fl_n), 2 <= n <= 8, one object per process.
+    Creating it computes nothing: columns are computed per one-line word on
+    first use, so no n!-sized build runs, and nothing is read from or written
+    to disk.  key_identity_sweep logs the columns built per n at DEBUG."""
     if not (2 <= n <= _MAX_N):
         raise SizeCap(f"monk operators support 2 <= n <= {_MAX_N}, got {n}")
-    t0 = time.perf_counter()
-    ops = _build_monk(n)
-    log.debug("monk n=%d: %d basis elements, %d entries, %.3fs", n, len(ops.basis),
-              sum(len(e) for cols in ops.columns for e in cols.values()),
-              time.perf_counter() - t0)
-    return ops
+    return MonkOperators(n)
 
 
 @dataclass
@@ -525,29 +517,28 @@ class QHClass:
                 sorted(self.terms.items(), key=lambda t: (t[0].length, t[0].oneline))}
 
 
-def _vec_to_class(vec: dict[int, dict], ops: MonkOperators) -> QHClass:
-    n = ops.n
+def _vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
     qt = q_table(n)
     terms: dict[Permutation, MPoly] = {}
-    for idx, poly in vec.items():
+    for word, poly in vec.items():
         coeffs = {}
         for b, c in poly.items():
             c = Fraction(c)
             if c.denominator != 1:
-                raise NonIntegralCoefficient(f"coefficient {c} at {ops.basis[idx]}")
+                raise NonIntegralCoefficient(f"coefficient {c} at {Permutation(word)}")
             if c:
                 coeffs[b] = c
         if coeffs:
-            terms[ops.basis[idx]] = MPoly(qt, coeffs)
+            terms[Permutation(word)] = MPoly(qt, coeffs)
     return QHClass(("complete", n), terms)
 
 
-def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[int, dict]) -> dict[int, dict]:
+def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) -> dict[tuple, dict]:
     """Evaluate an element of Z[q][x] in the operators X_i, applied to vec."""
     n = ops.n
-    memo: dict[tuple, dict[int, dict]] = {(0,) * n: vec}
+    memo: dict[tuple, dict[tuple, dict]] = {(0,) * n: vec}
 
-    def power_vec(xexp: tuple) -> dict[int, dict]:
+    def power_vec(xexp: tuple) -> dict[tuple, dict]:
         if xexp in memo:
             return memo[xexp]
         i = max(idx for idx, e in enumerate(xexp) if e)
@@ -556,7 +547,7 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[int, dict]) -> d
         memo[xexp] = out
         return out
 
-    total: dict[int, dict] = {}
+    total: dict[tuple, dict] = {}
     for e, c in poly.terms.items():
         if c.denominator != 1:
             raise NonIntegralCoefficient(str(c))
@@ -587,9 +578,9 @@ def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
     if u.length > v.length:
         u, v = v, u
     ops = monk_operators(n)
-    vec = {ops.index[v]: {(0,) * (n - 1): 1}}
+    vec = {v.oneline: {(0,) * (n - 1): 1}}
     out = apply_polynomial(ops, quantum_schubert(u, n), vec)
-    result = _vec_to_class(out, ops)
+    result = _vec_to_class(out, n)
     lu, lv = u.length, v.length
     for w, c in result.terms.items():
         for b in c.terms:

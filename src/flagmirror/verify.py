@@ -4,6 +4,8 @@ domain, and the spectrum-versus-critical-values comparison."""
 
 from __future__ import annotations
 
+import logging
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -21,10 +23,11 @@ from .combinat import (
 )
 from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_scaling
 from .errors import FormulaViolation, IdentityViolation, PivotFailure
-from .exactalg import complex_to_json, det, lu_unipotent, minor
+from .exactalg import MPoly, complex_to_json, det, lu_unipotent, minor
 from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
 from .qhpartial import c1_spectrum
-from .schubring import QHClass, class_product, normal_form, quantum_H, xq_table
+from .schubring import (QHClass, _sorted_perms, class_product, monk_operators, normal_form,
+                        q_table, quantum_H, xq_table)
 
 __all__ = [
     "ACCEPTANCE_SHAPES",
@@ -44,6 +47,8 @@ __all__ = [
     "EquivalenceReport",
     "check_equivalence_route",
 ]
+
+log = logging.getLogger("flagmirror")
 
 # the desk-scale shapes of the mirror acceptance check; `report-all --quick`
 # runs the first four
@@ -108,7 +113,7 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
     complete-flag ring, exactly.  All classes are indexed by minimal coset
     representatives and carry no quantum parameters, so the vanishing descends
     to the partial-flag ring."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = shape.n
     d = i - (n - shape.nj(j + 1))
     njd = shape.nj(j) + d
@@ -125,7 +130,7 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
         total = part if total is None else total + part
     ok = total is None or total.is_zero()
     report = KeyIdentityReport(shape, j, i, ok, terms,
-                               None if ok else total, time.time() - t0)
+                               None if ok else total, time.perf_counter() - t0)
     if strict and not ok:
         raise IdentityViolation(f"nonzero residue for {shape}, j={j}, i={i}: {total}")
     return report
@@ -143,8 +148,15 @@ def key_identity_instances(max_n: int):
 
 
 def key_identity_sweep(max_n: int, strict: bool = True):
-    return [check_key_identity(shape, j, i, strict)
-            for shape, j, i in key_identity_instances(max_n)]
+    """Check every key identity with n <= max_n; log the Monk columns built per n."""
+    reports = [check_key_identity(shape, j, i, strict)
+               for shape, j, i in key_identity_instances(max_n)]
+    for n in sorted({rep.shape.n for rep in reports}):
+        ops = monk_operators(n)
+        entries = sum(len(e) for cols in ops.columns.values() for e in cols)
+        log.debug("monk n=%d: %d of %d columns, %d entries, %.3fs", n, len(ops.columns),
+                  math.factorial(n), entries, ops.build_s)
+    return reports
 
 
 # -- determinantal formula -----------------------------------------------------------
@@ -169,7 +181,6 @@ def det_formula_class(w: Permutation, n: int) -> QHClass:
     k = len(sk.flag)
     tab = xq_table(n)
     if k == 0:
-        from .exactalg import MPoly
         return normal_form(MPoly.const(tab, 1), n)
     rows = []
     for a in range(1, k + 1):
@@ -183,11 +194,9 @@ def det_formula_class(w: Permutation, n: int) -> QHClass:
 
 def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     """For every 321-avoiding w in S_n the determinantal class equals sigma_w."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     checked = 0
-    from .schubring import _sorted_perms, q_table
-    from .exactalg import MPoly
     qt = q_table(n)
     for w in _sorted_perms(n):
         if not w.is_321_avoiding:
@@ -200,7 +209,7 @@ def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     ok = not failures
     if strict and not ok:
         raise FormulaViolation(f"determinantal formula failed for {failures}")
-    return DetFormulaReport(n, checked, ok, failures, time.time() - t0)
+    return DetFormulaReport(n, checked, ok, failures, time.perf_counter() - t0)
 
 
 # -- mirror spectrum check -------------------------------------------------------------
@@ -236,7 +245,7 @@ class MirrorSpectrumReport:
 def check_mirror_spectrum(shape: FlagShape, q, cfg: CritConfig | None = None) -> MirrorSpectrumReport:
     """Match the c_1 eigenvalue multiset against the critical values of the
     superpotential (with local multiplicity) by optimal assignment."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     eig = c1_spectrum(shape, q)
     points = find_critical_points(shape, q, cfg)
     values = []
@@ -253,7 +262,7 @@ def check_mirror_spectrum(shape: FlagShape, q, cfg: CritConfig | None = None) ->
         maxd = float("inf")
         passed = False
     return MirrorSpectrumReport(shape, list(q), passed, eig, values,
-                                maxd, tol, points, time.time() - t0)
+                                maxd, tol, points, time.perf_counter() - t0)
 
 
 # -- involution symmetry -----------------------------------------------------------------

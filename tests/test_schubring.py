@@ -1,5 +1,7 @@
 import itertools
 import logging
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,6 @@ from flagmirror.errors import ExpansionFailure, SizeCap
 from flagmirror.exactalg import MPoly, VarTable, det
 from flagmirror.schubring import (
     QHClass,
-    _build_monk,
     _elementary,
     _slice_expander,
     _sorted_perms,
@@ -30,6 +31,7 @@ from flagmirror.schubring import (
     schubert_poly,
     xq_table,
 )
+from flagmirror.verify import key_identity_sweep
 
 
 def P(s):
@@ -150,14 +152,14 @@ def test_monk_examples_small():
 def test_monk_operators_commute():
     for n in range(2, 5):
         ops = monk_operators(n)
-        dim = len(ops.basis)
+        words = list(itertools.permutations(range(n)))
         unit = {(0,) * (n - 1): 1}
-        cols = [[ops.apply(k, {ci: dict(unit)}) for ci in range(dim)]
+        cols = [[ops.apply(k, {w: dict(unit)}) for w in words]
                 for k in range(1, n)]
         for a in range(1, n):
             for b in range(a + 1, n):
-                ab = [ops.apply(b, cols[a - 1][ci]) for ci in range(dim)]
-                ba = [ops.apply(a, cols[b - 1][ci]) for ci in range(dim)]
+                ab = [ops.apply(b, cols[a - 1][ci]) for ci in range(len(words))]
+                ba = [ops.apply(a, cols[b - 1][ci]) for ci in range(len(words))]
                 assert ab == ba
 
 
@@ -178,7 +180,6 @@ def test_operator_vs_oracle_all_pairs_s3():
 
 
 def test_product_commutative_associative_s4():
-    import random
     rng = random.Random(0)
     perms = _sorted_perms(4)
     for _ in range(8):
@@ -196,7 +197,6 @@ def test_product_commutative_associative_s4():
 
 
 def test_grading_random_pairs():
-    import random
     rng = random.Random(1)
     perms = _sorted_perms(4)
     for _ in range(20):
@@ -300,33 +300,59 @@ def test_elementary_expand_rational_and_out_of_span():
         elementary_expand(x(n, 3), n)
 
 
-def _monk_reference(n):
-    """Monk's rule by lengths: for a < k <= b, M_k sigma_w gains sigma_{w t_ab}
-    when l(w t_ab) = l(w) + 1, and q_a..q_{b-1} sigma_{w t_ab} when
-    l(w t_ab) = l(w) + 1 - 2(b - a)."""
-    basis = _sorted_perms(n)
-    index = {w: i for i, w in enumerate(basis)}
-    columns = [dict() for _ in range(n - 1)]
-    for ci, w in enumerate(basis):
-        for a in range(n - 1):
-            for b in range(a + 1, n):
-                u = w.times_transposition(a, b)
-                if u.length == w.length + 1:
-                    qexp = (0,) * (n - 1)
-                elif u.length == w.length + 1 - 2 * (b - a):
-                    qexp = tuple(int(a <= i < b) for i in range(n - 1))
-                else:
-                    continue
-                for k in range(a, b):
-                    columns[k].setdefault(ci, []).append((index[u], qexp))
+def _monk_reference(ol):
+    """Monk's rule by lengths at sigma_w, w with one-line word ol: for
+    a < k <= b, M_k sigma_w gains sigma_{w t_ab} when l(w t_ab) = l(w) + 1,
+    and q_a..q_{b-1} sigma_{w t_ab} when l(w t_ab) = l(w) + 1 - 2(b - a).
+    Returns the entry lists of M_1..M_{n-1}."""
+    w = Permutation(ol)
+    n = w.n
+    columns = [[] for _ in range(n - 1)]
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            u = w.times_transposition(a, b)
+            if u.length == w.length + 1:
+                qexp = (0,) * (n - 1)
+            elif u.length == w.length + 1 - 2 * (b - a):
+                qexp = tuple(int(a <= i < b) for i in range(n - 1))
+            else:
+                continue
+            for k in range(a, b):
+                columns[k].append((u.oneline, qexp))
     return columns
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_build_monk_matches_monk_rule_reference(n):
-    ops = _build_monk(n)
-    assert ops.basis == _sorted_perms(n)
-    assert ops.columns == _monk_reference(n)
+    ops = monk_operators(n)
+    for ol in itertools.permutations(range(n)):
+        assert ops.column(ol) == _monk_reference(ol)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_monk_columns_match_reference_random_words(n):
+    # only the on-demand route reaches these sizes; 200 words each
+    rng = random.Random(n)
+    ops = monk_operators(n)
+    for _ in range(200):
+        ol = tuple(rng.sample(range(n), n))
+        col = ops.column(ol)
+        assert col == _monk_reference(ol)
+        assert ops.column(ol) is col  # memoised per word
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.permutations(range(5)), st.permutations(range(5)), st.permutations(range(5)))
+def test_class_product_commutative_associative_s5(u, v, w):
+    u, v, w = (Permutation(tuple(p)) for p in (u, v, w))
+    assert class_product(u, v, 5) == class_product(v, u, 5)
+    # (u v) w and u (v w), each expanded through class_product alone
+    lhs = rhs = QHClass(("complete", 5), {})
+    for t, c in class_product(u, v, 5).terms.items():
+        lhs = lhs + QHClass(lhs.ring, {s: cc * c for s, cc in class_product(t, w, 5).terms.items()})
+    for t, c in class_product(v, w, 5).terms.items():
+        rhs = rhs + QHClass(rhs.ring, {s: cc * c for s, cc in class_product(u, t, 5).terms.items()})
+    assert lhs == rhs
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -343,18 +369,24 @@ def test_monk_operators_touch_no_disk(tmp_path, monkeypatch):
     monkeypatch.setenv("FLAGMIRROR_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("HOME", str(tmp_path))
     monk_operators.cache_clear()
-    assert len(monk_operators(6).basis) == 720
+    class_product.cache_clear()
+    u, v = P("214365"), P("351624")
+    assert class_product(u, v, 6) == class_product(v, u, 6)
+    assert monk_operators(6).columns  # the product built its columns in memory
     assert list(tmp_path.iterdir()) == []
 
 
 def test_debug_log_lines(caplog):
     monk_operators.cache_clear()
+    class_product.cache_clear()
     _slice_expander.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="flagmirror"):
-        monk_operators(5)
+        key_identity_sweep(5)
         _slice_expander(5, 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
-    assert len(lines) == 2
-    assert lines[0].startswith("monk n=5: 120 basis elements, ")
-    assert "entries" in lines[0] and lines[0].endswith("s")
-    assert lines[1].startswith("slice n=5 m=3: 15 x 15, ")
+    # one line per n of the sweep: n = 4 reaches no operator, n = 5 three words
+    monk = [line for line in lines if line.startswith("monk")]
+    assert len(monk) == 2
+    assert re.fullmatch(r"monk n=4: 0 of 24 columns, 0 entries, 0\.000s", monk[0])
+    assert re.fullmatch(r"monk n=5: 3 of 120 columns, \d+ entries, \d+\.\d{3}s", monk[1])
+    assert sum(line.startswith("slice n=5 m=3: 15 x 15, ") for line in lines) == 1
