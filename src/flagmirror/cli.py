@@ -143,10 +143,12 @@ def cmd_verify_mirror(args) -> int:
     if args.format == "json":
         print(json_dumps(rep.to_json()))
     else:
-        n_pairs = len(rep.critical_values)
-        print(f"{'PASS' if rep.passed else 'FAIL'} shape {rep.shape}: "
-              f"{n_pairs} matched pairs, max distance {rep.max_distance:.2e} "
-              f"(tolerance {rep.tolerance:.2e})")
+        k, m = len(rep.critical_values), len(rep.eigenvalues)
+        verdict = (f"{k} matched pairs, max distance {rep.max_distance:.2e} "
+                   f"(tolerance {rep.tolerance:.2e})" if k == m else
+                   f"count mismatch: {k} critical values vs {m} eigenvalues")
+        print(f"{'PASS' if rep.passed else 'FAIL'} shape {rep.shape}: {verdict} "
+              f"({rep.elapsed:.2f}s)")
         for p in rep.points:
             mult = f" x{p.multiplicity}" if p.multiplicity > 1 else ""
             print(f"  value {p.value.real:+.9f} {p.value.imag:+.9f}i{mult}  "

@@ -5,7 +5,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from flagmirror import crit
 from flagmirror.combinat import FlagShape, Permutation, min_rep_of
@@ -22,7 +21,7 @@ from flagmirror.crit import (
 from flagmirror.exactalg import lu_unipotent
 from flagmirror.mirror import chart_vector, f_minus_chart, random_z_vector, z_from_vector
 from flagmirror.qhpartial import partial_ring
-from flagmirror.verify import ACCEPTANCE_SHAPES
+from flagmirror.verify import ACCEPTANCE_SHAPES, _min_cost_assignment
 
 
 def _multistart_points(shape, q, seed, starts=None):
@@ -277,7 +276,7 @@ def _same_multiset(a, b, tol=1e-7):
         return False
     cost = np.array([[abs(p.value - r.value) + (p.multiplicity != r.multiplicity)
                       for r in b] for p in a])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _min_cost_assignment(cost)
     return bool(cost[rows, cols].max() < tol)
 
 

@@ -1,6 +1,10 @@
-"""Unused imports, found with ``ast``: no linter runs on this repository."""
+"""Import hygiene, checked with ``ast`` and a fresh interpreter: no unused
+imports (no linter runs on this repository), and no scipy at run time."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +46,33 @@ def test_scan_sees_unused_and_reexported_names():
            "print(tau)\n")
     assert _unused_imports(src) == [(3, "os"), (4, "system"), (5, "pi")]
     assert _unused_imports(src, is_package_init=True) == [(3, "os"), (4, "system")]
+
+
+def _scipy_imports(source: str) -> list[int]:
+    """Lines of every import of scipy or a scipy submodule."""
+    def is_scipy(name):
+        return name == "scipy" or name.startswith("scipy.")
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(is_scipy(a.name) for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and is_scipy(node.module or ""))
+
+
+def test_src_does_not_import_scipy():
+    assert _scipy_imports("import scipy.optimize\nfrom scipy import linalg\n"
+                          "import scipyx\nfrom . import scipy\n") == [1, 2]
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in _scipy_imports(path.read_text())]
+    assert not found, "scipy imported at:\n" + "\n".join(found)
+
+
+def test_runtime_loads_no_scipy():
+    """The package and its command line run on numpy alone; scipy is a test
+    dependency, and importing scipy.optimize would cost about half a second."""
+    code = ("import sys, flagmirror, flagmirror.verify, flagmirror.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    paths = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment  # the reference for _min_cost_assignment
 
 from flagmirror import verify
 from flagmirror.cli import main
@@ -12,7 +14,9 @@ from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
 from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, xq_table
 from flagmirror.verify import (
+    ACCEPTANCE_SHAPES,
     G_1,
+    _min_cost_assignment,
     check_det_formula,
     check_equivalence_route,
     check_key_identity,
@@ -124,6 +128,61 @@ def test_mirror_spectrum_small():
     assert rep.passed and len(rep.critical_values) == 6
     js = rep.to_json()
     assert js["passed"] and len(js["eigenvalues"]) == 6
+    assert js["elapsed"] == rep.elapsed > 0
+
+
+def _assignment_inputs():
+    """Square cost matrices, n = 1..30, of three kinds: uniform reals, small
+    integers (many ties), and distances between clustered complex spectra
+    with repeated values."""
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 31):
+        yield rng.random((n, n))
+        yield rng.integers(0, 4, (n, n)).astype(float)
+        centers = rng.normal(size=n // 3 + 1) + 1j * rng.normal(size=n // 3 + 1)
+        a = rng.choice(centers, n)
+        b = rng.choice(centers, n) + 1e-9 * rng.normal(size=n) * (rng.random(n) < 0.5)
+        yield np.abs(a[:, None] - b[None, :])
+
+
+def test_min_cost_assignment_matches_scipy():
+    for cost in _assignment_inputs():
+        n = len(cost)
+        rows, cols = _min_cost_assignment(cost)
+        assert sorted(rows) == sorted(cols) == list(range(n))
+        ref_rows, ref_cols = linear_sum_assignment(cost)
+        got, want = cost[rows, cols].sum(), cost[ref_rows, ref_cols].sum()
+        # the two sums may add equal optima in another order
+        assert abs(got - want) <= n * np.finfo(float).eps * want
+    # a non-finite entry is refused rather than searched forever
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            _min_cost_assignment(np.array([[0.0, bad], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("sstr", ACCEPTANCE_SHAPES)
+def test_mirror_spectrum_max_distance_matches_scipy_route(sstr):
+    shape = FlagShape.from_string(sstr)
+    rep = check_mirror_spectrum(shape, [1.0] * shape.r, CritConfig(seed=42))
+    cost = np.abs(np.array(rep.critical_values)[:, None] - rep.eigenvalues[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert rep.passed and rep.max_distance == float(cost[rows, cols].max())
+
+
+def test_verify_mirror_count_mismatch(monkeypatch, capsys):
+    real = verify.find_critical_points
+    monkeypatch.setattr(verify, "find_critical_points", lambda *a: real(*a)[1:])
+    argv = ["verify-mirror", "--shape", "1,2;3", "--q", "1,1", "--seed", "42"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL shape 1,2;3: count mismatch: 5 critical values vs 6 eigenvalues (")
+    assert main(argv + ["--format", "json"]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert not data["passed"] and data["max_distance"] is None
 
 
 def test_mirror_spectrum_degenerate_fiber():
