@@ -46,6 +46,11 @@ class ExpansionFailure(FlagMirrorError):
     multiply-back check."""
 
 
+class TransitionFailure(FlagMirrorError):
+    """X_r sigma_{u t_rs} did not hold sigma_u with coefficient 1 plus classes
+    below u, as the quantum transition requires (implementation bug)."""
+
+
 class BadSubsetSize(FlagMirrorError):
     """Pluecker column set has a size that is not one of the flag steps."""
 

@@ -3,12 +3,14 @@
 Multiplication by the divisor classes is realized by sparse Monk operators on
 the Schubert basis, keyed by one-line word; a word's Monk column is computed
 on demand and kept in memory (no n!-sized build, no disk cache).  Products of
-general classes evaluate one factor's quantum Schubert polynomial in the
-commuting operators X_i = M_i - M_{i-1}.  Quantum Schubert polynomials come
-from the standard elementary-monomial expansion, a Z-basis, computed by exact
-integer elimination and checked by multiplying back.  A linear-algebra-free
-straightening of polynomials modulo the quantum ideal I_n^q is kept as an
-independent small-n oracle (normal_form).
+general classes expand the shorter factor by the quantum transition,
+sigma_u = X_r sigma_{u t_rs} minus classes below u, in the commuting operators
+X_i = M_i - M_{i-1}, so a product needs Monk columns only.  Quantum Schubert
+polynomials come from the standard elementary-monomial expansion, a Z-basis,
+computed by exact integer elimination and checked by multiplying back; they
+serve the public API and normal_form, a linear-algebra-free straightening of
+polynomials modulo the quantum ideal I_n^q kept as an independent small-n
+oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from math import lcm
 import numpy as np
 
 from .combinat import FlagShape, Permutation
-from .errors import ExpansionFailure, NonIntegralCoefficient, NotInGroup, SizeCap
+from .errors import (ExpansionFailure, NonIntegralCoefficient, NotInGroup, SizeCap,
+                     TransitionFailure)
 from .exactalg import MPoly, VarTable, det
 
 __all__ = [
@@ -371,7 +374,10 @@ class MonkOperators:
     n: int
     # word -> [k-1] -> entries (one-line word of the image, q-exponent)
     columns: dict[tuple, list[list[tuple]]] = field(default_factory=dict, repr=False)
+    # word of u -> (r, word of u t_rs, rest of X_r sigma_{u t_rs})
+    transitions: dict[tuple, tuple] = field(default_factory=dict, repr=False)
     build_s: float = 0.0  # seconds spent computing columns
+    x_calls: int = 0  # calls of apply_x
 
     def column(self, ol: tuple[int, ...]) -> list[list[tuple]]:
         """Monk's rule at sigma_w for the one-line word ol of w: M_k sends
@@ -438,6 +444,7 @@ class MonkOperators:
 
     def apply_x(self, i: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
         """Apply X_i = M_i - M_{i-1} (M_0 = 0)."""
+        self.x_calls += 1
         out = self.apply(i, vec) if i >= 1 else {}
         if i >= 2:
             sub = self.apply(i - 1, vec)
@@ -450,6 +457,38 @@ class MonkOperators:
                     else:
                         del acc[b]
         return {r: p for r, p in out.items() if p}
+
+    def transition(self, ol: tuple[int, ...]) -> tuple[int, tuple, dict[tuple, dict]]:
+        """Quantum transition at sigma_u, u != id with one-line word ol.
+
+        With r the last descent of u (1-based), s the last position after r
+        with u(s) < u(r) and v = u t_rs, so l(v) = l(u) - 1, X_r sigma_v is
+        sigma_u plus a rest R (Lascoux-Schuetzenberger; the quantum terms come
+        from the quantum Monk rule).  Every class in R is shorter than u, or
+        of the same length and lexicographically greater, so expanding
+        sigma_u = X_r sigma_v - R recursively ends.  Returns (r, v, R),
+        memoised per word; raises TransitionFailure if X_r sigma_v does not
+        have that shape."""
+        got = self.transitions.get(ol)
+        if got is not None:
+            return got
+        n = self.n
+        r = max(i for i in range(n - 1) if ol[i] > ol[i + 1])
+        s = max(j for j in range(r + 1, n) if ol[j] < ol[r])
+        v = list(ol)
+        v[r], v[s] = ol[s], ol[r]
+        v = tuple(v)
+        rest = self.apply_x(r + 1, {v: {(0,) * (n - 1): 1}})
+        if rest.pop(ol, None) != {(0,) * (n - 1): 1}:
+            raise TransitionFailure(f"sigma_{ol} is not a unit term of X_{r + 1} sigma_{v}")
+        lu = Permutation(ol).length
+        for w in rest:
+            lw = Permutation(w).length
+            if not (lw < lu or (lw == lu and w > ol)):
+                raise TransitionFailure(f"X_{r + 1} sigma_{v} holds sigma_{w}, not below "
+                                        f"sigma_{ol}")
+        self.transitions[ol] = got = (r + 1, v, rest)
+        return got
 
 
 def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
@@ -465,7 +504,8 @@ def monk_operators(n: int) -> MonkOperators:
     """The Monk operators of QH*(Fl_n), 2 <= n <= 8, one object per process.
     Creating it computes nothing: columns are computed per one-line word on
     first use, so no n!-sized build runs, and nothing is read from or written
-    to disk.  key_identity_sweep logs the columns built per n at DEBUG."""
+    to disk.  key_identity_sweep logs the columns built and the apply_x calls
+    per n at DEBUG."""
     if not (2 <= n <= _MAX_N):
         raise SizeCap(f"monk operators support 2 <= n <= {_MAX_N}, got {n}")
     return MonkOperators(n)
@@ -534,7 +574,8 @@ def _vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
 
 
 def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) -> dict[tuple, dict]:
-    """Evaluate an element of Z[q][x] in the operators X_i, applied to vec."""
+    """Evaluate an element of Z[q][x] in the operators X_i, applied to vec
+    (the tests' reference for class_product)."""
     n = ops.n
     memo: dict[tuple, dict[tuple, dict]] = {(0,) * n: vec}
 
@@ -566,20 +607,61 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
     return {r: p for r, p in total.items() if p}
 
 
+def _transition_product(ops: MonkOperators, ol: tuple[int, ...],
+                        vec: dict[tuple, dict]) -> dict[tuple, dict]:
+    """sigma_u applied to vec, u with one-line word ol, by the quantum
+    transition: gather the classes the recursion reaches, then evaluate them
+    shortest first and, within a length, lexicographically greatest first,
+    so that every class a transition subtracts is ready before it is used."""
+    steps: dict[tuple, tuple | None] = {}
+    todo = [ol]
+    while todo:
+        w = todo.pop()
+        if w in steps:
+            continue
+        if any(a > b for a, b in zip(w, w[1:])):
+            steps[w] = step = ops.transition(w)
+            todo.append(step[1])
+            todo.extend(step[2])
+        else:
+            steps[w] = None  # the identity
+    done: dict[tuple, dict[tuple, dict]] = {}
+    for w in sorted(steps, key=lambda w: (Permutation(w).length, tuple(-a for a in w))):
+        if steps[w] is None:
+            done[w] = vec
+            continue
+        r, v, rest = steps[w]
+        out = ops.apply_x(r, done[v])
+        for w2, coef in rest.items():
+            for row, poly in done[w2].items():
+                acc = out.setdefault(row, {})
+                for b2, c2 in coef.items():
+                    for b, c in poly.items():
+                        key = tuple(x + y for x, y in zip(b, b2))
+                        val = acc.get(key, 0) - c2 * c
+                        if val:
+                            acc[key] = val
+                        else:
+                            del acc[key]
+        done[w] = {row: p for row, p in out.items() if p}
+    return done[ol]
+
+
 @lru_cache(maxsize=512)
 def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
     """Quantum product sigma_u * sigma_v in QH*(Fl_n).
 
-    The shorter factor's quantum Schubert polynomial is evaluated in the
-    commuting operators X_i and applied to the other factor's basis vector.
+    The shorter factor is expanded by the quantum transition
+    (MonkOperators.transition), sigma_u = X_r sigma_{u t_rs} minus classes
+    below u, applied to the other factor's basis vector; the product needs
+    Monk columns only, no quantum Schubert polynomial.
     """
     if u.n != n or v.n != n:
         raise NotInGroup(f"{u}, {v} must lie in S_{n}")
     if u.length > v.length:
         u, v = v, u
     ops = monk_operators(n)
-    vec = {v.oneline: {(0,) * (n - 1): 1}}
-    out = apply_polynomial(ops, quantum_schubert(u, n), vec)
+    out = _transition_product(ops, u.oneline, {v.oneline: {(0,) * (n - 1): 1}})
     result = _vec_to_class(out, n)
     lu, lv = u.length, v.length
     for w, c in result.terms.items():

@@ -147,14 +147,15 @@ def key_identity_instances(max_n: int):
 
 
 def key_identity_sweep(max_n: int, strict: bool = True):
-    """Check every key identity with n <= max_n; log the Monk columns built per n."""
+    """Check every key identity with n <= max_n; log per n the Monk columns
+    built and the apply_x calls made so far."""
     reports = [check_key_identity(shape, j, i, strict)
                for shape, j, i in key_identity_instances(max_n)]
     for n in sorted({rep.shape.n for rep in reports}):
         ops = monk_operators(n)
         entries = sum(len(e) for cols in ops.columns.values() for e in cols)
-        log.debug("monk n=%d: %d of %d columns, %d entries, %.3fs", n, len(ops.columns),
-                  math.factorial(n), entries, ops.build_s)
+        log.debug("monk n=%d: %d of %d columns, %d entries, %d apply_x calls, %.3fs", n,
+                  len(ops.columns), math.factorial(n), entries, ops.x_calls, ops.build_s)
     return reports
 
 

@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from tests_support import fraction_inverse
 
 from flagmirror.combinat import Permutation
-from flagmirror.errors import ExpansionFailure, SizeCap
+from flagmirror.errors import ExpansionFailure, SizeCap, TransitionFailure
 from flagmirror.exactalg import MPoly, VarTable, det
 from flagmirror.schubring import (
+    MonkOperators,
     QHClass,
     _elementary,
     _slice_expander,
     _sorted_perms,
     _unimodular_inverse,
+    _vec_to_class,
+    apply_polynomial,
     class_product,
     elementary_expand,
     monk_operators,
@@ -382,11 +385,70 @@ def test_debug_log_lines(caplog):
     _slice_expander.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="flagmirror"):
         key_identity_sweep(5)
+        # the products run through the Monk operators alone: no e-expansion
+        assert _slice_expander.cache_info().currsize == 0
         _slice_expander(5, 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
-    # one line per n of the sweep: n = 4 reaches no operator, n = 5 three words
+    # one line per n of the sweep: n = 4 reaches no operator, n = 5 four words
     monk = [line for line in lines if line.startswith("monk")]
     assert len(monk) == 2
-    assert re.fullmatch(r"monk n=4: 0 of 24 columns, 0 entries, 0\.000s", monk[0])
-    assert re.fullmatch(r"monk n=5: 3 of 120 columns, \d+ entries, \d+\.\d{3}s", monk[1])
-    assert sum(line.startswith("slice n=5 m=3: 15 x 15, ") for line in lines) == 1
+    assert re.fullmatch(r"monk n=4: 0 of 24 columns, 0 entries, 0 apply_x calls, 0\.000s",
+                        monk[0])
+    assert re.fullmatch(r"monk n=5: 4 of 120 columns, \d+ entries, 11 apply_x calls, "
+                        r"\d+\.\d{3}s", monk[1])
+    slices = [line for line in lines if line.startswith("slice")]
+    assert len(slices) == 1 and slices[0].startswith("slice n=5 m=3: 15 x 15, ")
+
+
+def _polynomial_route(u, v, n):
+    """sigma_u * sigma_v by evaluating u's quantum Schubert polynomial in the
+    operators X_i on sigma_v (the route the quantum transition replaced)."""
+    vec = {v.oneline: {(0,) * (n - 1): 1}}
+    return _vec_to_class(apply_polynomial(monk_operators(n), quantum_schubert(u, n), vec), n)
+
+
+def test_transition_product_matches_polynomial_route():
+    perms = _sorted_perms(4)
+    for u in perms:
+        for v in perms:
+            assert class_product(u, v, 4) == _polynomial_route(u, v, 4)
+    # the polynomial route's cost grows steeply with l(u): cap it at n = 7
+    for n, pairs, max_len in ((5, 40, 10), (6, 15, 15), (7, 4, 9)):
+        rng = random.Random(100 + n)
+        done = 0
+        while done < pairs:
+            u, v = (Permutation(tuple(rng.sample(range(n), n))) for _ in range(2))
+            if u.length > max_len:
+                continue
+            done += 1
+            assert class_product(u, v, n) == _polynomial_route(u, v, n), (u, v)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_transition_rest_lies_below(n):
+    # r the last descent of u, s the last position after r with u(s) < u(r):
+    # X_r sigma_{u t_rs} is sigma_u plus classes shorter than u, or of the same
+    # length and lexicographically greater
+    ops = monk_operators(n)
+    unit = {(0,) * (n - 1): 1}
+    for u in _sorted_perms(n)[1:]:
+        ol = u.oneline
+        r = max(i for i in range(n - 1) if ol[i] > ol[i + 1])
+        s = max(j for j in range(r + 1, n) if ol[j] < ol[r])
+        v = u.times_transposition(r, s)
+        assert v.length == u.length - 1
+        image = ops.apply_x(r + 1, {v.oneline: dict(unit)})
+        assert image.pop(ol) == unit
+        for w in map(Permutation, image):
+            assert w.length < u.length or (w.length == u.length and w.oneline > ol)
+        assert ops.transition(ol) == (r + 1, v.oneline, image)
+
+
+def test_transition_rejects_a_missing_unit_term(monkeypatch):
+    ops = MonkOperators(3)
+    real = MonkOperators.apply_x
+    monkeypatch.setattr(MonkOperators, "apply_x",
+                        lambda self, i, vec: {w: p for w, p in real(self, i, vec).items()
+                                              if w != (2, 1, 0)})
+    with pytest.raises(TransitionFailure, match="not a unit term"):
+        ops.transition((2, 1, 0))
