@@ -40,7 +40,6 @@ from .schubring import (
     class_product,
     monk_operators,
     normal_form,
-    omega_involution,
     quantum_E,
     quantum_H,
     quantum_schubert,
@@ -61,9 +60,9 @@ __all__ = [
     "f_minus_grad", "pluecker", "superpotential", "uv_from_z", "young_view",
     "PartialRing", "c1_class", "c1_spectrum", "chevalley_multiply",
     "partial_ring", "MonkOperators", "QHClass", "class_product",
-    "monk_operators", "normal_form", "omega_involution", "quantum_E",
-    "quantum_H", "quantum_schubert", "check_det_formula",
-    "check_key_identity", "check_mirror_spectrum", "check_tau_symmetry",
+    "monk_operators", "normal_form", "quantum_E", "quantum_H",
+    "quantum_schubert", "check_det_formula", "check_key_identity",
+    "check_mirror_spectrum", "check_tau_symmetry",
 ]
 
 __version__ = "0.1.0"

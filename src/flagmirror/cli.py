@@ -172,7 +172,7 @@ def cmd_report_all(args) -> int:
             print(f"  FAIL {r.shape} j={r.j} i={r.i}")
     print("  sweep done")
     print("== determinantal formula ==")
-    for n in range(2, 5 if args.quick else 6):
+    for n in range(2, 5 if args.quick else 7):
         r = check_det_formula(n, strict=False)
         ok &= r.ok
         print(f"  {'PASS' if r.ok else 'FAIL'} n={n} ({r.checked} permutations)")

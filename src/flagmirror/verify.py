@@ -146,16 +146,22 @@ def key_identity_instances(max_n: int):
     return out
 
 
+def _log_monk(n: int) -> None:
+    """DEBUG line: the Monk columns of S_n built so far, their entries, the
+    apply_x calls made and the seconds spent building columns."""
+    ops = monk_operators(n)
+    entries = sum(len(e) for cols in ops.columns.values() for e in cols)
+    log.debug("monk n=%d: %d of %d columns, %d entries, %d apply_x calls, %.3fs", n,
+              len(ops.columns), math.factorial(n), entries, ops.x_calls, ops.build_s)
+
+
 def key_identity_sweep(max_n: int, strict: bool = True):
     """Check every key identity with n <= max_n; log per n the Monk columns
     built and the apply_x calls made so far."""
     reports = [check_key_identity(shape, j, i, strict)
                for shape, j, i in key_identity_instances(max_n)]
     for n in sorted({rep.shape.n for rep in reports}):
-        ops = monk_operators(n)
-        entries = sum(len(e) for cols in ops.columns.values() for e in cols)
-        log.debug("monk n=%d: %d of %d columns, %d entries, %d apply_x calls, %.3fs", n,
-                  len(ops.columns), math.factorial(n), entries, ops.x_calls, ops.build_s)
+        _log_monk(n)
     return reports
 
 
@@ -193,7 +199,9 @@ def det_formula_class(w: Permutation, n: int) -> QHClass:
 
 
 def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
-    """For every 321-avoiding w in S_n the determinantal class equals sigma_w."""
+    """For every 321-avoiding w in S_n the determinantal class equals sigma_w;
+    logs the permutations checked and the seconds at DEBUG, then the Monk
+    line of S_n."""
     t0 = time.perf_counter()
     failures = []
     checked = 0
@@ -207,9 +215,12 @@ def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
         if got != want:
             failures.append(w)
     ok = not failures
+    elapsed = time.perf_counter() - t0
+    log.debug("detformula n=%d: %d permutations, %.3fs", n, checked, elapsed)
+    _log_monk(n)
     if strict and not ok:
         raise FormulaViolation(f"determinantal formula failed for {failures}")
-    return DetFormulaReport(n, checked, ok, failures, time.perf_counter() - t0)
+    return DetFormulaReport(n, checked, ok, failures, elapsed)
 
 
 # -- mirror spectrum check -------------------------------------------------------------

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from tests_support import fraction_inverse, straighten
 
 from flagmirror.combinat import FlagShape, all_shapes
 from flagmirror.crit import CritConfig, find_critical_points
@@ -30,7 +31,6 @@ from flagmirror.schubring import (
     _sorted_perms,
     class_product,
     monk_operators,
-    normal_form,
     quantum_schubert,
 )
 from flagmirror.verify import (
@@ -232,22 +232,23 @@ def test_criterion_6_key_identity():
 def test_criterion_7_det_formula():
     t0 = time.time()
     total = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         rep = check_det_formula(n)
         assert rep.ok
         total += rep.checked
+    assert total == 2 + 5 + 14 + 42 + 132
     _report(7, True, time.time() - t0, 600.0,
-            f"{total} 321-avoiding permutations, n <= 5")
+            f"{total} 321-avoiding permutations, n <= 6")
 
 
 def test_criterion_8_ring_engine_soundness():
     t0 = time.time()
-    # operator route vs straightening oracle, all pairs in S_4
+    # operator route vs the straightening oracle of tests_support, all pairs in S_4
     perms = _sorted_perms(4)
     for u in perms:
         pu = quantum_schubert(u, 4)
         for v in perms:
-            assert class_product(u, v, 4) == normal_form(pu * quantum_schubert(v, 4), 4)
+            assert class_product(u, v, 4) == straighten(pu * quantum_schubert(v, 4), 4)
     # Monk operators commute pairwise for n <= 5
     for n in range(2, 6):
         ops = monk_operators(n)
@@ -267,8 +268,6 @@ def test_criterion_8_ring_engine_soundness():
             for bexp in c.terms:
                 assert u.length + v.length == w.length + 2 * sum(bexp)
     # Jacobi / generalized Cramer on 200 random rational matrices
-    from tests_support import fraction_inverse  # noqa: F401 - defined below
-
     done = 0
     rng = random.Random(99)
     while done < 200:

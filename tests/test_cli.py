@@ -83,6 +83,11 @@ def test_verify_detformula(capsys):
     assert code == 0 and "14 permutations" in out
 
 
+def test_verify_detformula_n6(capsys):
+    code, out, _ = run(capsys, "verify-detformula", "--n", "6")
+    assert code == 0 and out.startswith("PASS") and "132 permutations" in out
+
+
 def test_usage_errors(capsys):
     assert main(["superpotential"]) == 2  # missing --shape
     assert main(["no-such-command"]) == 2

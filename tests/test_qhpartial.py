@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from flagmirror.combinat import (
 from flagmirror.errors import NotMinimalRep
 from flagmirror.exactalg import MPoly
 from flagmirror.qhpartial import (
+    _chevalley_terms,
     c1_class,
     c1_matrix,
     c1_spectrum,
@@ -24,7 +26,7 @@ from flagmirror.qhpartial import (
     partial_ring,
     spectrum_report,
 )
-from flagmirror.schubring import QHClass, class_product
+from flagmirror.schubring import QHClass, class_product, monk_operators
 
 
 def P(s):
@@ -182,6 +184,19 @@ def test_classical_limit_vs_complete_flag_monk():
                         if t in reps:
                             want.add(t)
                     assert classical == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chevalley_terms_match_monk_columns_on_complete_flags(n):
+    # the partial-flag quantum Chevalley rule on 1,...,n-1;n and the
+    # complete-flag quantum Monk rule of the operators are the same rule
+    shape = FlagShape(n, tuple(range(1, n)))
+    ops = monk_operators(n)
+    for ol in itertools.permutations(range(n)):
+        cols = ops.column(ol)
+        for j in range(1, n):
+            got = sorted((t.oneline, d) for t, d in _chevalley_terms(Permutation(ol), j, shape))
+            assert got == sorted(cols[j - 1]), (ol, j)
 
 
 def test_c1_class_examples():

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_support import fraction_inverse
+from tests_support import _elementary, fraction_inverse, omega_involution, straighten
 
+from flagmirror import verify
 from flagmirror.combinat import Permutation
 from flagmirror.errors import ExpansionFailure, SizeCap, TransitionFailure
 from flagmirror.exactalg import MPoly, VarTable, det
 from flagmirror.schubring import (
     MonkOperators,
     QHClass,
-    _elementary,
     _slice_expander,
     _sorted_perms,
     _unimodular_inverse,
@@ -26,7 +26,6 @@ from flagmirror.schubring import (
     elementary_expand,
     monk_operators,
     normal_form,
-    omega_involution,
     q_table,
     quantum_E,
     quantum_H,
@@ -34,7 +33,7 @@ from flagmirror.schubring import (
     schubert_poly,
     xq_table,
 )
-from flagmirror.verify import key_identity_sweep
+from flagmirror.verify import check_det_formula, key_identity_sweep
 
 
 def P(s):
@@ -170,7 +169,9 @@ def test_sizecap():
     with pytest.raises(SizeCap):
         monk_operators(9)
     with pytest.raises(SizeCap):
-        normal_form(MPoly.const(xq_table(6), 1), 6)
+        normal_form(MPoly.const(xq_table(9), 1), 9)
+    with pytest.raises(SizeCap):
+        straighten(MPoly.const(xq_table(6), 1), 6)
 
 
 def test_operator_vs_oracle_all_pairs_s3():
@@ -178,7 +179,7 @@ def test_operator_vs_oracle_all_pairs_s3():
     for u in perms:
         for v in perms:
             lhs = class_product(u, v, 3)
-            rhs = normal_form(quantum_schubert(u, 3) * quantum_schubert(v, 3), 3)
+            rhs = straighten(quantum_schubert(u, 3) * quantum_schubert(v, 3), 3)
             assert lhs == rhs
 
 
@@ -188,8 +189,8 @@ def test_product_commutative_associative_s4():
     for _ in range(8):
         u, v, w = (rng.choice(perms) for _ in range(3))
         assert class_product(u, v, 4) == class_product(v, u, 4)
-        # associativity via normal form of triple products
-        uv_w = normal_form(
+        # associativity via the straightening of triple products
+        uv_w = straighten(
             quantum_schubert(u, 4) * quantum_schubert(v, 4) * quantum_schubert(w, 4), 4)
         lhs = None
         for t, c in class_product(u, v, 4).terms.items():
@@ -243,15 +244,15 @@ def _H_monomial(imono, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_omega_E_to_H_mod_ideal(n):
     for imono in itertools.product(*(range(k + 1) for k in range(1, n))):
-        lhs = normal_form(omega_involution(_E_monomial(imono, n), n), n)
-        rhs = normal_form(_H_monomial(tuple(reversed(imono)), n), n)
+        lhs = straighten(omega_involution(_E_monomial(imono, n), n), n)
+        rhs = straighten(_H_monomial(tuple(reversed(imono)), n), n)
         assert lhs == rhs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_omega_preserves_ideal(n):
     for i in range(1, n + 1):
-        assert normal_form(omega_involution(quantum_E(i, n, n), n), n).is_zero()
+        assert straighten(omega_involution(quantum_E(i, n, n), n), n).is_zero()
 
 
 def test_normal_form_examples():
@@ -261,6 +262,67 @@ def test_normal_form_examples():
     assert normal_form(quantum_E(1, n, n), n).is_zero()
     got = normal_form(x(2, 1) * x(2, 1), 2)
     assert got == QHClass(("complete", 2), {P("12"): MPoly.var(q_table(2), "q1")})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_x_n_is_minus_m_n_minus_1(n):
+    # M_n = 0, so X_n = -M_{n-1}; E_1^n = x_1 + ... + x_n lies in the ideal
+    ops = monk_operators(n)
+    unit = {(0,) * (n - 1): 1}
+    for ol in itertools.permutations(range(n)):
+        minus = {w: {b: -c for b, c in p.items()}
+                 for w, p in ops.apply(n - 1, {ol: dict(unit)}).items()}
+        assert ops.apply_x(n, {ol: dict(unit)}) == minus
+    assert normal_form(quantum_E(1, n, n), n).is_zero()
+
+
+def _straighten_cases():
+    """(label, n, polynomial): all S_3 and S_4 Schubert products, the
+    omega-transformed E-monomials and their H-monomials for n <= 4, every
+    quantum_H for n <= 5, and seeded random polynomials with q terms."""
+    for n in (3, 4):
+        for u in _sorted_perms(n):
+            for v in _sorted_perms(n):
+                yield f"S{u}*S{v}", n, quantum_schubert(u, n) * quantum_schubert(v, n)
+    for n in (2, 3, 4):
+        for imono in itertools.product(*(range(k + 1) for k in range(1, n))):
+            yield f"omega E{imono}", n, omega_involution(_E_monomial(imono, n), n)
+            yield f"H{imono[::-1]}", n, _H_monomial(imono[::-1], n)
+    for n in range(2, 6):
+        for k in range(1, n + 1):
+            for l in range(0, n - k + 2):
+                yield f"H_{l}^{k}", n, quantum_H(l, k, n)
+    rng = random.Random(11)
+    for n in (3, 4, 5):
+        tab = xq_table(n)
+        for i in range(40):
+            p = MPoly.zero(tab)
+            for _ in range(rng.randint(1, 4)):
+                xexp = [0] * n
+                for _ in range(rng.randint(0, 4)):
+                    xexp[rng.randrange(n)] += 1
+                qexp = [rng.randint(0, 1) for _ in range(n - 1)]
+                p = p + MPoly.monomial(tab, tuple(xexp + qexp), rng.choice([-3, -2, -1, 1, 2, 3]))
+            yield f"random n={n} #{i}", n, p
+
+
+def test_normal_form_matches_straighten(monkeypatch):
+    cases = list(_straighten_cases())
+    assert len(cases) == 612 + 2 * 32 + 48 + 120
+    for label, n, p in cases:
+        assert normal_form(p, n) == straighten(p, n), label
+    # the determinants of the 321-avoiding formula at n = 5, as verify builds them
+    seen = []
+
+    def record(p, n):
+        seen.append(p)
+        return normal_form(p, n)
+
+    monkeypatch.setattr(verify, "normal_form", record)
+    assert check_det_formula(5).checked == 42
+    assert len(seen) == 42
+    for p in seen:
+        assert normal_form(p, 5) == straighten(p, 5)
 
 
 def _slice_matrix_slow(n, m):
@@ -364,7 +426,7 @@ def test_operator_vs_oracle_random_pairs_s5(u, v):
     u, v = Permutation(tuple(u)), Permutation(tuple(v))
     # the oracle's cost grows steeply with l(u) + l(v): about a minute at 16
     assume(u.length + v.length <= 12)
-    assert class_product(u, v, 5) == normal_form(
+    assert class_product(u, v, 5) == straighten(
         quantum_schubert(u, 5) * quantum_schubert(v, 5), 5)
 
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +67,23 @@ def test_det_formula_small_n():
         rep = check_det_formula(n)
         assert rep.ok
         assert rep.checked == {2: 2, 3: 5, 4: 14}[n]
+
+
+@pytest.mark.slow
+def test_det_formula_n7():
+    # 429 permutations; nearly all of the time goes to the Bareiss MPoly det
+    rep = check_det_formula(7)
+    assert rep.ok and rep.checked == 429
+
+
+def test_det_formula_debug_lines(caplog):
+    with caplog.at_level(logging.DEBUG, logger="flagmirror"):
+        check_det_formula(4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
+    assert len(lines) == 2
+    assert re.fullmatch(r"detformula n=4: 14 permutations, \d+\.\d{3}s", lines[0])
+    assert re.fullmatch(r"monk n=4: \d+ of 24 columns, \d+ entries, \d+ apply_x calls, "
+                        r"\d+\.\d{3}s", lines[1])
 
 
 def test_det_formula_hand_case_132():

@@ -1,6 +1,22 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, among them the straightening oracle
+that the Monk-operator route of `flagmirror.schubring` is checked against."""
 
 from fractions import Fraction
+from functools import lru_cache
+
+from flagmirror.combinat import Permutation
+from flagmirror.errors import NonIntegralCoefficient, SizeCap
+from flagmirror.exactalg import MPoly
+from flagmirror.schubring import (
+    QHClass,
+    _sorted_perms,
+    divided_difference,
+    q_table,
+    quantum_E,
+    quantum_schubert,
+    schubert_poly,
+    xq_table,
+)
 
 
 def fraction_inverse(A):
@@ -17,3 +33,159 @@ def fraction_inverse(A):
                 f = M[r][c]
                 M[r] = [a - f * b for a, b in zip(M[r], M[c])]
     return [row[n:] for row in M]
+
+
+# -- straightening of symmetric polynomials and Schubert decomposition -------
+
+
+def apply_dd_word(f: MPoly, word: tuple[int, ...], n: int) -> MPoly:
+    """Compose divided differences along a reduced word (rightmost first)."""
+    for i in reversed(word):
+        if f.is_zero():
+            break
+        f = divided_difference(f, i, n)
+    return f
+
+
+@lru_cache(maxsize=None)
+def _elementary(i: int, k: int, n: int) -> MPoly:
+    """Classical e_i(x_1..x_k) inside xq_table(n)."""
+    tab = xq_table(n)
+    if i == 0:
+        return MPoly.const(tab, 1)
+    if i < 0 or i > k:
+        return MPoly.zero(tab)
+    return _elementary(i, k - 1, n) + MPoly.var(tab, f"x{k}") * _elementary(i - 1, k - 1, n)
+
+
+def _x_degree(e, n: int) -> int:
+    return sum(e[:n])
+
+
+def schubert_symmetric_decompose(p: MPoly, n: int) -> dict[Permutation, MPoly]:
+    """Write p = sum_v f_v * S_v with every f_v symmetric in the x variables.
+
+    Works over Z[q]; divided differences act on the x part only, so
+    f_v = dd_v(remainder) by downward induction on length.
+    """
+    rem = p
+    out: dict[Permutation, MPoly] = {}
+    maxlen = max((_x_degree(e, n) for e in rem.terms), default=-1)
+    by_len: dict[int, list[Permutation]] = {}
+    for w in _sorted_perms(n):
+        by_len.setdefault(w.length, []).append(w)
+    for level in range(min(maxlen, n * (n - 1) // 2), -1, -1):
+        if rem.is_zero():
+            break
+        found = []
+        for v in by_len[level]:
+            fv = apply_dd_word(rem, v.reduced_word(), n)
+            if not fv.is_zero():
+                found.append((v, fv))
+        for v, fv in found:
+            out[v] = fv
+            rem = rem - fv * schubert_poly(v, n)
+    if not rem.is_zero():
+        raise AssertionError("Schubert decomposition left a remainder")
+    return out
+
+
+def symmetric_to_e(f: MPoly, n: int) -> dict[tuple[int, ...], MPoly]:
+    """Expand an x-symmetric f (coefficients may involve q) as a polynomial in
+    e_1(x_1..x_n)..e_n(x_1..x_n); keys are e-exponent vectors, values live in
+    the q-only part of xq_table(n)."""
+    tab = xq_table(n)
+    out: dict[tuple[int, ...], MPoly] = {}
+    rem = f
+    while not rem.is_zero():
+        # lex-max x-monomial; x-symmetry forces weakly decreasing exponents
+        e = max(rem.terms, key=lambda t: t[:n])
+        lam = e[:n]
+        if any(a < b for a, b in zip(lam, lam[1:])):
+            raise AssertionError(f"not symmetric in x: monomial {e}")
+        c = rem.terms[e]
+        expo = tuple(lam[i] - (lam[i + 1] if i + 1 < n else 0) for i in range(n))
+        qmono = MPoly.monomial(tab, (0,) * n + e[n:], c)
+        prod = MPoly.const(tab, 1)
+        for i, m in enumerate(expo, start=1):
+            if m:
+                prod = prod * _elementary(i, n, n) ** m
+        rem = rem - qmono * prod
+        out[expo] = out.get(expo, MPoly.zero(tab)) + qmono
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def omega_involution(p: MPoly, n: int) -> MPoly:
+    """The involution x_k -> -x_{n+1-k}, q_k -> q_{n-k}."""
+    if p.table != xq_table(n):
+        raise ValueError("expected a polynomial over xq_table(n)")
+    target = {}
+    for k in range(1, n + 1):
+        target[k - 1] = (n - k, Fraction(-1))
+    for k in range(1, n):
+        target[n + k - 1] = (n + (n - k) - 1, Fraction(1))
+    return p.map_vars(target)
+
+
+def straighten(p: MPoly, n: int) -> QHClass:
+    """Image of p in Z[q,x]/I_n^q in the quantum Schubert basis, by
+    straightening, independently of the Monk operators.
+
+    Straightening is triangular in q-degree: classically decompose each
+    lowest-q slice into Schubert polynomials plus multiples of the e_i^n,
+    subtract the matching quantum Schubert polynomials and ideal generators,
+    and repeat on the strictly-higher-q remainder.
+    """
+    if n > 5:
+        raise SizeCap(f"straightening oracle supports n <= 5, got {n}")
+    tab = xq_table(n)
+    if p.table != tab:
+        raise ValueError("expected a polynomial over xq_table(n)")
+    qt = q_table(n)
+    acc: dict[Permutation, dict] = {}
+    work = p
+    steps = 0
+    while not work.is_zero():
+        steps += 1
+        if steps > 10_000:
+            raise AssertionError("straighten failed to terminate")
+        beta = min(sum(e[n:]) for e in work.terms)
+        slice_terms = {e: c for e, c in work.terms.items() if sum(e[n:]) == beta}
+        sl = MPoly(tab, slice_terms)
+        subtract = MPoly.zero(tab)
+        for v, fv in schubert_symmetric_decompose(sl, n).items():
+            for expo, qcoef in symmetric_to_e(fv, n).items():
+                if not any(expo):
+                    # constant-in-x part: a Schubert coefficient
+                    dst = acc.setdefault(v, {})
+                    for e, c in qcoef.terms.items():
+                        key = e[n:]
+                        s = dst.get(key, 0) + c
+                        if s:
+                            dst[key] = s
+                        else:
+                            del dst[key]
+                    subtract = subtract + qcoef * quantum_schubert(v, n)
+                else:
+                    i0 = next(i for i, m in enumerate(expo) if m)
+                    rest = MPoly.const(tab, 1)
+                    for i, m in enumerate(expo):
+                        mm = m - 1 if i == i0 else m
+                        if mm:
+                            rest = rest * _elementary(i + 1, n, n) ** mm
+                    subtract = subtract + (qcoef * schubert_poly(v, n) * rest
+                                           * quantum_E(i0 + 1, n, n))
+        work = work - subtract
+    terms: dict[Permutation, MPoly] = {}
+    for v, poly in acc.items():
+        coeffs = {}
+        for b, c in poly.items():
+            c = Fraction(c)
+            if c == 0:
+                continue
+            if c.denominator != 1:
+                raise NonIntegralCoefficient(f"straighten coefficient {c} at {v}")
+            coeffs[b] = c
+        if coeffs:
+            terms[v] = MPoly(qt, coeffs)
+    return QHClass(("complete", n), terms)
