@@ -163,24 +163,6 @@ class Permutation:
         """Right multiplication by the simple reflection s_i (i 1-based)."""
         return self.times_transposition(i - 1, i)
 
-    def reduced_word(self) -> tuple[int, ...]:
-        """A reduced word (i_1, ..., i_m) of 1-based simple-reflection labels
-        with w = s_{i_1} ... s_{i_m}."""
-        w = list(self.oneline)
-        word: list[int] = []
-        # bubble: repeatedly remove the leftmost descent from the right end of the word
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(w) - 1):
-                if w[i] > w[i + 1]:
-                    w[i], w[i + 1] = w[i + 1], w[i]
-                    word.append(i + 1)
-                    changed = True
-                    break
-        word.reverse()
-        return tuple(word)
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))

@@ -273,23 +273,6 @@ class MPoly:
             r = r - MPoly.monomial(self.table, qe, qc) * g
         return MPoly(self.table, out)
 
-    # -- numeric compilation -------------------------------------------------
-
-    def as_pyfunc(self):
-        """Compile to a python function of one sequence argument (fast eval)."""
-        if self.is_zero():
-            return lambda z: 0.0
-        parts = []
-        for e, c in self.terms.items():
-            factors = [repr(complex(c)) if c.denominator != 1 else repr(int(c))]
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"z[{i}]")
-                elif k:
-                    factors.append(f"z[{i}]**{k}")
-            parts.append("*".join(factors))
-        return eval("lambda z: " + "+".join(parts))  # noqa: S307 - generated from exact data
-
     # -- printing ------------------------------------------------------------
 
     def monomial_string(self, exp: Exp) -> str:

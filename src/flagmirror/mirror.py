@@ -9,6 +9,8 @@ only in comments and in printed variable names like ``p_1467``.
 from __future__ import annotations
 
 import itertools
+import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +20,8 @@ import numpy as np
 from .combinat import FlagShape, Partition, partition_of_columns
 from .errors import BadSubsetSize, NearPole
 from .exactalg import MPoly, VarTable, lu_unipotent, minor
+
+log = logging.getLogger("flagmirror")
 
 __all__ = [
     "ZChart",
@@ -377,124 +381,156 @@ def _columns_of_pname(name: str) -> list[int]:
 
 class FMinusChart:
     """The superpotential as a rational function of the free chart coordinates,
-    with exact symbolic partial derivatives compiled for fast numeric use."""
+    each term N/D expanded into exact chart polynomials, evaluated by one
+    straight-line Python source per shape that is generated from them (see
+    `_evaluator_source`) and compiled once."""
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
-        self.chart = zchart(shape)
-        dim = self.chart.dim
         ptab = pluecker_table(shape)
-        # chart-coordinate value of every Plucker symbol; q symbols stay 0
+        # chart-coordinate value of every Plucker symbol; q = 1 strips the q
+        # prefactor of the quantum numerators, which is re-applied numerically
         minors = _symbolic_minors(shape)
-        pvals = [0 if kind == "q" else minors[tuple(_columns_of_pname(name))]
+        pvals = [1 if kind == "q" else minors[tuple(_columns_of_pname(name))]
                  for name, kind in zip(ptab.names, ptab.kinds)]
-        self.terms = []
-        for term in superpotential(shape):
-            qj = term.index[0] if term.family == "quantum" else None
-            num = term.numerator
-            if qj is not None:
-                # strip the q prefactor; it is re-applied numerically
-                stripped = {}
-                qidx = ptab.index(f"q{shape.nj(qj)}")
-                for e, c in num.terms.items():
-                    e2 = list(e)
-                    assert e2[qidx] == 1
-                    e2[qidx] = 0
-                    stripped[tuple(e2)] = c
-                num = MPoly(ptab, stripped)
-            N = num.substitute(pvals)
-            D = term.denominator.substitute(pvals)
-            if not isinstance(N, MPoly):
-                N = MPoly.const(chart_table(shape), N)
-            self.terms.append({
-                "qj": qj, "Nsym": N, "Dsym": D,
-                "N": N.as_pyfunc(), "D": D.as_pyfunc(),
-            })
-        self._dim = dim
-        self._have_derivs = False
-
-    def _ensure_derivs(self):
-        if self._have_derivs:
-            return
-        dim = self._dim
-        for t in self.terms:
-            N, D = t["Nsym"], t["Dsym"]
-            grads_n = [N.derivative(a) for a in range(dim)]
-            grads_d = [D.derivative(a) for a in range(dim)]
-            t["Na"] = [g.as_pyfunc() for g in grads_n]
-            t["Da"] = [g.as_pyfunc() for g in grads_d]
-            t["Nab"] = [[grads_n[a].derivative(b).as_pyfunc() for b in range(a + 1)]
-                        for a in range(dim)]
-            t["Dab"] = [[grads_d[a].derivative(b).as_pyfunc() for b in range(a + 1)]
-                        for a in range(dim)]
-        self._have_derivs = True
-
-    def _prefactors(self, q):
-        pref = {None: 1.0 + 0j}
-        for j in range(1, self.shape.r + 1):
-            pref[j] = complex(q[j - 1])
-        return pref
+        self.terms = [(t, t.numerator.substitute(pvals), t.denominator.substitute(pvals))
+                      for t in superpotential(shape)]
+        srcs, self.emitted = _evaluator_source(self.terms, shape.dim)
+        ns = {"_np": np, "_C": np.complex128, "_ONE": np.complex128(1.0), "NearPole": NearPole}
+        for src in srcs:  # one function at a time: compile's peak memory grows with the source
+            exec(compile(src, f"<F_- {shape}>", "exec"), ns)  # noqa: S102 - generated source
+        self._value, self._gradient, self._hessian, self._term_values = (
+            ns["_value"], ns["_gradient"], ns["_hessian"], ns["_term_values"])
 
     def term_values(self, zvec):
         """(numerator, denominator) complex values per term, without q factors."""
-        return [(t["N"](zvec), t["D"](zvec)) for t in self.terms]
+        return self._term_values(zvec)
 
     def value(self, zvec, q, pole_guard: float = 1e-12) -> complex:
-        pref = self._prefactors(q)
-        total = 0j
-        for t in self.terms:
-            nv, dv = t["N"](zvec), t["D"](zvec)
-            if abs(dv) < pole_guard * (1.0 + abs(nv)):
-                raise NearPole(f"denominator {abs(dv):.3e} at a {t['qj']}-term")
-            total += pref[t["qj"]] * nv / dv
-        return total
+        return self._value(zvec, q, pole_guard)
 
     def gradient(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
-        self._ensure_derivs()
-        pref = self._prefactors(q)
-        dim = self.chart.dim
-        g = np.zeros(dim, dtype=complex)
-        for t in self.terms:
-            nv, dv = t["N"](zvec), t["D"](zvec)
-            if abs(dv) < pole_guard * (1.0 + abs(nv)):
-                raise NearPole("denominator too small in gradient")
-            c = pref[t["qj"]]
-            inv2 = 1.0 / (dv * dv)
-            for a in range(dim):
-                g[a] += c * (t["Na"][a](zvec) * dv - nv * t["Da"][a](zvec)) * inv2
-        return g
+        return self._gradient(zvec, q, pole_guard)
 
     def hessian(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
-        self._ensure_derivs()
-        pref = self._prefactors(q)
-        dim = self.chart.dim
-        H = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms:
-            nv, dv = t["N"](zvec), t["D"](zvec)
-            if abs(dv) < pole_guard * (1.0 + abs(nv)):
-                raise NearPole("denominator too small in hessian")
-            c = pref[t["qj"]]
-            na = [t["Na"][a](zvec) for a in range(dim)]
-            da = [t["Da"][a](zvec) for a in range(dim)]
-            inv2 = 1.0 / (dv * dv)
-            inv3 = inv2 / dv
-            for a in range(dim):
-                for b in range(a + 1):
-                    nab = t["Nab"][a][b](zvec)
-                    dab = t["Dab"][a][b](zvec)
-                    val = (nab * dv + na[a] * da[b] - na[b] * da[a] - nv * dab) * inv2
-                    val -= 2.0 * (na[a] * dv - nv * da[a]) * da[b] * inv3
-                    H[a, b] += c * val
-        # symmetry of mixed partials: d_b(T_a) computed above equals d_a(T_b)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                H[a, b] = H[b, a]
-        return H
+        return self._hessian(zvec, q, pole_guard)
+
+
+def _signed_sum(*parts) -> str:
+    """The (sign, product) pairs with a nonempty product, summed from the left."""
+    out = ""
+    for sign, prod in parts:
+        if prod:
+            out = f"{out} {sign} {prod}" if out else prod if sign == "+" else f"-{prod}"
+    return out
+
+
+def _poly_src(p: MPoly) -> str:
+    """p in the locals z0, z1, ...: its monomials in ``terms`` order summed
+    from the left, each the coefficient times the variables from the left;
+    unit coefficients and the signs of integer ones change no bit."""
+    parts = []
+    for e, c in p.terms.items():
+        mono = ["(" + "*".join([f"z{i}"] * k) + ")" if k > 1 else f"z{i}"
+                for i, k in enumerate(e) if k]
+        whole = c.denominator == 1
+        coef = [repr(complex(c))] if not whole else [] if abs(c) == 1 and mono else [str(abs(c))]
+        parts.append(("-" if whole and c < 0 else "+", "*".join(coef + mono)))
+    return _signed_sum(*parts)
+
+
+def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
+    """Sources of _term_values, _value, _gradient and _hessian for the (term, N, D)
+    of one shape, then the gradient and Hessian term entries (emitted, in all)
+    and the lines.  Each N and D is evaluated once with its pole check, then
+    the quotient rule term by term, the Hessian on each term's support.  Only
+    products with an identically zero factor and the unit prefactor of
+    non-quantum terms are left out, and both complex divisions per term go
+    through numpy, so every result equals numpy-scalar arithmetic on the same
+    polynomials by the same formulas."""
+    zs = "    " + "".join(f"z{a}, " for a in range(dim)) + "= zvec.tolist()"
+    cs = [f"c{t.index[0]}*" if t.family == "quantum" else "" for t, _, _ in terms]
+    nd = [(_poly_src(N), _poly_src(D)) for _, N, D in terms]
+    nas = [[N.derivative(a) for a in range(dim)] for _, N, _ in terms]
+    das = [[D.derivative(a) for a in range(dim)] for _, _, D in terms]
+
+    def head(name):
+        out = [f"def _{name}(zvec, q, guard):", zs]
+        out += [f"    c{t.index[0]} = complex(q[{t.index[0] - 1}])"
+                for t, _, _ in terms if t.family == "quantum"]
+        for k, (t, _, _) in enumerate(terms):
+            out += [f"    n{k} = {nd[k][0]}", f"    d{k} = {nd[k][1]}",
+                    f"    if abs(d{k}) < guard * (1.0 + abs(n{k})):",
+                    f"        raise NearPole(f'denominator {{abs(d{k}):.3e}} at the "
+                    f"{t.family} term {t.index} in {name}')"]
+        return out
+
+    def local(lines, name, p):
+        """Emit name = p unless p is zero; the name, or "" for zero."""
+        src = _poly_src(p)
+        if src:
+            lines.append(f"    {name} = {src}")
+        return src and name
+
+    def firsts(lines, k):
+        """Emit term k's nonzero first partials; their names and N_a D - N D_a, "" for 0."""
+        na = [local(lines, f"na{k}_{a}", p) for a, p in enumerate(nas[k])]
+        da = [local(lines, f"da{k}_{a}", p) for a, p in enumerate(das[k])]
+        return na, da, [_signed_sum(("+", x and f"{x}*d{k}"), ("-", y and f"n{k}*{y}"))
+                        for x, y in zip(na, da)]
+
+    tv = ["def _term_values(zvec):", zs,
+          "    return [" + ", ".join(f"({n}, {d})" for n, d in nd) + "]"]
+    value = head("value") + ["    return 0j + " + " + ".join(
+        f"_C({c}n{k}) / d{k}" for k, c in enumerate(cs))]
+
+    gl = head("gradient")
+    grad = [[] for _ in range(dim)]
+    for k, c in enumerate(cs):
+        gl.append(f"    i{k} = complex(_ONE / (d{k} * d{k}))")
+        for a, num in enumerate(firsts(gl, k)[2]):
+            if num:
+                grad[a].append(f"{c}({num})*i{k}")
+    gl.append("    return _np.array([" + ", ".join(
+        " + ".join(g) or "0j" for g in grad) + "], complex)")
+
+    hl = head("hessian")
+    hess = {(a, b): [] for a in range(dim) for b in range(a + 1)}
+    for k, c in enumerate(cs):
+        hl += [f"    i{k} = _ONE / (d{k} * d{k})", f"    j{k} = complex(i{k} / d{k})",
+                  f"    i{k} = complex(i{k})"]
+        na, da, num = firsts(hl, k)
+        support = [a for a in range(dim) if num[a]]
+        for i, a in enumerate(support):
+            hl.append(f"    s{k}_{a} = 2.0*({num[a]})")  # shared by the entries of row a
+            for b in support[:i + 1]:
+                nab = na[a] and local(hl, f"nab{k}_{a}_{b}", nas[k][a].derivative(b))
+                dab = da[a] and local(hl, f"dab{k}_{a}_{b}", das[k][a].derivative(b))
+                part = _signed_sum(("+", nab and f"{nab}*d{k}"),
+                                   ("+", na[a] and da[b] and f"{na[a]}*{da[b]}"),
+                                   ("-", na[b] and da[a] and f"{na[b]}*{da[a]}"),
+                                   ("-", dab and f"n{k}*{dab}"))
+                second = da[b] and f"s{k}_{a}*{da[b]}*j{k}"
+                if part or second:
+                    val = f"({part})*i{k}" + (second and f" - {second}") if part else f"-({second})"
+                    hess[a, b].append(f"{c}({val})")
+    hl += [f"    h{a}_{b} = " + " + ".join(parts) for (a, b), parts in hess.items() if parts]
+    hl.append("    return _np.array([" + ", ".join(
+        f"h{max(a, b)}_{min(a, b)}" if hess[max(a, b), min(a, b)] else "0j"
+        for a in range(dim) for b in range(dim)) + f"], complex).reshape({dim}, {dim})")
+    funcs, t = (tv, value, gl, hl), len(terms)
+    return (["\n".join(f) + "\n" for f in funcs], (sum(map(len, grad)), t * dim,
+            sum(map(len, hess.values())), t * len(hess), sum(map(len, funcs))))
 
 
 @lru_cache(maxsize=None)
 def f_minus_chart(shape: FlagShape) -> FMinusChart:
-    return FMinusChart(shape)
+    t0 = time.perf_counter()
+    fm = FMinusChart(shape)
+    log.debug("chart %s: dim %d, %d terms, emitted %d of %d gradient and %d of %d Hessian "
+              "term entries, %d lines, %.3fs", shape, shape.dim, len(fm.terms), *fm.emitted,
+              time.perf_counter() - t0)
+    return fm
 
 
 def f_minus_eval(z, q, shape: FlagShape, pole_guard: float = 1e-12) -> complex:
@@ -536,8 +572,7 @@ def index_term_to_young(term: SuperpotentialTerm, shape: FlagShape) -> Superpote
         if kind == "q":
             mapping[idx] = (ytab.index(name), Fraction(1))
         else:
-            digits = name[2:].split(",") if "," in name else list(name[2:])
-            cols = [int(c) - 1 for c in digits]
+            cols = _columns_of_pname(name)
             lam = partition_of_columns(cols, shape.n)
             mapping[idx] = (ytab.index(young_name(len(cols), lam.parts)), Fraction(1))
     num = term.numerator.map_vars(mapping, ytab)

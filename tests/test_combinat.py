@@ -2,6 +2,7 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from tests_support import reduced_word
 
 from flagmirror.combinat import (
     FlagShape,
@@ -75,7 +76,7 @@ def test_reduced_words():
     for n in range(2, 6):
         for ol in itertools.permutations(range(n)):
             w = Permutation(ol)
-            word = w.reduced_word()
+            word = reduced_word(w)
             assert len(word) == w.length
             acc = Permutation.identity(n)
             for i in word:

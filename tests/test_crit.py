@@ -240,16 +240,19 @@ def test_gr25_complete_for_every_seed():
 
 
 def test_debug_log_line(caplog):
+    f_minus_chart.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="flagmirror"):
         find_critical_points(FlagShape(4, (2,)), [1.0], CritConfig(seed=1))
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
-    assert len(lines) == 1
-    assert lines[0].startswith("crit 2;4:")
+    # the chart evaluator logs its compile, then the search its counts
+    assert len(lines) == 2
+    assert lines[0].startswith("chart 2;4:")
+    assert lines[1].startswith("crit 2;4:")
     for part in ("starts", "Toeplitz converged", "distinct (m=1)", "stratum",
                  "gradient", "polishes failed", "6 points", "search", "polish",
                  "6 characters", "clusters of dim > 1", "24 roots tried",
                  "fill-in: 0 starts"):
-        assert part in lines[0]
+        assert part in lines[1]
 
 
 # -- the character route against the multistart -------------------------------------

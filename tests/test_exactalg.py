@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support import fraction_inverse
+from tests_support import as_pyfunc, fraction_inverse
 
 from flagmirror.errors import DimensionMismatch, PivotFailure
 from flagmirror.exactalg import (
@@ -60,7 +60,7 @@ def test_derivative_and_substitute():
     p = x1 ** 2 * x2 + 2 * q1
     assert p.derivative(0) == 2 * x1 * x2
     assert p.substitute([2, 3, Fraction(1, 2)]) == 13
-    f = p.as_pyfunc()
+    f = as_pyfunc(p)
     assert abs(f([2.0, 3.0, 0.5]) - 13.0) < 1e-12
 
 

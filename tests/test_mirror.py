@@ -1,15 +1,21 @@
+import logging
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from tests_support import LambdaChart, as_pyfunc, reduced_word
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, PivotFailure
 from flagmirror.exactalg import MPoly, minor
 from flagmirror.mirror import (
+    _poly_src,
     _symbolic_minors,
+    chart_table,
     divisor_equations,
     f_minus_chart,
     f_minus_eval,
@@ -220,9 +226,9 @@ def test_representative_matrices():
     assert np.allclose(s1, [[0, 1], [-1, 0]])
     for n in range(2, 6):
         w0 = Permutation.longest(n)
-        assert np.allclose(word_matrix(w0.reduced_word(), n), w0_matrix(n))
+        assert np.allclose(word_matrix(reduced_word(w0), n), w0_matrix(n))
         # a second reduced word via the reversed descent scan
-        word = w0.reduced_word()
+        word = reduced_word(w0)
         alt = tuple(n - i for i in word)  # image under the diagram flip
         acc = Permutation.identity(n)
         for i in alt:
@@ -240,7 +246,7 @@ def test_representative_matrices():
         w0 = Permutation.longest(n)
         prod = Permutation(tuple(w.oneline[i] for i in w0.oneline))
         assert np.allclose(
-            word_matrix(prod.reduced_word(), n), wPw0_matrix(shape))
+            word_matrix(reduced_word(prod), n), wPw0_matrix(shape))
 
 
 def test_uvprop_minor_formulas():
@@ -399,5 +405,56 @@ def test_render_smoke():
 def test_near_pole_raised():
     shape = FlagShape(2, (1,))
     z = z_from_vector(shape, [1e-15])
-    with pytest.raises(NearPole):
+    with pytest.raises(NearPole, match=r"^denominator 1\.000e-15 at the u-step term \(1,\) "
+                                       r"in value$"):
         f_minus_eval(z, [1.0], shape)
+    # every entry point names the term and the size of its denominator; at
+    # z = 1 on Gr(2,4) the second term's denominator -z2*z3 + z1*z4 vanishes
+    fm = f_minus_chart(FlagShape(4, (2,)))
+    for method in ("value", "gradient", "hessian"):
+        with pytest.raises(NearPole, match=rf"^denominator 0\.000e\+00 at the u-step term "
+                                           rf"\(1,\) in {method}$"):
+            getattr(fm, method)(np.ones(4, dtype=complex), [1.0])
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_6, ids=FlagShape.to_string)
+def test_generated_evaluator_bit_identical_to_lambdas(shape):
+    # the straight-line evaluator keeps the lambda route's arithmetic: the same
+    # products in the same order, the same numpy divisions
+    fm = f_minus_chart(shape)
+    ref = LambdaChart(shape)
+    q = [0.9 + 0.13j * j for j in range(1, shape.r + 1)]
+    rng = random.Random(5)
+    for _ in range(5):
+        zv = random_z_vector(shape, rng)
+        assert np.array_equal(fm.value(zv, q), ref.value(zv, q))
+        assert np.array_equal(fm.gradient(zv, q), ref.gradient(zv, q))
+        assert np.array_equal(fm.hessian(zv, q), ref.hessian(zv, q))
+        assert np.array_equal(np.array(fm.term_values(zv)), np.array(ref.term_values(zv)))
+
+
+def test_poly_source_matches_numpy_scalar_arithmetic():
+    # no N or D up to n = 6 has a square or a non-integer coefficient, so the
+    # expression generator is checked on such polynomials here
+    shape = FlagShape(4, (2,))
+    rng = random.Random(2)
+    for _ in range(100):
+        p = MPoly(chart_table(shape), {tuple(rng.randint(0, 3) for _ in range(4)):
+                                       Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                                       for _ in range(6)})
+        zv = random_z_vector(shape, rng)
+        got = eval(_poly_src(p) or "0.0", {}, {f"z{i}": v for i, v in enumerate(zv.tolist())})
+        assert np.array_equal(got, as_pyfunc(p)(zv))
+
+
+def test_chart_debug_line(caplog):
+    shape = FlagShape(4, (2,))
+    f_minus_chart.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="flagmirror"):
+        f_minus_chart(shape)
+        f_minus_chart(shape)
+    lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
+    # one line per compile; the counts are those of the four terms of Gr(2,4)
+    assert len(lines) == 1
+    assert re.fullmatch(r"chart 2;4: dim 4, 4 terms, emitted 9 of 16 gradient and 14 of 40 "
+                        r"Hessian term entries, \d+ lines, \d+\.\d{3}s", lines[0])

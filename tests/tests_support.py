@@ -1,12 +1,17 @@
 """Shared helpers for the test suite, among them the straightening oracle
-that the Monk-operator route of `flagmirror.schubring` is checked against."""
+that the Monk-operator route of `flagmirror.schubring` is checked against,
+and the lambda evaluator that the generated chart evaluator of
+`flagmirror.mirror` is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from flagmirror.combinat import Permutation
-from flagmirror.errors import NonIntegralCoefficient, SizeCap
+from flagmirror.errors import NearPole, NonIntegralCoefficient, SizeCap
 from flagmirror.exactalg import MPoly
+from flagmirror.mirror import _columns_of_pname, _symbolic_minors, pluecker_table, superpotential
 from flagmirror.schubring import (
     QHClass,
     _sorted_perms,
@@ -36,6 +41,25 @@ def fraction_inverse(A):
 
 
 # -- straightening of symmetric polynomials and Schubert decomposition -------
+
+
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """A reduced word (i_1, ..., i_m) of 1-based simple-reflection labels
+    with w = s_{i_1} ... s_{i_m}."""
+    v = list(w.oneline)
+    word: list[int] = []
+    # bubble: repeatedly remove the leftmost descent from the right end of the word
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(v) - 1):
+            if v[i] > v[i + 1]:
+                v[i], v[i + 1] = v[i + 1], v[i]
+                word.append(i + 1)
+                changed = True
+                break
+    word.reverse()
+    return tuple(word)
 
 
 def apply_dd_word(f: MPoly, word: tuple[int, ...], n: int) -> MPoly:
@@ -79,7 +103,7 @@ def schubert_symmetric_decompose(p: MPoly, n: int) -> dict[Permutation, MPoly]:
             break
         found = []
         for v in by_len[level]:
-            fv = apply_dd_word(rem, v.reduced_word(), n)
+            fv = apply_dd_word(rem, reduced_word(v), n)
             if not fv.is_zero():
                 found.append((v, fv))
         for v, fv in found:
@@ -189,3 +213,117 @@ def straighten(p: MPoly, n: int) -> QHClass:
         if coeffs:
             terms[v] = MPoly(qt, coeffs)
     return QHClass(("complete", n), terms)
+
+
+# -- the superpotential chart as one lambda per polynomial -------------------
+
+
+def as_pyfunc(p: MPoly):
+    """Compile p to a python function of one sequence argument."""
+    if p.is_zero():
+        return lambda z: 0.0
+    parts = []
+    for e, c in p.terms.items():
+        factors = [repr(complex(c)) if c.denominator != 1 else repr(int(c))]
+        for i, k in enumerate(e):
+            if k == 1:
+                factors.append(f"z[{i}]")
+            elif k:
+                factors.append(f"z[{i}]**{k}")
+        parts.append("*".join(factors))
+    return eval("lambda z: " + "+".join(parts))  # noqa: S307 - generated from exact data
+
+
+class LambdaChart:
+    """The chart evaluator of F_- as one lambda per N, D and partial of every
+    term, summed by Python loops over numpy scalars, with the q prefactor
+    stripped from the exponents: the route that the generated evaluator of
+    `FMinusChart` replaced, and must match bit for bit."""
+
+    def __init__(self, shape):
+        self.r, self.dim = shape.r, shape.dim
+        ptab = pluecker_table(shape)
+        minors = _symbolic_minors(shape)
+        pvals = [0 if kind == "q" else minors[tuple(_columns_of_pname(name))]
+                 for name, kind in zip(ptab.names, ptab.kinds)]
+        self.terms = []
+        for term in superpotential(shape):
+            qj = term.index[0] if term.family == "quantum" else None
+            num = term.numerator
+            if qj is not None:
+                qidx = ptab.index(f"q{shape.nj(qj)}")
+                stripped = {}
+                for e, c in num.terms.items():
+                    assert e[qidx] == 1
+                    stripped[e[:qidx] + (0,) + e[qidx + 1:]] = c
+                num = MPoly(ptab, stripped)
+            N, D = num.substitute(pvals), term.denominator.substitute(pvals)
+            grads_n = [N.derivative(a) for a in range(self.dim)]
+            grads_d = [D.derivative(a) for a in range(self.dim)]
+            self.terms.append({
+                "qj": qj, "N": as_pyfunc(N), "D": as_pyfunc(D),
+                "Na": [as_pyfunc(g) for g in grads_n],
+                "Da": [as_pyfunc(g) for g in grads_d],
+                "Nab": [[as_pyfunc(grads_n[a].derivative(b)) for b in range(a + 1)]
+                        for a in range(self.dim)],
+                "Dab": [[as_pyfunc(grads_d[a].derivative(b)) for b in range(a + 1)]
+                        for a in range(self.dim)],
+            })
+
+    def _prefactors(self, q):
+        pref = {None: 1.0 + 0j}
+        for j in range(1, self.r + 1):
+            pref[j] = complex(q[j - 1])
+        return pref
+
+    def _nd(self, t, zvec, pole_guard):
+        nv, dv = t["N"](zvec), t["D"](zvec)
+        if abs(dv) < pole_guard * (1.0 + abs(nv)):
+            raise NearPole(f"denominator {abs(dv):.3e}")
+        return nv, dv
+
+    def term_values(self, zvec):
+        return [(t["N"](zvec), t["D"](zvec)) for t in self.terms]
+
+    def value(self, zvec, q, pole_guard: float = 1e-12) -> complex:
+        pref = self._prefactors(q)
+        total = 0j
+        for t in self.terms:
+            nv, dv = self._nd(t, zvec, pole_guard)
+            total += pref[t["qj"]] * nv / dv
+        return total
+
+    def gradient(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
+        pref = self._prefactors(q)
+        g = np.zeros(self.dim, dtype=complex)
+        for t in self.terms:
+            nv, dv = self._nd(t, zvec, pole_guard)
+            c = pref[t["qj"]]
+            inv2 = 1.0 / (dv * dv)
+            for a in range(self.dim):
+                g[a] += c * (t["Na"][a](zvec) * dv - nv * t["Da"][a](zvec)) * inv2
+        return g
+
+    def hessian(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
+        pref = self._prefactors(q)
+        dim = self.dim
+        H = np.zeros((dim, dim), dtype=complex)
+        for t in self.terms:
+            nv, dv = self._nd(t, zvec, pole_guard)
+            c = pref[t["qj"]]
+            na = [t["Na"][a](zvec) for a in range(dim)]
+            da = [t["Da"][a](zvec) for a in range(dim)]
+            inv2 = 1.0 / (dv * dv)
+            inv3 = inv2 / dv
+            for a in range(dim):
+                for b in range(a + 1):
+                    nab = t["Nab"][a][b](zvec)
+                    dab = t["Dab"][a][b](zvec)
+                    val = (nab * dv + na[a] * da[b] - na[b] * da[a] - nv * dab) * inv2
+                    val -= 2.0 * (na[a] * dv - nv * da[a]) * da[b] * inv3
+                    H[a, b] += c * val
+        # symmetry of mixed partials: d_b(T_a) computed above equals d_a(T_b)
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                H[a, b] = H[b, a]
+        return H
