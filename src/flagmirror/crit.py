@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import FlagShape, Permutation, min_rep_of
-from .errors import NearPole, PivotFailure
-from .exactalg import complex_to_json, lu_unipotent
+from .errors import NearPole
+from .exactalg import complex_to_json
 from .mirror import chart_vector, f_minus_chart, wPw0_matrix, z_from_vector
 from .qhpartial import partial_ring
 
@@ -130,13 +130,16 @@ def _newton_polish(fm, z0, q, shift=None, tol=NEWTON_TOL):
     return z if gn < tol else None
 
 
+@lru_cache(maxsize=None)
+def _entry_diagonals(n: int) -> np.ndarray:
+    return np.subtract.outer(np.arange(n), np.arange(n))  # i - j at (i, j)
+
+
 def _toeplitz_from_diagonals(x) -> np.ndarray:
-    n = len(x)
-    T = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1):
-            T[i, j] = x[i - j]
-    return T
+    """The lower-triangular Toeplitz matrices with first columns the rows of
+    x, shape (..., n, n)."""
+    d = _entry_diagonals(np.shape(x)[-1])
+    return np.where(d >= 0, np.asarray(x, dtype=complex)[..., d], 0)
 
 
 def _corner_minor(M: np.ndarray, k: int) -> complex:
@@ -231,31 +234,33 @@ def _lift_frame(shape: FlagShape):
     return W, W_inv, pivot_row, above
 
 
-def _chart_point_from_toeplitz(shape: FlagShape, T: np.ndarray, q,
-                               tol: float = 1e-5):
-    """Invert the Toeplitz correspondence: factor t^{-1} T = V W U with V, U
-    upper-triangular around the representative W of w_P^{-1} w_0, and read the
-    chart coordinates off z = (t^{-1} T) U^{-1}.  Returns None when T sits in
-    a smaller stratum (vanishing pivot or broken chart pattern)."""
+def _lift_batch(shape: FlagShape, X: np.ndarray, q, tol: float = 1e-5):
+    """Invert the Toeplitz correspondence for each row x of X, the diagonals
+    of T: factor t^{-1} T = V W U with V, U upper-triangular around the
+    representative W of w_P^{-1} w_0, and read the chart coordinates off
+    z = (t^{-1} T) U^{-1}.  Returns the mask of the rows whose T lies in the
+    chart's stratum (no vanishing pivot, U upper-triangular, z on the chart
+    pattern) and the chart vectors of those rows."""
     _, W_inv, pivot_row, above = _lift_frame(shape)
-    b = np.diag(1.0 / toeplitz_scaling(shape, q)) @ T
-    A = b.astype(complex).copy()
-    for c, ic in enumerate(pivot_row):
-        piv = A[ic, c]
-        if abs(piv) < 1e-10:
-            return None
-        for i in above[c]:
-            A[i, :] -= (A[i, c] / piv) * A[ic, :]
+    b = np.diag(1.0 / toeplitz_scaling(shape, q)) @ _toeplitz_from_diagonals(X)
+    A = b.copy()
+    ok = np.ones(len(X), dtype=bool)
+    with np.errstate(all="ignore"):  # rows with a vanishing pivot are masked
+        for c, ic in enumerate(pivot_row):
+            piv = A[:, ic, c]
+            ok &= ~(np.abs(piv) < 1e-10)
+            for i in above[c]:
+                A[:, i, :] -= (A[:, i, c] / piv)[:, None] * A[:, ic, :]
     U = W_inv @ A
-    scale = max(1.0, float(np.abs(U).max()))
-    if float(np.abs(np.tril(U, -1)).max()) > tol * scale:
-        return None
-    z = b @ np.linalg.inv(U)
-    vec = chart_vector(shape, z)
-    rebuilt = z_from_vector(shape, vec)
-    if float(np.abs(rebuilt - z).max()) > tol * max(1.0, float(np.abs(z).max())):
-        return None
-    return vec
+    scale = np.maximum(1.0, np.abs(U).max(axis=(1, 2)))
+    ok &= ~(np.abs(np.tril(U, -1)).max(axis=(1, 2)) > tol * scale)
+    keep = np.flatnonzero(ok)
+    z = b[keep] @ np.linalg.inv(U[keep])
+    vecs = chart_vector(shape, z)
+    off = np.abs(z_from_vector(shape, vecs) - z).max(axis=(1, 2)) > \
+        tol * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
+    ok[keep[off]] = False
+    return ok, vecs[~off]
 
 
 def _characters(shape: FlagShape, q):
@@ -280,33 +285,40 @@ def _characters(shape: FlagShape, q):
     return (V[:, keep] / V[one, keep]).T, len(clusters)
 
 
-def _character_diagonals(shape: FlagShape, q, chars):
-    """Yield the Toeplitz diagonals x_0..x_{n-1} of each character c and
-    each root x_0 of x_0^n = prod t, by the closed formula of
+@lru_cache(maxsize=None)
+def _diagonal_classes(shape: FlagShape) -> np.ndarray:
+    """Indices in ``partial_ring(shape)`` of the classes sigma_{w_d},
+    1 <= d <= n_r, of the closed formula of ``find_critical_points``."""
+    n, ring = shape.n, partial_ring(shape)
+    return np.array([ring.index(min_rep_of(Permutation(  # 0-based word
+        tuple(range(n - d, n)) + tuple(range(1, n - d)) + (0,)), shape))
+        for d in range(1, shape.steps[-1] + 1)])
+
+
+def _character_diagonals(shape: FlagShape, q, chars) -> np.ndarray:
+    """The Toeplitz diagonals x_0..x_{n-1}, one row per character c and root
+    x_0 of x_0^n = prod t (character-major), by the closed formula of
     ``find_critical_points``."""
     n, nr = shape.n, shape.steps[-1]
-    ring = partial_ring(shape)
-    idx, coef = [], np.empty(nr, dtype=complex)
-    for d in range(1, nr + 1):
-        word = tuple(range(n - d, n)) + tuple(range(1, n - d)) + (0,)  # 0-based
-        idx.append(ring.index(min_rep_of(Permutation(word), shape)))
-        coef[d - 1] = (-1) ** d * np.prod([q[j - 1] ** -min(shape.nj(j), d)
+    coef = np.array([(-1) ** d * np.prod([q[j - 1] ** -min(shape.nj(j), d)
                                           for j in range(1, shape.r + 1)])
-    powers = np.arange(1, nr + 1)
+                     for d in range(1, nr + 1)], dtype=complex)
     det_target = complex(np.prod(toeplitz_scaling(shape, q)))
     roots = det_target ** (1 / n) * np.exp(2j * np.pi * np.arange(n) / n)
-    for c in chars:
-        for x0 in roots:
-            x = np.zeros(n, dtype=complex)
-            x[0] = x0
-            x[1:nr + 1] = coef * c[idx] * x0 ** powers
-            yield x
+    X = np.zeros((len(chars), n, n), dtype=complex)
+    X[:, :, 0] = roots
+    X[:, :, 1:nr + 1] = (coef * chars[:, _diagonal_classes(shape)])[:, None, :] * \
+        roots[:, None] ** np.arange(1, nr + 1)
+    return X.reshape(-1, n)
 
 
 class _Search:
     """One critical-point search on one fiber: the kept chart lifts of the
-    Toeplitz solutions, their polished points, and the counts reported on the
-    DEBUG line and under ``crit_report``'s ``"search"`` key."""
+    Toeplitz solutions, their polished points, and the counts and stage
+    seconds reported on the DEBUG line and under ``crit_report``'s
+    ``"search"`` key.  The chart lift of all the character candidates is one
+    ``_lift_batch``, the degeneracy test one stacked SVD and the residuals
+    one batched LU."""
 
     def __init__(self, shape: FlagShape, q, seed: int):
         self.shape, self.q = shape, q
@@ -327,33 +339,36 @@ class _Search:
             "fill_in_starts": 0, "toeplitz_converged": 0, "toeplitz_distinct": 0,
             "eliminated": self.m, "rejected_stratum": 0, "rejected_gradient": 0,
             "polishes_failed": 0, "points": 0, "search_s": 0.0, "polish_s": 0.0,
+            "merge_s": 0.0, "degree_s": 0.0, "residual_s": 0.0,
         }
 
-    def _lift(self, x) -> str | None:
-        """Keep the chart lift of the Toeplitz diagonals x, or name the
-        screen that rejects it."""
-        vec = _chart_point_from_toeplitz(self.shape, _toeplitz_from_diagonals(x), self.q)
-        if vec is None:
-            return "stratum"
-        # a Toeplitz solution of another q-fiber or stratum lifts to a point
-        # where the gradient is of order one; polishing it only fails slowly
-        try:
-            gn = float(np.linalg.norm(self.fm.gradient(vec, self.q, POLE_GUARD)))
-        except NearPole:
-            gn = float("inf")
-        if gn > 1e-6 * (1 + float(np.linalg.norm(vec))):
-            return "gradient"
-        self.lifts.append(vec)
-        return None
+    def _lift(self, X) -> list[str | None]:
+        """Keep the chart lifts of the Toeplitz diagonals X (one row per
+        candidate); return, per row, None or the screen that rejects it."""
+        ok, vecs = _lift_batch(self.shape, X, self.q)
+        reasons: list[str | None] = ["stratum"] * len(X)
+        for i, vec in zip(np.flatnonzero(ok), vecs):
+            # a Toeplitz solution of another q-fiber or stratum lifts to a point
+            # where the gradient is of order one; polishing it only fails slowly
+            try:
+                gn = float(np.linalg.norm(self.fm.gradient(vec, self.q, POLE_GUARD)))
+            except NearPole:
+                gn = float("inf")
+            if gn > 1e-6 * (1 + float(np.linalg.norm(vec))):
+                reasons[i] = "gradient"
+            else:
+                reasons[i] = None
+                self.lifts.append(vec)
+        return reasons
 
     def characters(self) -> None:
         """Lift the Toeplitz candidates of every character and root."""
         t0 = time.perf_counter()
         chars, self.stats["clusters"] = _characters(self.shape, self.q)
         self.stats["characters"] = len(chars)
-        for x in _character_diagonals(self.shape, self.q, chars):
-            self.stats["roots_tried"] += 1
-            reason = self._lift(x)
+        X = _character_diagonals(self.shape, self.q, chars)
+        self.stats["roots_tried"] += len(X)
+        for x, reason in zip(X, self._lift(X)):
             if reason:
                 self.stats[f"character_rejected_{reason}"] += 1
             else:
@@ -387,7 +402,7 @@ class _Search:
                 continue
             stats["toeplitz_distinct"] += 1
             self.tsols.append(y)
-            reason = self._lift(np.concatenate([y, np.zeros(m, dtype=complex)]))
+            reason = self._lift(np.concatenate([y, np.zeros(m, dtype=complex)])[None])[0]
             if reason:
                 stats[f"rejected_{reason}"] += 1
             else:
@@ -422,33 +437,30 @@ class _Search:
             self.found.append((val, z, gn))
         self.polished = len(self.lifts)
         self.stats["polishes_failed"] = len(self.lifts) - len(self.found)
-        self.stats["polish_s"] += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        self.stats["polish_s"] += t1 - t0
 
         # deterministic merge order, then greedy clustering in chart coordinates
         found = sorted(self.found, key=lambda t: (t[0].real, t[0].imag,
                                                   tuple((v.real, v.imag) for v in t[1])))
-        reps: list[tuple] = []
-        for val, z, gn in found:
-            dup = False
-            for _, zr, _ in reps:
-                if np.linalg.norm(np.asarray(z) - np.asarray(zr)) <= \
-                        DEDUPE_RADIUS * (1 + np.linalg.norm(zr)):
-                    dup = True
-                    break
-            if not dup:
-                reps.append((val, z, gn))
+        Z = np.reshape([z for _, z, _ in found], (-1, self.shape.dim))
+        radius = DEDUPE_RADIUS * (1 + np.linalg.norm(Z, axis=1))
+        keep: list[int] = []
+        for i, z in enumerate(Z):
+            if not np.any(np.linalg.norm(Z[keep] - z, axis=1) <= radius[keep]):
+                keep.append(i)
+        reps = [found[i] for i in keep]
 
         # a Hessian-degenerate (multiple) critical point shows up as a cloud of
         # near-converged artifacts wider than the dedupe radius; merge those and
         # measure the local multiplicity by counting roots of grad F = eps*v
-        def is_degenerate(z):
-            sv = np.linalg.svd(fm.hessian(z, q, POLE_GUARD), compute_uv=False)
-            return sv[-1] < 1e-6 * max(1.0, sv[0])
-
+        H = np.reshape([fm.hessian(z, q, POLE_GUARD) for _, z, _ in reps],
+                       (-1, self.shape.dim, self.shape.dim))
+        sv = np.linalg.svd(H, compute_uv=False)
         merged: list[list] = []
         flags: list[bool] = []
-        for val, z, gn in reps:
-            deg = is_degenerate(z)
+        for (val, z, gn), sing in zip(reps, sv):
+            deg = bool(sing[-1] < 1e-6 * max(1.0, sing[0]))
             placed = False
             if deg:
                 for grp, gflag in zip(merged, flags):
@@ -461,8 +473,8 @@ class _Search:
                 merged.append([(val, z, gn)])
                 flags.append(deg)
 
-        points: list[CritPoint] = []
-        for grp, deg in zip(merged, flags):
+        centres = []
+        for grp in merged:
             val, z, gn = grp[0]
             if len(grp) > 1:
                 center = np.mean([g[1] for g in grp], axis=0)
@@ -471,15 +483,19 @@ class _Search:
                     z = zz
                     gn = float(np.linalg.norm(fm.gradient(z, q, POLE_GUARD)))
                     val = fm.value(z, q, POLE_GUARD)
-            mult = self._degree(z) if deg else 1
-            points.append(CritPoint(z=np.asarray(z), value=complex(val),
-                                    gradient_norm=gn, multiplicity=mult))
+            centres.append((val, z, gn))
+        t2 = time.perf_counter()
+        self.stats["merge_s"] += t2 - t1
 
-        for p in points:
-            try:
-                p.toeplitz_residual = toeplitz_residual(p, self.shape, q)
-            except PivotFailure:
-                p.toeplitz_residual = float("inf")
+        points = [CritPoint(z=np.asarray(z), value=complex(val), gradient_norm=gn,
+                            multiplicity=self._degree(z) if deg else 1)
+                  for (val, z, gn), deg in zip(centres, flags)]
+        t3 = time.perf_counter()
+        self.stats["degree_s"] += t3 - t2
+        vecs = np.reshape([p.z for p in points], (-1, self.shape.dim))
+        for p, res in zip(points, _toeplitz_residuals(self.shape, vecs, q)):
+            p.toeplitz_residual = float(res)
+        self.stats["residual_s"] += time.perf_counter() - t3
         points.sort(key=lambda p: (p.value.real, p.value.imag))
         self.stats["points"] = len(points)
         return points
@@ -508,12 +524,14 @@ def _search(shape: FlagShape, q, cfg: CritConfig | None):
         "crit %s: %d characters (%d clusters of dim > 1), %d roots tried, lifts "
         "rejected: %d stratum, %d gradient; fill-in: %d starts, %d Toeplitz "
         "converged, %d distinct (m=%d), lifts rejected: %d stratum, %d gradient; "
-        "%d polishes failed; %d points; search %.3fs, polish %.3fs",
+        "%d polishes failed; %d points; search %.3fs, polish %.3fs, merge %.3fs, "
+        "degree %.3fs, residual %.3fs",
         shape.to_string(), st["characters"], st["clusters"], st["roots_tried"],
         st["character_rejected_stratum"], st["character_rejected_gradient"],
         st["fill_in_starts"], st["toeplitz_converged"], st["toeplitz_distinct"],
         st["eliminated"], st["rejected_stratum"], st["rejected_gradient"],
-        st["polishes_failed"], st["points"], st["search_s"], st["polish_s"])
+        st["polishes_failed"], st["points"], st["search_s"], st["polish_s"],
+        st["merge_s"], st["degree_s"], st["residual_s"])
     total = sum(p.multiplicity for p in points)
     if total != expected:
         warnings.warn(
@@ -540,12 +558,13 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     to all the critical points, and at the multistart's points of the
     acceptance shapes, where it holds to 1e-13 (tests/test_crit.py).
 
-    Each candidate is mapped back to the chart; lifts where the exact
-    symbolic gradient is not already small (other q-fibers, smaller strata,
-    characters mixed inside an eigenvalue cluster) are dropped, and the rest
-    are polished by damped Newton on that gradient, deduplicated, merged
-    into degenerate points and given their local degree.  The characters
-    only seed the points: each one is certified on F alone.
+    The candidates are mapped back to the chart together, as one stacked
+    numpy batch; lifts off the chart's stratum, and lifts where the exact
+    symbolic gradient is not already small (other q-fibers, characters mixed
+    inside an eigenvalue cluster), are dropped, and the rest are polished by
+    damped Newton on that gradient, deduplicated, merged into degenerate
+    points and given their local degree.  The characters only seed the
+    points: each one is certified on F alone.
 
     When the total multiplicity falls short of the Schubert-basis size
     (characters that one divisor combination does not separate), the random
@@ -591,24 +610,34 @@ def toeplitz_scaling(shape: FlagShape, q) -> np.ndarray:
     return t
 
 
+def _toeplitz_residuals(shape: FlagShape, vecs: np.ndarray, q) -> np.ndarray:
+    """``toeplitz_residual`` of each row of vecs (chart vectors), from one
+    batched no-pivot elimination z = L U with U unipotent; inf where a
+    leading principal minor of z vanishes (a pivot below 1e-12 of the largest
+    entry, which is at least the 1 of the chart pattern)."""
+    A = z_from_vector(shape, vecs)  # becomes L on and below the diagonal
+    tiny, bad = 1e-12 * np.abs(A).max(axis=(1, 2)), np.zeros(len(A), dtype=bool)
+    with np.errstate(all="ignore"):  # rows with a vanishing pivot give inf
+        for j in range(shape.n):
+            bad |= np.abs(A[:, j, j]) < tiny
+            u = A[:, j, None, j + 1:] / A[:, j, j, None, None]  # row j of U
+            A[:, j + 1:, j + 1:] -= A[:, j + 1:, j, None] * u
+        T = toeplitz_scaling(shape, q)[:, None] * np.tril(A)
+        worst = np.zeros(len(A))
+        for d in range(shape.n):
+            diag = np.diagonal(T, -d, axis1=1, axis2=2)
+            worst = np.maximum(worst, np.abs(diag[:, :, None] - diag[:, None, :]).max(axis=(1, 2)))
+        return np.where(bad, np.inf, worst / np.abs(T).max(axis=(1, 2)))
+
+
 def toeplitz_residual(p: CritPoint, shape: FlagShape, q) -> float:
     """Deviation of t * (lower factor of z) from Toeplitz form.
 
     For each (lower) diagonal take the diameter of its entries, then the max
-    over diagonals, normalized by the largest entry magnitude.
+    over diagonals, normalized by the largest entry magnitude; inf when a
+    leading principal minor of z vanishes.
     """
-    z = z_from_vector(shape, p.z)
-    L, _ = lu_unipotent(z)
-    T = np.diag(toeplitz_scaling(shape, q)) @ np.asarray(L)
-    n = shape.n
-    scale = float(np.abs(T).max()) or 1.0
-    worst = 0.0
-    for d in range(n):
-        diag = [T[i + d, i] for i in range(n - d)]
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                worst = max(worst, abs(diag[a] - diag[b]))
-    return worst / scale
+    return float(_toeplitz_residuals(shape, np.asarray(p.z)[None], q)[0])
 
 
 def crit_report(shape: FlagShape, q, cfg: CritConfig | None = None) -> dict:

@@ -129,20 +129,19 @@ def _symbolic_minors(shape: FlagShape) -> dict[tuple[int, ...], MPoly]:
 
 
 def z_from_vector(shape: FlagShape, vec) -> np.ndarray:
-    """Numeric chart matrix from the free-coordinate vector."""
-    n = shape.n
-    M = np.zeros((n, n), dtype=complex)
-    for idx, (r, c) in enumerate(zchart(shape).coords):
-        M[r, c] = vec[idx]
+    """Numeric chart matrix from the free-coordinate vector; a stack of
+    vectors (..., dim) gives a stack of matrices."""
+    vec = np.asarray(vec, dtype=complex)
+    M = np.zeros(vec.shape[:-1] + (shape.n, shape.n), dtype=complex)
+    M[(..., *zip(*zchart(shape).coords))] = vec
     for r, c, sign in _fixed_entries(shape):
-        M[r, c] = sign
+        M[..., r, c] = sign
     return M
 
 
 def chart_vector(shape: FlagShape, z) -> np.ndarray:
-    """Free coordinates of a numeric chart matrix."""
-    z = np.asarray(z, dtype=complex)
-    return np.array([z[r, c] for (r, c) in zchart(shape).coords])
+    """Free coordinates of a numeric chart matrix, or of a stack of them."""
+    return np.asarray(z, dtype=complex)[(..., *zip(*zchart(shape).coords))]
 
 
 def random_z_vector(shape: FlagShape, rng, lo: float = 0.2, hi: float = 2.0) -> np.ndarray:
@@ -444,8 +443,9 @@ def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
     of one shape, then the gradient and Hessian term entries (emitted, in all)
     and the lines.  Each N and D is evaluated once with its pole check, then
     the quotient rule term by term, the Hessian on each term's support.  Only
-    products with an identically zero factor and the unit prefactor of
-    non-quantum terms are left out, and both complex divisions per term go
+    products with an identically zero factor, the unit prefactor of
+    non-quantum terms and, where D is the constant 1, the pole check and the
+    divisions by D are left out, and both complex divisions per term go
     through numpy, so every result equals numpy-scalar arithmetic on the same
     polynomials by the same formulas."""
     zs = "    " + "".join(f"z{a}, " for a in range(dim)) + "= zvec.tolist()"
@@ -453,16 +453,21 @@ def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
     nd = [(_poly_src(N), _poly_src(D)) for _, N, D in terms]
     nas = [[N.derivative(a) for a in range(dim)] for _, N, _ in terms]
     das = [[D.derivative(a) for a in range(dim)] for _, _, D in terms]
+    # factors by D, 1/D^2 of a term, empty where D = 1 (a product by 1 is exact)
+    dk, ik = zip(*[("", "") if D == 1 else (f"*d{k}", f"*i{k}")
+                   for k, (_, _, D) in enumerate(terms)])
 
     def head(name):
         out = [f"def _{name}(zvec, q, guard):", zs]
         out += [f"    c{t.index[0]} = complex(q[{t.index[0] - 1}])"
                 for t, _, _ in terms if t.family == "quantum"]
         for k, (t, _, _) in enumerate(terms):
-            out += [f"    n{k} = {nd[k][0]}", f"    d{k} = {nd[k][1]}",
-                    f"    if abs(d{k}) < guard * (1.0 + abs(n{k})):",
-                    f"        raise NearPole(f'denominator {{abs(d{k}):.3e}} at the "
-                    f"{t.family} term {t.index} in {name}')"]
+            out.append(f"    n{k} = {nd[k][0]}")
+            if dk[k]:
+                out += [f"    d{k} = {nd[k][1]}",
+                        f"    if abs(d{k}) < guard * (1.0 + abs(n{k})):",
+                        f"        raise NearPole(f'denominator {{abs(d{k}):.3e}} at the "
+                        f"{t.family} term {t.index} in {name}')"]
         return out
 
     def local(lines, name, p):
@@ -476,43 +481,47 @@ def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
         """Emit term k's nonzero first partials; their names and N_a D - N D_a, "" for 0."""
         na = [local(lines, f"na{k}_{a}", p) for a, p in enumerate(nas[k])]
         da = [local(lines, f"da{k}_{a}", p) for a, p in enumerate(das[k])]
-        return na, da, [_signed_sum(("+", x and f"{x}*d{k}"), ("-", y and f"n{k}*{y}"))
+        return na, da, [_signed_sum(("+", x and f"{x}{dk[k]}"), ("-", y and f"n{k}*{y}"))
                         for x, y in zip(na, da)]
 
     tv = ["def _term_values(zvec):", zs,
           "    return [" + ", ".join(f"({n}, {d})" for n, d in nd) + "]"]
     value = head("value") + ["    return 0j + " + " + ".join(
-        f"_C({c}n{k}) / d{k}" for k, c in enumerate(cs))]
+        f"_C({c}n{k})" + (dk[k] and f" / d{k}") for k, c in enumerate(cs))]
 
     gl = head("gradient")
     grad = [[] for _ in range(dim)]
     for k, c in enumerate(cs):
-        gl.append(f"    i{k} = complex(_ONE / (d{k} * d{k}))")
+        if dk[k]:
+            gl.append(f"    i{k} = complex(_ONE / (d{k} * d{k}))")
         for a, num in enumerate(firsts(gl, k)[2]):
             if num:
-                grad[a].append(f"{c}({num})*i{k}")
+                grad[a].append(f"{c}({num}){ik[k]}")
     gl.append("    return _np.array([" + ", ".join(
         " + ".join(g) or "0j" for g in grad) + "], complex)")
 
     hl = head("hessian")
     hess = {(a, b): [] for a in range(dim) for b in range(a + 1)}
     for k, c in enumerate(cs):
-        hl += [f"    i{k} = _ONE / (d{k} * d{k})", f"    j{k} = complex(i{k} / d{k})",
-                  f"    i{k} = complex(i{k})"]
+        if dk[k]:
+            hl += [f"    i{k} = _ONE / (d{k} * d{k})", f"    j{k} = complex(i{k} / d{k})",
+                   f"    i{k} = complex(i{k})"]
         na, da, num = firsts(hl, k)
         support = [a for a in range(dim) if num[a]]
         for i, a in enumerate(support):
-            hl.append(f"    s{k}_{a} = 2.0*({num[a]})")  # shared by the entries of row a
+            if any(da):
+                hl.append(f"    s{k}_{a} = 2.0*({num[a]})")  # shared by the entries of row a
             for b in support[:i + 1]:
                 nab = na[a] and local(hl, f"nab{k}_{a}_{b}", nas[k][a].derivative(b))
                 dab = da[a] and local(hl, f"dab{k}_{a}_{b}", das[k][a].derivative(b))
-                part = _signed_sum(("+", nab and f"{nab}*d{k}"),
+                part = _signed_sum(("+", nab and f"{nab}{dk[k]}"),
                                    ("+", na[a] and da[b] and f"{na[a]}*{da[b]}"),
                                    ("-", na[b] and da[a] and f"{na[b]}*{da[a]}"),
                                    ("-", dab and f"n{k}*{dab}"))
                 second = da[b] and f"s{k}_{a}*{da[b]}*j{k}"
                 if part or second:
-                    val = f"({part})*i{k}" + (second and f" - {second}") if part else f"-({second})"
+                    val = (f"({part}){ik[k]}" + (second and f" - {second}") if part
+                           else f"-({second})")
                     hess[a, b].append(f"{c}({val})")
     hl += [f"    h{a}_{b} = " + " + ".join(parts) for (a, b), parts in hess.items() if parts]
     hl.append("    return _np.array([" + ", ".join(

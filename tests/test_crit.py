@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flagmirror import crit
-from flagmirror.combinat import FlagShape, Permutation, min_rep_of
+from flagmirror.combinat import FlagShape, Permutation, all_shapes, min_rep_of
 from flagmirror.crit import (
     CritConfig,
     CritPoint,
@@ -22,6 +22,7 @@ from flagmirror.exactalg import lu_unipotent
 from flagmirror.mirror import chart_vector, f_minus_chart, random_z_vector, z_from_vector
 from flagmirror.qhpartial import partial_ring
 from flagmirror.verify import ACCEPTANCE_SHAPES, _min_cost_assignment
+from tests_support import chart_point_from_toeplitz, toeplitz_residual_loop
 
 
 def _multistart_points(shape, q, seed, starts=None):
@@ -177,7 +178,8 @@ def test_report_schema():
         "characters", "clusters", "roots_tried", "character_rejected_stratum",
         "character_rejected_gradient", "fill_in_starts", "toeplitz_converged",
         "toeplitz_distinct", "eliminated", "rejected_stratum", "rejected_gradient",
-        "polishes_failed", "points", "search_s", "polish_s"}
+        "polishes_failed", "points", "search_s", "polish_s", "merge_s", "degree_s",
+        "residual_s"}
     assert search["characters"] == 2 and search["roots_tried"] == 4
     assert search["fill_in_starts"] == 0 and search["points"] == 2
 
@@ -250,6 +252,7 @@ def test_debug_log_line(caplog):
     assert lines[1].startswith("crit 2;4:")
     for part in ("starts", "Toeplitz converged", "distinct (m=1)", "stratum",
                  "gradient", "polishes failed", "6 points", "search", "polish",
+                 "merge", "degree", "residual",
                  "6 characters", "clusters of dim > 1", "24 roots tried",
                  "fill-in: 0 starts"):
         assert part in lines[1]
@@ -369,3 +372,67 @@ def test_fill_in_reuses_local_degrees_and_multistart_stream(monkeypatch):
     second = search.certify()
     assert len(measured) == 1
     assert _values(second) == _values(first)
+
+
+# -- the batched lift and residuals against the per-candidate routes ------------
+
+
+def _check_lift_batch(shape):
+    # every character candidate, at q = 1 and at a generic fiber: the same
+    # keep/reject decision and the same chart vector, bit for bit
+    for q in ([1.0 + 0j] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
+        chars, _ = crit._characters(shape, q)
+        X = crit._character_diagonals(shape, q, chars)
+        ok, vecs = crit._lift_batch(shape, X, q)
+        want = [chart_point_from_toeplitz(shape, x, q) for x in X]
+        assert ok.tolist() == [w is not None for w in want]
+        kept = [w for w in want if w is not None]
+        assert len(vecs) == len(kept)
+        assert all(np.array_equal(v, w) for v, w in zip(vecs, kept))
+
+
+@pytest.mark.parametrize("shape", [s for n in range(2, 6) for s in all_shapes(n)],
+                         ids=FlagShape.to_string)
+def test_lift_batch_matches_per_candidate_lift(shape):
+    _check_lift_batch(shape)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", all_shapes(6) + [FlagShape.from_string("2,4;7")],
+                         ids=FlagShape.to_string)
+def test_lift_batch_matches_per_candidate_lift_n6(shape):
+    _check_lift_batch(shape)
+
+
+def test_lift_batch_one_row_and_empty():
+    # the multistart lifts one row at a time through the same function
+    shape, q = FlagShape.from_string("2;4"), [0.9 + 0.13j]
+    X = crit._character_diagonals(shape, q, crit._characters(shape, q)[0])
+    ok, vecs = crit._lift_batch(shape, X, q)
+    assert ok.sum() == 12 and len(ok) == 24
+    kept = iter(vecs)
+    for x, keep in zip(X, ok):
+        one_ok, one = crit._lift_batch(shape, x[None], q)
+        assert one_ok.tolist() == [keep] and len(one) == keep
+        assert not keep or np.array_equal(one[0], next(kept))
+    ok, vecs = crit._lift_batch(shape, X[:0], q)
+    assert ok.shape == (0,) and vecs.shape == (0, shape.dim)
+
+
+def test_batched_residuals_match_per_point_loop():
+    rng = random.Random(4)
+    for sstr in ACCEPTANCE_SHAPES:
+        shape = FlagShape.from_string(sstr)
+        q = [0.9 + 0.13j * j for j in range(1, shape.r + 1)]
+        vecs = [p.z for p in find_critical_points(shape, q, CritConfig(seed=0))]
+        vecs += [random_z_vector(shape, rng) for _ in range(5)]
+        # z_11 = 0: the first leading principal minor vanishes
+        vecs.append(np.concatenate([[0j], random_z_vector(shape, rng)[1:]]))
+        got = crit._toeplitz_residuals(shape, np.array(vecs), q)
+        want = np.array([toeplitz_residual_loop(shape, v, q) for v in vecs])
+        assert np.isinf(got[-1]) and np.isinf(want[-1])
+        assert np.all(np.isfinite(got[:-1])) and np.all(np.isfinite(want[:-1]))
+        assert np.abs(got[:-1] - want[:-1]).max() <= 1e-13
+        one = [toeplitz_residual(CritPoint(z=v, value=0j, gradient_norm=0.0), shape, q)
+               for v in vecs]
+        assert np.array_equal(one, got)

@@ -13,6 +13,7 @@ from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, PivotFailure
 from flagmirror.exactalg import MPoly, minor
 from flagmirror.mirror import (
+    _evaluator_source,
     _poly_src,
     _symbolic_minors,
     chart_table,
@@ -431,6 +432,17 @@ def test_generated_evaluator_bit_identical_to_lambdas(shape):
         assert np.array_equal(fm.gradient(zv, q), ref.gradient(zv, q))
         assert np.array_equal(fm.hessian(zv, q), ref.hessian(zv, q))
         assert np.array_equal(np.array(fm.term_values(zv)), np.array(ref.term_values(zv)))
+
+
+@pytest.mark.parametrize("sstr, units", [("2;4", (3,)), ("1,2,3;4", (3, 4, 5))])
+def test_unit_denominators_emit_no_pole_check_or_division(sstr, units):
+    # dividing by D = 1 is exact, and its pole check could only fire for
+    # |N| >= 1/guard - 1, which is not a pole: neither is emitted
+    fm = f_minus_chart(FlagShape.from_string(sstr))
+    assert [k for k, (_, _, D) in enumerate(fm.terms) if D == 1] == list(units)
+    srcs, _ = _evaluator_source(fm.terms, fm.shape.dim)
+    for k in units:
+        assert not any(re.search(rf"\b[dij]{k}\b", src) for src in srcs)
 
 
 def test_poly_source_matches_numpy_scalar_arithmetic():

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite, among them the straightening oracle
 that the Monk-operator route of `flagmirror.schubring` is checked against,
-and the lambda evaluator that the generated chart evaluator of
-`flagmirror.mirror` is checked against."""
+the lambda evaluator that the generated chart evaluator of
+`flagmirror.mirror` is checked against, and the per-candidate chart lift and
+per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
+checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,9 +11,18 @@ from functools import lru_cache
 import numpy as np
 
 from flagmirror.combinat import Permutation
-from flagmirror.errors import NearPole, NonIntegralCoefficient, SizeCap
-from flagmirror.exactalg import MPoly
-from flagmirror.mirror import _columns_of_pname, _symbolic_minors, pluecker_table, superpotential
+from flagmirror.crit import _lift_frame, toeplitz_scaling
+from flagmirror.errors import NearPole, NonIntegralCoefficient, PivotFailure, SizeCap
+from flagmirror.exactalg import MPoly, lu_unipotent
+from flagmirror.mirror import (
+    _columns_of_pname,
+    _fixed_entries,
+    _symbolic_minors,
+    pluecker_table,
+    superpotential,
+    z_from_vector,
+    zchart,
+)
 from flagmirror.schubring import (
     QHClass,
     _sorted_perms,
@@ -327,3 +338,64 @@ class LambdaChart:
             for b in range(a + 1, dim):
                 H[a, b] = H[b, a]
         return H
+
+
+# -- the Toeplitz lift and residual, one candidate at a time -----------------
+
+
+def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
+    """The chart lift of the Toeplitz matrix T with diagonals x, by the
+    per-candidate route that `crit._lift_batch` replaced: factor
+    t^{-1} T = V W U with V, U upper-triangular around the representative W
+    of w_P^{-1} w_0, and read the chart coordinates off z = (t^{-1} T) U^{-1}.
+    Returns None when T sits in a smaller stratum (vanishing pivot or broken
+    chart pattern)."""
+    n = len(x)
+    T = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1):
+            T[i, j] = x[i - j]
+    _, W_inv, pivot_row, above = _lift_frame(shape)
+    b = np.diag(1.0 / toeplitz_scaling(shape, q)) @ T
+    A = b.astype(complex).copy()
+    for c, ic in enumerate(pivot_row):
+        piv = A[ic, c]
+        if abs(piv) < 1e-10:
+            return None
+        for i in above[c]:
+            A[i, :] -= (A[i, c] / piv) * A[ic, :]
+    U = W_inv @ A
+    scale = max(1.0, float(np.abs(U).max()))
+    if float(np.abs(np.tril(U, -1)).max()) > tol * scale:
+        return None
+    z = b @ np.linalg.inv(U)
+    coords = zchart(shape).coords
+    vec = np.array([z[r, c] for r, c in coords])
+    rebuilt = np.zeros((n, n), dtype=complex)
+    for k, (r, c) in enumerate(coords):
+        rebuilt[r, c] = vec[k]
+    for r, c, sign in _fixed_entries(shape):
+        rebuilt[r, c] = sign
+    if float(np.abs(rebuilt - z).max()) > tol * max(1.0, float(np.abs(z).max())):
+        return None
+    return vec
+
+
+def toeplitz_residual_loop(shape, vec, q) -> float:
+    """The Toeplitz residual of one chart vector by the per-point loop that
+    `crit._toeplitz_residuals` replaced: `lu_unipotent`, then the diameter of
+    every diagonal pair by pair; inf where a leading minor vanishes."""
+    try:
+        L, _ = lu_unipotent(z_from_vector(shape, vec))
+    except PivotFailure:
+        return float("inf")
+    T = np.diag(toeplitz_scaling(shape, q)) @ np.asarray(L)
+    n = shape.n
+    scale = float(np.abs(T).max()) or 1.0
+    worst = 0.0
+    for d in range(n):
+        diag = [T[i + d, i] for i in range(n - d)]
+        for a in range(len(diag)):
+            for b in range(a + 1, len(diag)):
+                worst = max(worst, abs(diag[a] - diag[b]))
+    return worst / scale
