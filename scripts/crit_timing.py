@@ -8,9 +8,11 @@ at the fiber q_j = 0.9 + 0.13ij, with the default `CritConfig`. Each search
 runs --repeats times in one process (the first run also builds the ring and
 compiles the chart evaluator); every column is the median over the runs.
 `cands` is the number of character candidates (roots tried) and `starts` the
-multistart fill-in starts. `certify` is the wall time of the search minus
-`search`, so it also covers a route that reports no finer stage; a stage the
-search does not report prints as `-`.
+multistart fill-in starts. `degree` is the multiplicity stage, which
+searches the nearby fiber when the fiber has a degenerate point. `certify`
+is the wall time of the search minus `search`, so it also covers a route
+that reports no finer stage; a stage the search does not report prints as
+`-`.
 
     PYTHONPATH=src python scripts/crit_timing.py --repeats 3
 """

@@ -1,8 +1,9 @@
 """The fiberwise critical points of the superpotential at fixed quantum
 parameters: Toeplitz candidates read off the characters of quantum
 cohomology (a random multistart Newton fills any gap), lifted to the chart and
-polished by damped Newton, with deterministic deduplication and the Toeplitz
-criterion residual for each accepted point."""
+polished by damped Newton, with deterministic deduplication, the multiplicity
+of each degenerate point read off a nearby fiber, and the Toeplitz criterion
+residual for each accepted point."""
 
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ __all__ = [
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 DEDUPE_RADIUS = 1e-6
-MERGE_RADIUS = 1e-4
 POLE_GUARD = 1e-10
 START_BOX = (0.2, 2.0)
 # seed of the divisor combination whose eigenvectors are the characters (the
@@ -48,12 +48,12 @@ CLUSTER_RADIUS = 1e-4
 
 @dataclass(frozen=True)
 class CritConfig:
-    """Budget and seed of the multistart fill-in and the local-degree shifts.
+    """Budget and seed of the multistart fill-in.
 
     The character route of ``find_critical_points`` takes neither; the
     random multistart on the Toeplitz system runs only when the characters
-    leave the count short, and ``seed`` also draws the shifts that measure
-    the local degree of a degenerate point.  ``starts=None`` means 100x the
+    leave the count short (also in the nearby-fiber search that gives a
+    degenerate point its multiplicity).  ``starts=None`` means 100x the
     expected number of critical points (the Schubert-basis size); budgets
     below 10x trigger a warning.  The multistart stops early once at least
     the expected number of valid chart lifts is known and ``max(200, 3 *
@@ -62,9 +62,8 @@ class CritConfig:
     The tolerances are fixed module constants: at most ``NEWTON_MAX_ITER =
     100`` damped Newton steps per polish down to ``|grad F| < NEWTON_TOL =
     1e-12``, polished points within ``DEDUPE_RADIUS = 1e-6`` (relative) are
-    merged, Hessian-degenerate ones within ``MERGE_RADIUS = 1e-4`` (relative)
-    form one point, denominators below ``POLE_GUARD = 1e-10`` (relative) count
-    as poles, and start moduli are uniform in ``START_BOX = (0.2, 2.0)``.
+    merged, denominators below ``POLE_GUARD = 1e-10`` (relative) count as
+    poles, and start moduli are uniform in ``START_BOX = (0.2, 2.0)``.
     """
 
     starts: int | None = None
@@ -89,24 +88,19 @@ class CritPoint:
         }
 
 
-def _newton_polish(fm, z0, q, shift=None, tol=NEWTON_TOL):
+def _newton_polish(fm, z0, q):
     """Damped Newton on the exact symbolic gradient (halving on residual
-    increase), used to polish candidate points in chart coordinates.  With a
-    ``shift`` vector it solves grad F = shift instead (local degree counts)."""
+    increase), used to polish candidate points in chart coordinates.  Returns
+    z and the |grad F(z)| < NEWTON_TOL it stopped at, or None."""
     z = np.array(z0, dtype=complex)
-
-    def resid(zz):
-        g = fm.gradient(zz, q, POLE_GUARD)
-        return g - shift if shift is not None else g
-
     try:
-        g = resid(z)
+        g = fm.gradient(z, q, POLE_GUARD)
     except NearPole:
         return None
     gn = float(np.linalg.norm(g))
     for _ in range(NEWTON_MAX_ITER):
-        if gn < tol:
-            return z
+        if gn < NEWTON_TOL:
+            return z, gn
         try:
             H = fm.hessian(z, q, POLE_GUARD)
             step = np.linalg.solve(H, -g)
@@ -116,7 +110,7 @@ def _newton_polish(fm, z0, q, shift=None, tol=NEWTON_TOL):
         for _ in range(20):
             znew = z + t * step
             try:
-                gnew = resid(znew)
+                gnew = fm.gradient(znew, q, POLE_GUARD)
             except NearPole:
                 t *= 0.5
                 continue
@@ -127,7 +121,7 @@ def _newton_polish(fm, z0, q, shift=None, tol=NEWTON_TOL):
             t *= 0.5
         else:
             return None
-    return z if gn < tol else None
+    return (z, gn) if gn < NEWTON_TOL else None
 
 
 @lru_cache(maxsize=None)
@@ -239,8 +233,8 @@ def _lift_batch(shape: FlagShape, X: np.ndarray, q, tol: float = 1e-5):
     of T: factor t^{-1} T = V W U with V, U upper-triangular around the
     representative W of w_P^{-1} w_0, and read the chart coordinates off
     z = (t^{-1} T) U^{-1}.  Returns the mask of the rows whose T lies in the
-    chart's stratum (no vanishing pivot, U upper-triangular, z on the chart
-    pattern) and the chart vectors of those rows."""
+    chart's stratum (no vanishing pivot, U finite, upper-triangular and
+    invertible, z on the chart pattern) and the chart vectors of those rows."""
     _, W_inv, pivot_row, above = _lift_frame(shape)
     b = np.diag(1.0 / toeplitz_scaling(shape, q)) @ _toeplitz_from_diagonals(X)
     A = b.copy()
@@ -253,7 +247,9 @@ def _lift_batch(shape: FlagShape, X: np.ndarray, q, tol: float = 1e-5):
                 A[:, i, :] -= (A[:, i, c] / piv)[:, None] * A[:, ic, :]
     U = W_inv @ A
     scale = np.maximum(1.0, np.abs(U).max(axis=(1, 2)))
-    ok &= ~(np.abs(np.tril(U, -1)).max(axis=(1, 2)) > tol * scale)
+    ok &= ~(np.abs(np.tril(U, -1)).max(axis=(1, 2)) > tol * scale) & \
+        np.isfinite(U).all(axis=(1, 2))
+    ok[ok] = np.linalg.slogdet(U[ok])[0] != 0  # LU meets a zero pivot: U has no inverse
     keep = np.flatnonzero(ok)
     z = b[keep] @ np.linalg.inv(U[keep])
     vecs = chart_vector(shape, z)
@@ -318,16 +314,17 @@ class _Search:
     seconds reported on the DEBUG line and under ``crit_report``'s
     ``"search"`` key.  The chart lift of all the character candidates is one
     ``_lift_batch``, the degeneracy test one stacked SVD and the residuals
-    one batched LU."""
+    one batched LU.  ``starts`` is the fill-in budget of ``run`` (None: 100x
+    the Schubert-basis size); a search with ``measure=False`` gives every
+    point multiplicity 1."""
 
-    def __init__(self, shape: FlagShape, q, seed: int):
-        self.shape, self.q = shape, q
+    def __init__(self, shape: FlagShape, q, seed: int, starts: int | None = None,
+                 measure: bool = True):
+        self.shape, self.q, self.seed, self.measure = shape, q, seed, measure
+        self.starts = starts if starts is not None else 100 * shape.basis_size
         self.fm = f_minus_chart(shape)
-        # one stream for the multistart and one for the local-degree shifts, so
-        # that the fill-in draws the same starts as a multistart run alone
-        self.rng = random.Random(seed)
-        self.degree_rng = random.Random(seed)
-        self.degrees: list[tuple[np.ndarray, int]] = []  # (point, local degree)
+        self.rng = random.Random(seed)  # the multistart's stream
+        self.nearby: np.ndarray | None = None  # the nearby fiber's points, once searched
         self.m = shape.n - 1 - shape.steps[-1]  # diagonals forced to zero
         self.tsols: list[np.ndarray] = []  # Toeplitz solutions of kept lifts and starts
         self.lifts: list[np.ndarray] = []
@@ -338,8 +335,10 @@ class _Search:
             "character_rejected_stratum": 0, "character_rejected_gradient": 0,
             "fill_in_starts": 0, "toeplitz_converged": 0, "toeplitz_distinct": 0,
             "eliminated": self.m, "rejected_stratum": 0, "rejected_gradient": 0,
-            "polishes_failed": 0, "points": 0, "search_s": 0.0, "polish_s": 0.0,
-            "merge_s": 0.0, "degree_s": 0.0, "residual_s": 0.0,
+            "polishes_failed": 0, "points": 0, "degenerate": 0, "groups": 0,
+            "nearby_points": 0, "nearby_fill_in_starts": 0, "groups_unattracted": 0,
+            "search_s": 0.0, "polish_s": 0.0, "merge_s": 0.0, "degree_s": 0.0,
+            "residual_s": 0.0,
         }
 
     def _lift(self, X) -> list[str | None]:
@@ -409,32 +408,17 @@ class _Search:
                 idle = 0
         stats["search_s"] += time.perf_counter() - t0
 
-    def _degree(self, z) -> int:
-        """The local degree of the degenerate point z, measured once: a later
-        certify reuses it for a merged centre within the merge radius."""
-        for zc, mult in self.degrees:
-            if np.linalg.norm(z - zc) <= MERGE_RADIUS * (1 + np.linalg.norm(zc)):
-                return mult
-        mult = _local_degree(self.fm, z, self.q, self.degree_rng)
-        self.degrees.append((z, mult))
-        return mult
-
     def certify(self) -> list[CritPoint]:
-        """Polish the lifts not polished yet; dedupe all polished points,
-        merge degenerate clouds and measure their local degree."""
+        """Polish the lifts not polished yet; dedupe all polished points and
+        give each group of Hessian-degenerate ones its multiplicity."""
         fm, q = self.fm, self.q
         t0 = time.perf_counter()
-        for vec in self.lifts[self.polished:]:
-            z = _newton_polish(fm, vec, q)
-            if z is None:
-                continue
-            if any(abs(d) < POLE_GUARD * (1 + abs(v)) for v, d in fm.term_values(z)):
-                continue
-            gn = float(np.linalg.norm(fm.gradient(z, q, POLE_GUARD)))
-            if gn >= NEWTON_TOL:
-                continue
-            val = fm.value(z, q, POLE_GUARD)
-            self.found.append((val, z, gn))
+        with np.errstate(all="ignore"):  # an overflowing step has |grad F| nan: no decrease
+            for vec in self.lifts[self.polished:]:
+                polished = _newton_polish(fm, vec, q)
+                if polished is not None:
+                    z, gn = polished
+                    self.found.append((fm.value(z, q, POLE_GUARD), z, gn))
         self.polished = len(self.lifts)
         self.stats["polishes_failed"] = len(self.lifts) - len(self.found)
         t1 = time.perf_counter()
@@ -449,47 +433,20 @@ class _Search:
         for i, z in enumerate(Z):
             if not np.any(np.linalg.norm(Z[keep] - z, axis=1) <= radius[keep]):
                 keep.append(i)
-        reps = [found[i] for i in keep]
-
-        # a Hessian-degenerate (multiple) critical point shows up as a cloud of
-        # near-converged artifacts wider than the dedupe radius; merge those and
-        # measure the local multiplicity by counting roots of grad F = eps*v
-        H = np.reshape([fm.hessian(z, q, POLE_GUARD) for _, z, _ in reps],
-                       (-1, self.shape.dim, self.shape.dim))
-        sv = np.linalg.svd(H, compute_uv=False)
-        merged: list[list] = []
-        flags: list[bool] = []
-        for (val, z, gn), sing in zip(reps, sv):
-            deg = bool(sing[-1] < 1e-6 * max(1.0, sing[0]))
-            placed = False
-            if deg:
-                for grp, gflag in zip(merged, flags):
-                    if gflag and np.linalg.norm(z - grp[0][1]) <= \
-                            MERGE_RADIUS * (1 + np.linalg.norm(grp[0][1])):
-                        grp.append((val, z, gn))
-                        placed = True
-                        break
-            if not placed:
-                merged.append([(val, z, gn)])
-                flags.append(deg)
-
-        centres = []
-        for grp in merged:
-            val, z, gn = grp[0]
-            if len(grp) > 1:
-                center = np.mean([g[1] for g in grp], axis=0)
-                zz = _newton_polish(fm, center, q)
-                if zz is not None:
-                    z = zz
-                    gn = float(np.linalg.norm(fm.gradient(z, q, POLE_GUARD)))
-                    val = fm.value(z, q, POLE_GUARD)
-            centres.append((val, z, gn))
+        reps, Z = [found[i] for i in keep], Z[keep]
+        deg = np.zeros(len(reps), dtype=bool)
+        if self.measure:
+            H = np.reshape([fm.hessian(z, q, POLE_GUARD) for z in Z],
+                           (-1, self.shape.dim, self.shape.dim))
+            sv = np.linalg.svd(H, compute_uv=False)
+            deg = sv[:, -1] < 1e-6 * np.maximum(1.0, sv[:, 0])
         t2 = time.perf_counter()
         self.stats["merge_s"] += t2 - t1
 
+        mult = self._multiplicities(Z, deg) if deg.any() else np.ones(len(reps), dtype=int)
         points = [CritPoint(z=np.asarray(z), value=complex(val), gradient_norm=gn,
-                            multiplicity=self._degree(z) if deg else 1)
-                  for (val, z, gn), deg in zip(centres, flags)]
+                            multiplicity=int(m))
+                  for (val, z, gn), m in zip(reps, mult) if m]
         t3 = time.perf_counter()
         self.stats["degree_s"] += t3 - t2
         vecs = np.reshape([p.z for p in points], (-1, self.shape.dim))
@@ -498,6 +455,52 @@ class _Search:
         self.stats["residual_s"] += time.perf_counter() - t3
         points.sort(key=lambda p: (p.value.real, p.value.imag))
         self.stats["points"] = len(points)
+        return points
+
+    def _multiplicities(self, Z, deg) -> np.ndarray:
+        """The multiplicity of each representative (rows of Z, in merge
+        order) by the nearby-fiber rule of ``find_critical_points``: 1 where
+        the Hessian is regular; for each group of degenerate ones, the
+        group's count on its first and 0 on the rest."""
+        groups: list[list[int]] = []
+        for i in np.flatnonzero(deg):
+            for g in groups:
+                if np.linalg.norm(Z[i] - Z[g[0]]) <= 0.25 * (1 + np.linalg.norm(Z[g[0]])):
+                    g.append(i)
+                    break
+            else:
+                groups.append([i])
+        counts = np.zeros(len(Z), dtype=int)
+        for z in self._nearby():
+            counts[np.argmin(np.linalg.norm(Z - z, axis=1))] += 1
+        mult = np.ones(len(Z), dtype=int)
+        for g in groups:
+            mult[g] = 0
+            mult[g[0]] = max(1, counts[g].sum())
+        self.stats["degenerate"], self.stats["groups"] = int(deg.sum()), len(groups)
+        self.stats["groups_unattracted"] = sum(not counts[g].any() for g in groups)
+        return mult
+
+    def _nearby(self) -> np.ndarray:
+        """The chart coordinates of the critical points of the nearby fiber
+        q'_j = q_j (1 + 1e-4 (0.9 + 0.13 i j)), by one search that gives no
+        multiplicities, run once per search."""
+        if self.nearby is None:
+            q = [v * (1 + 1e-4 * (0.9 + 0.13j * j)) for j, v in enumerate(self.q, 1)]
+            near = _Search(self.shape, q, self.seed, self.starts, measure=False)
+            self.nearby = np.reshape([p.z for p in near.run()], (-1, self.shape.dim))
+            self.stats["nearby_points"] = len(self.nearby)
+            self.stats["nearby_fill_in_starts"] = near.stats["fill_in_starts"]
+        return self.nearby
+
+    def run(self) -> list[CritPoint]:
+        """The characters, then the multistart fill-in if the total
+        multiplicity falls short of the Schubert-basis size."""
+        self.characters()
+        points = self.certify()
+        if sum(p.multiplicity for p in points) < self.shape.basis_size:
+            self.multistart(self.starts)
+            points = self.certify()
         return points
 
 
@@ -513,25 +516,23 @@ def _search(shape: FlagShape, q, cfg: CritConfig | None):
     if any(v == 0 for v in q):
         raise ValueError("all quantum parameters must be nonzero")
 
-    search = _Search(shape, q, cfg.seed)
-    search.characters()
-    points = search.certify()
-    if sum(p.multiplicity for p in points) < expected:
-        search.multistart(starts)
-        points = search.certify()
+    search = _Search(shape, q, cfg.seed, starts)
+    points = search.run()
     st = search.stats
     log.debug(
         "crit %s: %d characters (%d clusters of dim > 1), %d roots tried, lifts "
         "rejected: %d stratum, %d gradient; fill-in: %d starts, %d Toeplitz "
         "converged, %d distinct (m=%d), lifts rejected: %d stratum, %d gradient; "
-        "%d polishes failed; %d points; search %.3fs, polish %.3fs, merge %.3fs, "
-        "degree %.3fs, residual %.3fs",
+        "%d polishes failed; %d points; multiplicity: %d degenerate in %d groups, "
+        "%d nearby points (%d fill-in starts), %d groups unattracted; search %.3fs, "
+        "polish %.3fs, merge %.3fs, degree %.3fs, residual %.3fs",
         shape.to_string(), st["characters"], st["clusters"], st["roots_tried"],
         st["character_rejected_stratum"], st["character_rejected_gradient"],
         st["fill_in_starts"], st["toeplitz_converged"], st["toeplitz_distinct"],
         st["eliminated"], st["rejected_stratum"], st["rejected_gradient"],
-        st["polishes_failed"], st["points"], st["search_s"], st["polish_s"],
-        st["merge_s"], st["degree_s"], st["residual_s"])
+        st["polishes_failed"], st["points"], st["degenerate"], st["groups"],
+        st["nearby_points"], st["nearby_fill_in_starts"], st["groups_unattracted"],
+        st["search_s"], st["polish_s"], st["merge_s"], st["degree_s"], st["residual_s"])
     total = sum(p.multiplicity for p in points)
     if total != expected:
         warnings.warn(
@@ -562,9 +563,19 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     numpy batch; lifts off the chart's stratum, and lifts where the exact
     symbolic gradient is not already small (other q-fibers, characters mixed
     inside an eigenvalue cluster), are dropped, and the rest are polished by
-    damped Newton on that gradient, deduplicated, merged into degenerate
-    points and given their local degree.  The characters only seed the
-    points: each one is certified on F alone.
+    damped Newton on that gradient and deduplicated.  The characters only
+    seed the points: each one is certified on F alone.
+
+    A point whose Hessian is degenerate (smallest singular value below 1e-6
+    of the largest) is a multiple root of grad F; Newton stops anywhere in a
+    cloud of samples around it.  Its multiplicity is the number of simple
+    critical points it splits into on the nearby fiber q'_j = q_j (1 + 1e-4
+    (0.9 + 0.13 i j)), which one more search by the same route finds.  The
+    degenerate points within 0.25 (1 + |z|) of each other form one group,
+    reported once, at its first point in (value, z) order, with the number
+    of q'-points whose nearest point of the q-fiber lies in the group (at
+    least 1).  No seed enters that count, and a fiber without a degenerate
+    point never searches q'.
 
     When the total multiplicity falls short of the Schubert-basis size
     (characters that one divisor combination does not separate), the random
@@ -574,27 +585,6 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     warning, not an error.
     """
     return _search(shape, q, cfg)[0]
-
-
-def _local_degree(fm, zstar, q, rng) -> int:
-    """Local multiplicity of a degenerate critical point: the number of
-    solutions of grad F = eps*v near it, for a small generic shift eps*v."""
-    dim = len(zstar)
-    scale = 1 + float(np.linalg.norm(zstar))
-    eps = 1e-5 * scale
-    shift = eps * np.array([np.exp(2j * np.pi * rng.random()) for _ in range(dim)])
-    shift /= max(1.0, np.linalg.norm(shift) / eps)
-    ball = 0.25 * scale
-    roots: list[np.ndarray] = []
-    for _ in range(24 + 8 * dim):
-        z0 = zstar + 0.05 * scale * np.array(
-            [np.exp(2j * np.pi * rng.random()) * rng.random() for _ in range(dim)])
-        z = _newton_polish(fm, z0, q, shift=shift, tol=1e-10)
-        if z is None or np.linalg.norm(z - zstar) > ball:
-            continue
-        if all(np.linalg.norm(z - r) > 1e-6 * scale for r in roots):
-            roots.append(z)
-    return max(1, len(roots))
 
 
 def toeplitz_scaling(shape: FlagShape, q) -> np.ndarray:

@@ -65,6 +65,13 @@ def test_crit_and_verify_mirror(capsys):
     assert "-3.000000000" in out
 
 
+def test_crit_near_degenerate_fiber(capsys):
+    # some chart lifts at this fiber factor with a singular U (rejected, not an error)
+    code, out, _ = run(capsys, "crit", "--shape", "1,5;6",
+                       "--q", "1.0000009+0.00000013i,1.0000009+0.00000026i")
+    assert code == 0 and "30 points" in out
+
+
 def test_complex_q_parsing(capsys):
     code, out, _ = run(capsys, "c1-spectrum", "--shape", "1;2", "--q", "1+0.2i")
     assert code == 0

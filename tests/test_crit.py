@@ -21,7 +21,7 @@ from flagmirror.crit import (
 from flagmirror.exactalg import lu_unipotent
 from flagmirror.mirror import chart_vector, f_minus_chart, random_z_vector, z_from_vector
 from flagmirror.qhpartial import partial_ring
-from flagmirror.verify import ACCEPTANCE_SHAPES, _min_cost_assignment
+from flagmirror.verify import ACCEPTANCE_SHAPES, _min_cost_assignment, check_mirror_spectrum
 from tests_support import chart_point_from_toeplitz, toeplitz_residual_loop
 
 
@@ -178,10 +178,13 @@ def test_report_schema():
         "characters", "clusters", "roots_tried", "character_rejected_stratum",
         "character_rejected_gradient", "fill_in_starts", "toeplitz_converged",
         "toeplitz_distinct", "eliminated", "rejected_stratum", "rejected_gradient",
-        "polishes_failed", "points", "search_s", "polish_s", "merge_s", "degree_s",
-        "residual_s"}
+        "polishes_failed", "points", "degenerate", "groups", "nearby_points",
+        "nearby_fill_in_starts", "groups_unattracted", "search_s", "polish_s", "merge_s",
+        "degree_s", "residual_s"}
     assert search["characters"] == 2 and search["roots_tried"] == 4
     assert search["fill_in_starts"] == 0 and search["points"] == 2
+    # no degenerate point: the nearby fiber is never searched
+    assert search["degenerate"] == search["groups"] == search["nearby_points"] == 0
 
 
 def test_chart_vector_roundtrip():
@@ -252,10 +255,20 @@ def test_debug_log_line(caplog):
     assert lines[1].startswith("crit 2;4:")
     for part in ("starts", "Toeplitz converged", "distinct (m=1)", "stratum",
                  "gradient", "polishes failed", "6 points", "search", "polish",
-                 "merge", "degree", "residual",
+                 "merge", "degree", "residual", "0 degenerate in 0 groups",
+                 "0 nearby points (0 fill-in starts)", "0 groups unattracted",
                  "6 characters", "clusters of dim > 1", "24 roots tried",
                  "fill-in: 0 starts"):
         assert part in lines[1]
+    # a degenerate fiber reports its multiplicity stage; the nearby-fiber
+    # search logs no line of its own
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="flagmirror"):
+        find_critical_points(FlagShape.from_string("1,3;4"), [1.0, 1.0])
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("crit")]
+    assert len(lines) == 1
+    assert ("10 points; multiplicity: 1 degenerate in 1 groups, 12 nearby points "
+            "(0 fill-in starts), 0 groups unattracted") in lines[0]
 
 
 # -- the character route against the multistart -------------------------------------
@@ -354,33 +367,69 @@ def test_fill_in_completes_colliding_characters_gr26():
     assert stats["clusters"] >= 1 and stats["fill_in_starts"] > 0
 
 
-def test_fill_in_reuses_local_degrees_and_multistart_stream(monkeypatch):
-    # the fill-in's second certify must not measure a degenerate point's local
-    # degree again, and the multistart after it draws a fresh seeded stream
-    measured = []
-    local_degree = crit._local_degree
-    monkeypatch.setattr(crit, "_local_degree",
-                        lambda *a: measured.append(a[1]) or local_degree(*a))
+def test_fill_in_reuses_nearby_search_and_multistart_stream(monkeypatch):
+    # the fill-in's second certify must not search the nearby fiber again, and
+    # the multistart after it draws a fresh seeded stream
+    fibers = []
+    run = _Search.run
+    monkeypatch.setattr(_Search, "run", lambda self: fibers.append(self.q) or run(self))
     shape = FlagShape.from_string("1,3;4")
     search = _Search(shape, [1.0, 1.0], seed=3)
     search.characters()
     first = search.certify()
     assert [p.multiplicity for p in first if p.multiplicity > 1] == [3]
-    assert len(measured) == 1
+    assert len(fibers) == 1 and fibers[0] != search.q
     assert search.rng.getstate() == random.Random(3).getstate()
     search.multistart(60)
     second = search.certify()
-    assert len(measured) == 1
-    assert _values(second) == _values(first)
+    assert len(fibers) == 1
+    # a new sample of the degenerate cloud may now be the group's first
+    assert [p.multiplicity for p in second] == [p.multiplicity for p in first]
+    assert np.allclose(_values(second), _values(first), atol=1e-12)
+
+
+# the degenerate fibers at q = 1 and the multiplicities > 1 of their points
+DEGENERATE = {"1,3;4": [3], "1,2;5": [2], "2,3;5": [3], "3,4;5": [2]}
+
+
+@pytest.mark.parametrize("sstr", list(DEGENERATE))
+def test_degenerate_multiplicities_do_not_depend_on_seed(sstr):
+    shape = FlagShape.from_string(sstr)
+    for seed in range(10):
+        points, stats = crit._search(shape, [1.0] * shape.r, CritConfig(seed=seed))
+        assert [p.multiplicity for p in points if p.multiplicity > 1] == DEGENERATE[sstr]
+        assert sum(p.multiplicity for p in points) == shape.basis_size
+        assert stats["groups"] == len(DEGENERATE[sstr]) and stats["groups_unattracted"] == 0
+        assert stats["nearby_points"] == shape.basis_size
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sstr", ["1,2,3;6", "3,4,5;6"])
+def test_degenerate_multiplicities_n6(sstr):
+    shape = FlagShape.from_string(sstr)
+    points = find_critical_points(shape, [1.0] * shape.r)
+    assert [p.multiplicity for p in points if p.multiplicity > 1] == [2, 2]
+    assert sum(p.multiplicity for p in points) == shape.basis_size
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sstr", ["1,5;6", "1,2,4,5;6"])
+def test_degenerate_clouds_pass_mirror_check(sstr):
+    # each cloud of Hessian-degenerate samples is one point whose multiplicity
+    # is the eigenvalue's: 5 for the value 0 of 1,5;6, 6 twice for 1,2,4,5;6
+    shape = FlagShape.from_string(sstr)
+    rep = check_mirror_spectrum(shape, [1.0] * shape.r)
+    assert rep.passed
+    assert sum(p.multiplicity for p in rep.points) == shape.basis_size
 
 
 # -- the batched lift and residuals against the per-candidate routes ------------
 
 
-def _check_lift_batch(shape):
-    # every character candidate, at q = 1 and at a generic fiber: the same
-    # keep/reject decision and the same chart vector, bit for bit
-    for q in ([1.0 + 0j] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
+def _check_lift_batch(shape, fibers=None):
+    # every character candidate, by default at q = 1 and at a generic fiber:
+    # the same keep/reject decision and the same chart vector, bit for bit
+    for q in fibers or ([1.0 + 0j] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
         chars, _ = crit._characters(shape, q)
         X = crit._character_diagonals(shape, q, chars)
         ok, vecs = crit._lift_batch(shape, X, q)
@@ -402,6 +451,18 @@ def test_lift_batch_matches_per_candidate_lift(shape):
                          ids=FlagShape.to_string)
 def test_lift_batch_matches_per_candidate_lift_n6(shape):
     _check_lift_batch(shape)
+
+
+def test_singular_lift_is_rejected_as_stratum():
+    # at this fiber near q = 1 some character candidates factor with an
+    # upper-triangular U that is singular in floating point; they are off the
+    # stratum, not an error
+    shape = FlagShape.from_string("1,5;6")
+    q = [1 + 1e-6 * (0.9 + 0.13j * j) for j in (1, 2)]
+    _check_lift_batch(shape, [q])
+    points, stats = crit._search(shape, q, CritConfig())
+    assert stats["character_rejected_stratum"] > 0
+    assert sum(p.multiplicity for p in points) == shape.basis_size
 
 
 def test_lift_batch_one_row_and_empty():

@@ -348,8 +348,8 @@ def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
     per-candidate route that `crit._lift_batch` replaced: factor
     t^{-1} T = V W U with V, U upper-triangular around the representative W
     of w_P^{-1} w_0, and read the chart coordinates off z = (t^{-1} T) U^{-1}.
-    Returns None when T sits in a smaller stratum (vanishing pivot or broken
-    chart pattern)."""
+    Returns None when T sits in a smaller stratum (vanishing pivot,
+    non-finite or singular U, or broken chart pattern)."""
     n = len(x)
     T = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -368,7 +368,12 @@ def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
     scale = max(1.0, float(np.abs(U).max()))
     if float(np.abs(np.tril(U, -1)).max()) > tol * scale:
         return None
-    z = b @ np.linalg.inv(U)
+    if not np.isfinite(U).all():
+        return None
+    try:
+        z = b @ np.linalg.inv(U)
+    except np.linalg.LinAlgError:  # singular U
+        return None
     coords = zchart(shape).coords
     vec = np.array([z[r, c] for r, c in coords])
     rebuilt = np.zeros((n, n), dtype=complex)
