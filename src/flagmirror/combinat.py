@@ -18,6 +18,7 @@ from .errors import InvalidRange, Not321Avoiding, NotInGroup, NotMinimalRep
 __all__ = [
     "FlagShape",
     "Permutation",
+    "word_length",
     "Partition",
     "SkewShape",
     "code",
@@ -138,8 +139,7 @@ class Permutation:
     @cached_property
     def length(self) -> int:
         """Inversion count."""
-        w = self.oneline
-        return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
+        return word_length(self.oneline)
 
     @cached_property
     def inverse(self) -> "Permutation":
@@ -188,6 +188,16 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+def word_length(ol: tuple[int, ...]) -> int:
+    """Inversion count of a one-line word: the length of its permutation."""
+    count = 0
+    for i, a in enumerate(ol):
+        for b in ol[i + 1:]:
+            if a > b:
+                count += 1
+    return count
 
 
 def _has_321(w: tuple[int, ...]) -> bool:

@@ -1,8 +1,10 @@
 """Exact sparse polynomial arithmetic and the dense linear algebra kernel.
 
-Rationals are ``fractions.Fraction`` throughout the symbolic path; the numeric
-path (eigenvalues, LU of complex matrices) uses complex double precision.
-Minors of matrices with polynomial entries go through fraction-free Bareiss
+An exact coefficient is a Python ``int`` when it is integral and a
+``fractions.Fraction`` only when it is a true fraction; no float enters the
+symbolic path, and every division on it is exact.  The numeric path
+(eigenvalues, LU of complex matrices) uses complex double precision.  Minors
+of matrices with polynomial entries go through fraction-free Bareiss
 elimination so no rational blowup occurs.
 """
 
@@ -11,7 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from numbers import Number
+from operator import add, mul, neg, sub, truediv
 
 import numpy as np
 
@@ -76,8 +80,27 @@ def _aszero(table: VarTable) -> Exp:
     return (0,) * table.size
 
 
+def _exact(c):
+    """c as an exact coefficient: an int when integral, else a Fraction;
+    raises TypeError on a float."""
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"inexact coefficient {c!r}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quo(a, b):
+    """The exact quotient a / b of exact scalars, by the rule of ``_exact``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return _exact(Fraction(a) / b)
+
+
 class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact coefficients: an int when
+    integral, a Fraction only for a true fraction.
 
     Treated as immutable: no method mutates ``terms`` after construction.
     """
@@ -86,7 +109,8 @@ class MPoly:
 
     def __init__(self, table: VarTable, terms: dict | None = None):
         self.table = table
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self.terms = {e: c if type(c) is int else _exact(c)
+                      for e, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -96,18 +120,17 @@ class MPoly:
 
     @classmethod
     def const(cls, table: VarTable, c) -> "MPoly":
-        c = Fraction(c)
-        return cls(table, {_aszero(table): c} if c else {})
+        return cls(table, {_aszero(table): c})
 
     @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> "MPoly":
         e = [0] * table.size
         e[table.index(name)] = power
-        return cls(table, {tuple(e): Fraction(1)})
+        return cls(table, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, table: VarTable, exp: Exp, coeff=1) -> "MPoly":
-        return cls(table, {tuple(exp): Fraction(coeff)})
+        return cls(table, {tuple(exp): coeff})
 
     # -- basic structure ----------------------------------------------------
 
@@ -125,14 +148,14 @@ class MPoly:
         """Exponent vectors in canonical (descending) order."""
         return sorted(self.terms, key=self._order_key, reverse=True)
 
-    def leading(self) -> tuple[Exp, Fraction]:
+    def leading(self) -> tuple[Exp, int | Fraction]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=self._order_key)
         return e, self.terms[e]
 
-    def constant(self) -> Fraction:
-        return self.terms.get(_aszero(self.table), Fraction(0))
+    def constant(self) -> int | Fraction:
+        return self.terms.get(_aszero(self.table), 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -168,15 +191,12 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MPoly(self.table)
-            return MPoly(self.table, {e: c * v for e, v in self.terms.items()})
+            return MPoly(self.table, {e: other * v for e, v in self.terms.items()})
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -185,6 +205,12 @@ class MPoly:
         return MPoly(self.table, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        """Exact division by a nonzero int or Fraction."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return MPoly(self.table, {e: _quo(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -234,7 +260,8 @@ class MPoly:
             total = term if total is None else total + term
         return 0 if total is None else total
 
-    def map_vars(self, target: dict[int, tuple[int, Fraction]], table: VarTable | None = None) -> "MPoly":
+    def map_vars(self, target: dict[int, tuple[int, int | Fraction]],
+                 table: VarTable | None = None) -> "MPoly":
         """Rename variables: idx -> (new idx, scale); used for involutions."""
         table = table or self.table
         out: dict = {}
@@ -244,7 +271,7 @@ class MPoly:
             for i, k in enumerate(e):
                 if not k:
                     continue
-                j, s = target.get(i, (i, Fraction(1)))
+                j, s = target.get(i, (i, 1))
                 e2[j] += k
                 f *= s ** k
             key = tuple(e2)
@@ -256,21 +283,45 @@ class MPoly:
         return MPoly(table, out)
 
     def divexact(self, g: "MPoly") -> "MPoly":
-        """Exact division; raises ValueError if g does not divide self."""
+        """Exact division; raises ValueError if g does not divide self.
+
+        The remainder's terms wait in a heap keyed by the graded order, each
+        key computed once when its monomial first appears, so a division
+        costs one key per term instead of a scan per quotient term."""
         self._check(g)
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        r = self
-        out: dict = {}
+        weights = self.table.weights
+
+        def key(e):  # heapq pops the least: negate the graded lex order
+            return -sum(map(mul, e, weights)), tuple(map(neg, e)), e
+
         ge, gc = g.leading()
-        while not r.is_zero():
-            re, rc = r.leading()
-            qe = tuple(a - b for a, b in zip(re, ge))
+        tail = [(e, c) for e, c in g.terms.items() if e != ge]
+        r = dict(self.terms)
+        heap = [key(e) for e in r]
+        heapify(heap)
+        out: dict = {}
+        while heap:
+            re = heappop(heap)[2]
+            rc = r.pop(re, 0)
+            if not rc:  # cancelled after it was pushed
+                continue
+            qe = tuple(map(sub, re, ge))
             if any(k < 0 for k in qe):
                 raise ValueError("not divisible")
-            qc = rc / gc
-            out[qe] = out.get(qe, 0) + qc
-            r = r - MPoly.monomial(self.table, qe, qc) * g
+            qc = out[qe] = _quo(rc, gc)
+            for e2, c2 in tail:
+                e = tuple(map(add, qe, e2))
+                t = qc * c2
+                old = r.get(e)
+                if old is None:
+                    r[e] = -t
+                    heappush(heap, key(e))
+                elif old == t:
+                    del r[e]
+                else:
+                    r[e] = old - t
         return MPoly(self.table, out)
 
     # -- printing ------------------------------------------------------------
@@ -338,7 +389,8 @@ def det(M):
 
 def _det_bareiss(rows):
     """Fraction-free Bareiss elimination over any integral domain whose
-    elements support *, -, and exact division (MPoly.divexact or Fraction /)."""
+    elements support *, - and exact division (MPoly.divexact, or the exact
+    scalar quotient, which every Bareiss step divides evenly)."""
     n = len(rows)
     table = next((v.table for r in rows for v in r if isinstance(v, MPoly)), None)
     if table is not None:
@@ -350,9 +402,7 @@ def _det_bareiss(rows):
         return v.is_zero() if isinstance(v, MPoly) else v == 0
 
     def dividex(u, v):
-        if isinstance(u, MPoly):
-            return u * (1 / v) if not isinstance(v, MPoly) else u.divexact(v)
-        return u / v
+        return u.divexact(v) if isinstance(u, MPoly) else _quo(u, v)
 
     prev = 1
     for k in range(n - 1):
@@ -391,7 +441,7 @@ def minor(M, rows, cols):
 def lu_unipotent(A, tol: float = 1e-12):
     """Factor A = L U with L lower-triangular and U unipotent upper-triangular.
 
-    Exact on Fraction matrices; on complex input a pivot with relative
+    Exact on int and Fraction matrices; on complex input a pivot with relative
     magnitude below ``tol`` raises PivotFailure (a leading principal minor of
     A vanishes there, since those minors are the products of L's diagonal).
     """
@@ -400,8 +450,9 @@ def lu_unipotent(A, tol: float = 1e-12):
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("LU of a non-square matrix")
     exact = _is_exact(rows)
-    zero = Fraction(0) if exact else 0j
-    one = Fraction(1) if exact else 1.0 + 0j
+    zero = 0 if exact else 0j
+    one = 1 if exact else 1.0 + 0j
+    div = _quo if exact else truediv
     scale = 1 if exact else max(max(abs(complex(v)) for v in r) for r in rows) or 1.0
     L = [[zero] * n for _ in range(n)]
     U = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -413,7 +464,7 @@ def lu_unipotent(A, tol: float = 1e-12):
         if bad:
             raise PivotFailure(f"leading principal minor {j + 1} vanishes")
         for jj in range(j + 1, n):
-            U[j][jj] = (rows[j][jj] - sum((L[j][k] * U[k][jj] for k in range(j)), zero)) / piv
+            U[j][jj] = div(rows[j][jj] - sum((L[j][k] * U[k][jj] for k in range(j)), zero), piv)
     if exact:
         return L, U
     return np.array(L, dtype=complex), np.array(U, dtype=complex)

@@ -12,7 +12,6 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -222,9 +221,8 @@ class SuperpotentialTerm:
         _, lc = self.denominator.leading()
         if lc == 1:
             return self
-        inv = 1 / lc
         return SuperpotentialTerm(self.family, self.index,
-                                  self.numerator * inv, self.denominator * inv,
+                                  self.numerator / lc, self.denominator / lc,
                                   self.divisor_k)
 
 
@@ -329,7 +327,7 @@ def divisor_equations(shape: FlagShape) -> dict[int, MPoly]:
     for k, poly in out.items():
         _, lc = poly.leading()
         if lc != 1:
-            out[k] = poly * (1 / lc)
+            out[k] = poly / lc
     return out
 
 
@@ -579,11 +577,11 @@ def index_term_to_young(term: SuperpotentialTerm, shape: FlagShape) -> Superpote
     mapping = {}
     for idx, (name, kind) in enumerate(zip(ptab.names, ptab.kinds)):
         if kind == "q":
-            mapping[idx] = (ytab.index(name), Fraction(1))
+            mapping[idx] = (ytab.index(name), 1)
         else:
             cols = _columns_of_pname(name)
             lam = partition_of_columns(cols, shape.n)
-            mapping[idx] = (ytab.index(young_name(len(cols), lam.parts)), Fraction(1))
+            mapping[idx] = (ytab.index(young_name(len(cols), lam.parts)), 1)
     num = term.numerator.map_vars(mapping, ytab)
     den = term.denominator.map_vars(mapping, ytab)
     return SuperpotentialTerm(term.family, term.index, num, den, term.divisor_k).normalized()

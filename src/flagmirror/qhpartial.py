@@ -15,12 +15,11 @@ mirror spectrum tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .combinat import FlagShape, Permutation, is_minimal_rep, min_rep_of, minimal_reps
+from .combinat import FlagShape, Permutation, is_minimal_rep, minimal_reps
 from .errors import NotMinimalRep
 from .exactalg import MPoly, VarTable, complex_to_json, eigenvalues
 from .schubring import QHClass, _length_jump
@@ -45,35 +44,59 @@ def partial_q_table(shape: FlagShape) -> VarTable:
     ])
 
 
-def _chevalley_terms(w: Permutation, j: int, shape: FlagShape):
-    """Yield (target permutation, q-exponent vector) of sigma_{s_{n_j}} * sigma_w."""
+def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) -> dict:
+    """Column -> ((row, q-exponent vector), ...) of sigma_{s_{n_j}} * sigma_w
+    over the basis.  The q-degree d(a,b) and the length change 1 - drop of a
+    quantum term depend on the transposition alone, so they are computed once
+    per shape; a pair with l(w) + jump < l(w) + 1 - drop cannot give one,
+    since l(min rep of w t_ab) <= l(w t_ab).  Only the blocks of a and b need
+    sorting, and lengths are read off the basis."""
     n, r = shape.n, shape.r
-    nj = shape.nj(j)
-    ol = w.oneline
-    qdegs = shape.qdegs
-    for a in range(1, nj + 1):  # 1-based a <= n_j < b
-        for b in range(nj + 1, n + 1):
-            jump = _length_jump(ol, a - 1, b - 1)
+    nj, qdegs = shape.nj(j), shape.qdegs
+    blocks = [slice(shape.nj(m - 1), shape.nj(m)) for m in range(1, r + 2)]
+    block_of = [next(blk for blk in blocks if blk.start <= p < blk.stop) for p in range(n)]
+    pairs = []
+    for a in range(nj):  # 0-based a < n_j <= b
+        for b in range(nj, n):
+            d = tuple(int(a < shape.nj(m) <= b) for m in range(1, r + 1))
+            pairs.append((a, b, d, 1 - sum(dm * qd for dm, qd in zip(d, qdegs)),
+                          (block_of[a], block_of[b])))
+    index = {w.oneline: i for i, w in enumerate(basis)}
+    lengths = [w.length for w in basis]
+    zero = (0,) * r
+    cols = {}
+    for ci, w in enumerate(basis):
+        ol = w.oneline
+        entries = []
+        for a, b, d, need, ab_blocks in pairs:
+            jump = _length_jump(ol, a, b)
+            if jump < need:  # no term at all: drop >= 2, so need < 1
+                continue
+            swapped = list(ol)
+            swapped[a], swapped[b] = ol[b], ol[a]
             if jump == 1:
-                wt = w.times_transposition(a - 1, b - 1)
-                if is_minimal_rep(wt, shape):
-                    yield wt, (0,) * r
-            d = tuple(1 if a <= shape.nj(m) < b else 0 for m in range(1, r + 1))
-            drop = sum(dm * qd for dm, qd in zip(d, qdegs))
-            wmin = min_rep_of(w.times_transposition(a - 1, b - 1), shape)
-            if wmin.length == w.length + 1 - drop:
-                yield wmin, d
+                row = index.get(tuple(swapped))  # None unless a minimal rep
+                if row is not None:
+                    entries.append((row, zero))
+            for blk in ab_blocks:
+                swapped[blk] = sorted(swapped[blk])
+            row = index[tuple(swapped)]
+            if lengths[row] == lengths[ci] + need:
+                entries.append((row, d))
+        cols[ci] = tuple(entries)
+    return cols
 
 
 def chevalley_multiply(w: Permutation, j: int, shape: FlagShape) -> QHClass:
     """sigma_{s_{n_j}} * sigma_w in QH*(Fl(n_bullet)) for w in W^P."""
     if not is_minimal_rep(w, shape):
         raise NotMinimalRep(f"{w} is not a minimal representative for {shape}")
+    ring = partial_ring(shape)
     qt = partial_q_table(shape)
     terms: dict[Permutation, MPoly] = {}
-    for wt, d in _chevalley_terms(w, j, shape):
-        add = MPoly.monomial(qt, d)
-        terms[wt] = terms.get(wt, MPoly.zero(qt)) + add
+    for row, d in ring.chevalley_cols[j - 1][ring.index(w)]:
+        wt = ring.basis[row]
+        terms[wt] = terms.get(wt, MPoly.zero(qt)) + MPoly.monomial(qt, d)
     return QHClass(shape, terms)
 
 
@@ -110,14 +133,8 @@ class PartialRing:
 @lru_cache(maxsize=None)
 def partial_ring(shape: FlagShape) -> PartialRing:
     basis = minimal_reps(shape)
-    index = {w: i for i, w in enumerate(basis)}
-    cols = []
-    for j in range(1, shape.r + 1):
-        colmap: dict[int, tuple] = {}
-        for ci, w in enumerate(basis):
-            colmap[ci] = tuple((index[wt], d) for wt, d in _chevalley_terms(w, j, shape))
-        cols.append(colmap)
-    return PartialRing(shape=shape, basis=basis, chevalley_cols=tuple(cols))
+    cols = tuple(_chevalley_cols(shape, basis, j) for j in range(1, shape.r + 1))
+    return PartialRing(shape=shape, basis=basis, chevalley_cols=cols)
 
 
 def c1_class(shape: FlagShape) -> QHClass:
@@ -127,7 +144,7 @@ def c1_class(shape: FlagShape) -> QHClass:
     for j in range(1, shape.r + 1):
         nj = shape.nj(j)
         w = Permutation.identity(shape.n).times_s(nj)
-        terms[w] = MPoly.const(qt, Fraction(shape.nj(j + 1) - shape.nj(j - 1)))
+        terms[w] = MPoly.const(qt, shape.nj(j + 1) - shape.nj(j - 1))
     return QHClass(shape, terms)
 
 

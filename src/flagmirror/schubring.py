@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 import numpy as np
 
-from .combinat import FlagShape, Permutation
+from .combinat import FlagShape, Permutation, word_length
 from .errors import (ExpansionFailure, NonIntegralCoefficient, NotInGroup, SizeCap,
                      TransitionFailure)
-from .exactalg import MPoly, VarTable, det
+from .exactalg import MPoly, VarTable, _quo, det
 
 __all__ = [
     "xq_table",
@@ -234,10 +235,11 @@ def _slice_expander(n: int, m: int):
     return subst, emonos, col, inv
 
 
-def elementary_expand(p: MPoly, n: int) -> dict[tuple[int, ...], Fraction]:
+def elementary_expand(p: MPoly, n: int) -> dict[tuple[int, ...], int | Fraction]:
     """Expand a q-free polynomial in standard elementary monomials
-    e_{i_1..i_{n-1}} with 0 <= i_k <= k; raises if p is outside their span."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    e_{i_1..i_{n-1}} with 0 <= i_k <= k; raises if p is outside their span.
+    A coefficient is an int when integral, else a Fraction."""
+    out: dict[tuple[int, ...], int | Fraction] = {}
     by_deg: dict[int, dict] = {}
     for e, c in p.terms.items():
         if any(e[n:]):
@@ -257,7 +259,7 @@ def elementary_expand(p: MPoly, n: int) -> dict[tuple[int, ...], Fraction]:
         coeffs = inv.T @ np.array(vec, dtype=np.int64 if exact else object)
         for imono, c in zip(emonos, coeffs.tolist()):
             if c:
-                out[imono] = Fraction(c, scale)
+                out[imono] = _quo(c, scale)
     return out
 
 
@@ -271,7 +273,7 @@ def quantum_schubert(w: Permutation, n: int) -> MPoly:
     tab = xq_table(n)
     out = MPoly.zero(tab)
     for imono, c in coeffs.items():
-        if c.denominator != 1:
+        if type(c) is not int:
             raise NonIntegralCoefficient(f"e-expansion of {w}: {c}")
         prod = MPoly.const(tab, c)
         for k, ik in enumerate(imono, start=1):
@@ -345,7 +347,7 @@ class MonkOperators:
                 acc = out.setdefault(row, {})
                 if any(qexp):
                     for b, c in poly.items():
-                        key = tuple(x + y for x, y in zip(b, qexp))
+                        key = tuple(map(add, b, qexp))
                         v = acc.get(key, 0) + c
                         if v:
                             acc[key] = v
@@ -399,9 +401,9 @@ class MonkOperators:
         rest = self.apply_x(r + 1, {v: {(0,) * (n - 1): 1}})
         if rest.pop(ol, None) != {(0,) * (n - 1): 1}:
             raise TransitionFailure(f"sigma_{ol} is not a unit term of X_{r + 1} sigma_{v}")
-        lu = Permutation(ol).length
+        lu = word_length(ol)
         for w in rest:
-            lw = Permutation(w).length
+            lw = word_length(w)
             if not (lw < lu or (lw == lu and w > ol)):
                 raise TransitionFailure(f"X_{r + 1} sigma_{v} holds sigma_{w}, not below "
                                         f"sigma_{ol}")
@@ -476,19 +478,10 @@ class QHClass:
 
 
 def _vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
+    """The class of an operator vector, whose coefficients are ints."""
     qt = q_table(n)
-    terms: dict[Permutation, MPoly] = {}
-    for word, poly in vec.items():
-        coeffs = {}
-        for b, c in poly.items():
-            c = Fraction(c)
-            if c.denominator != 1:
-                raise NonIntegralCoefficient(f"coefficient {c} at {Permutation(word)}")
-            if c:
-                coeffs[b] = c
-        if coeffs:
-            terms[Permutation(word)] = MPoly(qt, coeffs)
-    return QHClass(("complete", n), terms)
+    return QHClass(("complete", n), {Permutation(word): MPoly(qt, poly)
+                                     for word, poly in vec.items()})
 
 
 def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) -> dict[tuple, dict]:
@@ -507,16 +500,15 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
 
     total: dict[tuple, dict] = {}
     for e, c in poly.terms.items():
-        if c.denominator != 1:
+        if type(c) is not int:  # a true fraction: MPoly keeps integral ones as int
             raise NonIntegralCoefficient(str(c))
-        ci = int(c)
         xexp, qexp = e[:n], e[n:]
         part = power_vec(xexp)
         for r, p in part.items():
             acc = total.setdefault(r, {})
             for b, v in p.items():
-                key = tuple(x + y for x, y in zip(b, qexp)) if any(qexp) else b
-                s = acc.get(key, 0) + ci * v
+                key = tuple(map(add, b, qexp)) if any(qexp) else b
+                s = acc.get(key, 0) + c * v
                 if s:
                     acc[key] = s
                 else:
@@ -543,7 +535,9 @@ def _transition_product(ops: MonkOperators, ol: tuple[int, ...],
         else:
             steps[w] = None  # the identity
     done: dict[tuple, dict[tuple, dict]] = {}
-    for w in sorted(steps, key=lambda w: (Permutation(w).length, tuple(-a for a in w))):
+    order = sorted(steps, reverse=True)
+    order.sort(key=word_length)  # stable: lexicographically greatest first per length
+    for w in order:
         if steps[w] is None:
             done[w] = vec
             continue
@@ -554,7 +548,7 @@ def _transition_product(ops: MonkOperators, ol: tuple[int, ...],
                 acc = out.setdefault(row, {})
                 for b2, c2 in coef.items():
                     for b, c in poly.items():
-                        key = tuple(x + y for x, y in zip(b, b2))
+                        key = tuple(map(add, b, b2))
                         val = acc.get(key, 0) - c2 * c
                         if val:
                             acc[key] = val

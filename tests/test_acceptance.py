@@ -284,7 +284,7 @@ def test_criterion_8_ring_engine_soundness():
         sign = (-1) ** (sum(j + 1 for j in J) + sum(k + 1 for k in K))
         Jc = [x for x in range(n) if x not in J]
         Kc = [x for x in range(n) if x not in K]
-        assert minor(Ainv, J, K) == sign * minor(A, Kc, Jc) / dA
+        assert minor(Ainv, J, K) == Fraction(sign * minor(A, Kc, Jc), dA)
         done += 1
     _report(8, True, time.time() - t0, 300.0,
             "576 oracle pairs, commuting operators, grading, 200 minor identities")

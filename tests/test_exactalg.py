@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_support import as_pyfunc, fraction_inverse
 
+from flagmirror.combinat import Permutation, all_shapes
 from flagmirror.errors import DimensionMismatch, PivotFailure
 from flagmirror.exactalg import (
     MPoly,
     VarTable,
     det,
     eigenvalues,
+    json_dumps,
     lu_unipotent,
     minor,
 )
+from flagmirror.mirror import superpotential
+from flagmirror.schubring import quantum_H, quantum_schubert
 
 TAB = VarTable.make([("x1", "x", 1), ("x2", "x", 1), ("q1", "q", 2)])
 
@@ -93,6 +98,17 @@ def test_bareiss_vs_laplace_random_rational():
         assert det(M) == _laplace_det(M)
 
 
+def test_det_of_integer_matrix_is_an_exact_int():
+    # Bareiss divides exactly: an int / int quotient would be a float
+    got = det([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert got == 18 and type(got) is int
+    a = 10 ** 17
+    M = [[a + 3, 5, 7], [2, a - 11, 13], [17, 19, a + 53]]
+    got = det(M)
+    assert type(got) is int and got == _laplace_det(M)
+    assert float(got) != got  # past 2^53: a float result could not be exact
+
+
 def test_bareiss_on_polynomial_matrix():
     x1, x2, q1 = _vars()
     M = [[x1, 1, 0], [x2, 0, 1], [1, 0, 0]]
@@ -119,8 +135,49 @@ def test_jacobi_identity_200_random():
         sign = (-1) ** (sum(j + 1 for j in J) + sum(k + 1 for k in K))
         Jc = [i for i in range(n) if i not in J]
         Kc = [i for i in range(n) if i not in K]
-        assert lhs == sign * minor(A, Kc, Jc) / dA
+        assert lhs == Fraction(sign * minor(A, Kc, Jc), dA)
         done += 1
+
+
+def _assert_exact_coefficients(p: MPoly):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+
+
+def test_coefficients_are_int_or_true_fraction():
+    # an integral coefficient is an int, a true fraction a Fraction, and no
+    # float ever enters: on the superpotential, the quantum Schubert
+    # polynomials, Bareiss minors and exact division
+    for n in range(2, 6):
+        for shape in all_shapes(n):
+            for t in superpotential(shape):
+                _assert_exact_coefficients(t.numerator)
+                _assert_exact_coefficients(t.denominator)
+    for ol in itertools.permutations(range(4)):
+        _assert_exact_coefficients(quantum_schubert(Permutation(ol), 4))
+    quantum_H.cache_clear()  # Bareiss over the quantum elementary polynomials
+    _assert_exact_coefficients(quantum_H(3, 2, 5))
+    x1, x2, q1 = _vars()
+    half = Fraction(1, 2)
+    M = [[x1 * half, q1, 1], [x2, x1 * x2, half], [3, x2 * 2, x1 + q1]]
+    d = det(M)
+    _assert_exact_coefficients(d)
+    assert d == _laplace_det(M)
+    g = x1 * Fraction(2, 3) + x2 * half - 1
+    for f in (d, x1 ** 3 - q1 * x2 + 4):
+        quo = (f * g).divexact(g)
+        _assert_exact_coefficients(quo)
+        assert quo == f
+        _assert_exact_coefficients(f * g)
+    twice = MPoly(TAB, {(1, 0, 0): Fraction(4, 2), (0, 0, 0): Fraction(-1, 2)})
+    _assert_exact_coefficients(twice)
+    _assert_exact_coefficients(twice / 2)
+    _assert_exact_coefficients(twice * Fraction(2))
+    assert twice.to_json() == {"x1": "2", "1": "-1/2"}
+    assert json.loads(json_dumps({"p": twice.to_json(), "c": Fraction(-1, 2)})) == {
+        "p": {"x1": "2", "1": "-1/2"}, "c": "-1/2"}
+    with pytest.raises(TypeError):
+        MPoly.const(TAB, 0.5)
 
 
 def test_lu_unipotent_examples():

@@ -1,8 +1,8 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
+from tests_support import chevalley_terms
 
 from flagmirror.combinat import (
     FlagShape,
@@ -17,7 +17,6 @@ from flagmirror.combinat import (
 from flagmirror.errors import NotMinimalRep
 from flagmirror.exactalg import MPoly
 from flagmirror.qhpartial import (
-    _chevalley_terms,
     c1_class,
     c1_matrix,
     c1_spectrum,
@@ -192,11 +191,26 @@ def test_chevalley_terms_match_monk_columns_on_complete_flags(n):
     # complete-flag quantum Monk rule of the operators are the same rule
     shape = FlagShape(n, tuple(range(1, n)))
     ops = monk_operators(n)
-    for ol in itertools.permutations(range(n)):
-        cols = ops.column(ol)
+    ring = partial_ring(shape)
+    for ci, w in enumerate(ring.basis):
+        cols = ops.column(w.oneline)
         for j in range(1, n):
-            got = sorted((t.oneline, d) for t, d in _chevalley_terms(Permutation(ol), j, shape))
-            assert got == sorted(cols[j - 1]), (ol, j)
+            got = sorted((ring.basis[row].oneline, d)
+                         for row, d in ring.chevalley_cols[j - 1][ci])
+            assert got == sorted(cols[j - 1]), (w, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chevalley_tables_match_per_pair_rule(n):
+    # the hoisted, pruned tables of partial_ring against the rule applied one
+    # transposition at a time, entry order included
+    for shape in all_shapes(n):
+        ring = partial_ring(shape)
+        index = {w: i for i, w in enumerate(ring.basis)}
+        for j in range(1, shape.r + 1):
+            want = {ci: tuple((index[t], d) for t, d in chevalley_terms(w, j, shape))
+                    for ci, w in enumerate(ring.basis)}
+            assert ring.chevalley_cols[j - 1] == want, (shape, j)
 
 
 def test_c1_class_examples():

@@ -9,7 +9,8 @@ from scipy.optimize import linear_sum_assignment  # the reference for _min_cost_
 
 from flagmirror import verify
 from flagmirror.cli import main
-from flagmirror.combinat import FlagShape, Permutation
+from flagmirror.combinat import (FlagShape, Permutation, build_xi_and_wJ,
+                                 grassmannian_from_first_values)
 from flagmirror.crit import CritConfig, toeplitz_scaling
 from flagmirror.errors import FormulaViolation, IdentityViolation
 from flagmirror.exactalg import MPoly, lu_unipotent
@@ -242,7 +243,8 @@ def test_v_entry_formula_at_generic_points():
 
 def _fault_in_first_product(monkeypatch):
     """Double the first class product that verify computes; the cached
-    product in schubring is left untouched."""
+    product in schubring is left untouched.  Returns the list of factor
+    pairs that verify asks for."""
     calls = []
 
     def faulty(u, v, n):
@@ -251,6 +253,7 @@ def _fault_in_first_product(monkeypatch):
         return out.scaled(2) if len(calls) == 1 else out
 
     monkeypatch.setattr(verify, "class_product", faulty)
+    return calls
 
 
 def _fault_in_det_formula(monkeypatch):
@@ -263,9 +266,17 @@ def test_strict_flags_raise(monkeypatch):
     _fault_in_first_product(monkeypatch)
     with pytest.raises(IdentityViolation):
         check_key_identity(shape, 1, 4, strict=True)
-    _fault_in_first_product(monkeypatch)
+    calls = _fault_in_first_product(monkeypatch)
     rep = check_key_identity(shape, 1, 4, strict=False)
-    assert not rep.ok and rep.residual is not None and not rep.residual.is_zero()
+    assert not rep.ok and rep.residual is not None
+    # the residue is exactly the extra copy of the first signed term
+    J0, wJ = next((J0, wJ) for J0, wJ in build_xi_and_wJ(shape, 1, 4).items()
+                  if wJ is not None)
+    njd = shape.nj(1) + 4 - (shape.n - shape.nj(2))
+    G = grassmannian_from_first_values(set(range(njd)) - set(J0), shape.n)
+    assert calls[0] == (wJ, G)
+    want = class_product(wJ, G, shape.n).scaled((-1) ** sum(v + 1 for v in J0))
+    assert rep.residual.ring == want.ring and rep.residual.terms == want.terms
 
     _fault_in_det_formula(monkeypatch)
     with pytest.raises(FormulaViolation):

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite, among them the straightening oracle
 that the Monk-operator route of `flagmirror.schubring` is checked against,
+the per-pair quantum Chevalley rule that the tables of
+`flagmirror.qhpartial.partial_ring` are checked against,
 the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, and the per-candidate chart lift and
 per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
@@ -10,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from flagmirror.combinat import Permutation
+from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, toeplitz_scaling
 from flagmirror.errors import NearPole, NonIntegralCoefficient, PivotFailure, SizeCap
 from flagmirror.exactalg import MPoly, lu_unipotent
@@ -25,6 +27,7 @@ from flagmirror.mirror import (
 )
 from flagmirror.schubring import (
     QHClass,
+    _length_jump,
     _sorted_perms,
     divided_difference,
     q_table,
@@ -224,6 +227,33 @@ def straighten(p: MPoly, n: int) -> QHClass:
         if coeffs:
             terms[v] = MPoly(qt, coeffs)
     return QHClass(("complete", n), terms)
+
+
+# -- the quantum Chevalley rule, one transposition at a time -------------------
+
+
+def chevalley_terms(w: Permutation, j: int, shape):
+    """Yield (target permutation, q-exponent vector) of sigma_{s_{n_j}} *
+    sigma_w: per transposition t_ab, 1-based a <= n_j < b, the classical term
+    when l(w t_ab) = l(w) + 1 and w t_ab is a minimal representative, and the
+    quantum term q^d(a,b) sigma_{min rep of w t_ab} when that representative
+    has length l(w) + 1 - sum_m d_m (n_{m+1} - n_{m-1})."""
+    n, r = shape.n, shape.r
+    nj = shape.nj(j)
+    ol = w.oneline
+    qdegs = shape.qdegs
+    for a in range(1, nj + 1):
+        for b in range(nj + 1, n + 1):
+            jump = _length_jump(ol, a - 1, b - 1)
+            if jump == 1:
+                wt = w.times_transposition(a - 1, b - 1)
+                if is_minimal_rep(wt, shape):
+                    yield wt, (0,) * r
+            d = tuple(1 if a <= shape.nj(m) < b else 0 for m in range(1, r + 1))
+            drop = sum(dm * qd for dm, qd in zip(d, qdegs))
+            wmin = min_rep_of(w.times_transposition(a - 1, b - 1), shape)
+            if wmin.length == w.length + 1 - drop:
+                yield wmin, d
 
 
 # -- the superpotential chart as one lambda per polynomial -------------------
