@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the exact ring layer: `class_product` on seeded random pairs of S_7
 (median milliseconds per pair), then one row for `key_identity_sweep(8)` and
-one per n for `check_det_formula(n)`, n = 2..6 (median of --repeats runs).
+one per n for `check_det_formula(n)`, n = 2..6 (median of REPEATS runs).
 
 Every memo of `flagmirror.schubring` (products, Monk operators and their
 columns, polynomials, expansion slices) is cleared before each pair and each
 run, so each is timed as the first call of a fresh process and the median
 does not depend on how many ran before it.
 
-    PYTHONPATH=src python scripts/product_timing.py --pairs 20 --seed 0 --repeats 5
+    PYTHONPATH=src python scripts/product_timing.py --pairs 20 --seed 0
 """
 
 import argparse
@@ -22,6 +22,7 @@ from flagmirror.combinat import Permutation
 N = 7
 SWEEP_N = 8
 DET_NS = (2, 3, 4, 5, 6)
+REPEATS = 5
 
 
 def clear_memos():
@@ -47,27 +48,26 @@ def time_pairs(pairs: int, seed: int) -> list[float]:
     return out
 
 
-def layer_rows(repeats: int):
+def layer_rows():
     """(label, seconds of each run) for the key identity sweep and the
     determinantal formula per n."""
     yield (f"key_identity_sweep({SWEEP_N})",
-           [timed(lambda: verify.key_identity_sweep(SWEEP_N)) for _ in range(repeats)])
+           [timed(lambda: verify.key_identity_sweep(SWEEP_N)) for _ in range(REPEATS)])
     for n in DET_NS:
         yield (f"check_det_formula({n})",
-               [timed(lambda: verify.check_det_formula(n)) for _ in range(repeats)])
+               [timed(lambda: verify.check_det_formula(n)) for _ in range(REPEATS)])
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     ms = [1e3 * t for t in time_pairs(args.pairs, args.seed)]
     print(f"class_product S_{N}: {len(ms)} pairs (seed {args.seed}), "
           f"median {statistics.median(ms):.1f} ms/pair "
           f"(min {min(ms):.1f}, max {max(ms):.1f})")
-    for label, runs in layer_rows(args.repeats):
+    for label, runs in layer_rows():
         ms = [1e3 * t for t in runs]
         print(f"{label}: median {statistics.median(ms):.1f} ms of {len(ms)} runs "
               f"(min {min(ms):.1f}, max {max(ms):.1f})")

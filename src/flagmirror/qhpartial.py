@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import FlagShape, Permutation, is_minimal_rep, minimal_reps
-from .errors import NotMinimalRep
+from .errors import InvalidRange, NotMinimalRep
 from .exactalg import MPoly, VarTable, complex_to_json, eigenvalues
 from .schubring import QHClass, _length_jump
 
@@ -91,6 +91,8 @@ def chevalley_multiply(w: Permutation, j: int, shape: FlagShape) -> QHClass:
     """sigma_{s_{n_j}} * sigma_w in QH*(Fl(n_bullet)) for w in W^P."""
     if not is_minimal_rep(w, shape):
         raise NotMinimalRep(f"{w} is not a minimal representative for {shape}")
+    if not 1 <= j <= shape.r:
+        raise InvalidRange(f"divisor index j={j} outside 1..{shape.r} for {shape}")
     ring = partial_ring(shape)
     qt = partial_q_table(shape)
     terms: dict[Permutation, MPoly] = {}

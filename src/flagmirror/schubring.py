@@ -43,6 +43,7 @@ __all__ = [
     "monk_operators",
     "class_product",
     "normal_form",
+    "signed_sum",
     "QHClass",
 ]
 
@@ -482,6 +483,22 @@ def _vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
     qt = q_table(n)
     return QHClass(("complete", n), {Permutation(word): MPoly(qt, poly)
                                      for word, poly in vec.items()})
+
+
+def signed_sum(pairs, n: int) -> QHClass:
+    """sum of c * cls over (c, cls) pairs, c an int and cls a class of QH*(Fl_n),
+    accumulated in one operator vector rather than by QHClass additions."""
+    acc: dict[tuple, dict] = {}
+    for sgn, cls in pairs:
+        for w, c in cls.terms.items():
+            row = acc.setdefault(w.oneline, {})
+            for b, v in c.terms.items():
+                s = row.get(b, 0) + sgn * v
+                if s:
+                    row[b] = s
+                else:
+                    del row[b]
+    return _vec_to_class({word: p for word, p in acc.items() if p}, n)
 
 
 def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) -> dict[tuple, dict]:

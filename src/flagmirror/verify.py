@@ -25,8 +25,8 @@ from .errors import FormulaViolation, IdentityViolation, PivotFailure
 from .exactalg import MPoly, complex_to_json, det, lu_unipotent, minor
 from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
 from .qhpartial import c1_spectrum
-from .schubring import (QHClass, _sorted_perms, _vec_to_class, class_product, monk_operators,
-                        normal_form, q_table, quantum_H, xq_table)
+from .schubring import (QHClass, _sorted_perms, class_product, monk_operators, normal_form,
+                        q_table, quantum_H, signed_sum, xq_table)
 
 __all__ = [
     "ACCEPTANCE_SHAPES",
@@ -111,36 +111,24 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
     """Verify sum_J (-1)^{|J|} sigma_{w_J} sigma_{[1, n_j+d] \\ J} = 0 in the
     complete-flag ring, exactly.  All classes are indexed by minimal coset
     representatives and carry no quantum parameters, so the vanishing descends
-    to the partial-flag ring.  The signed sum is kept in one dict keyed by
-    (class, q-exponent); a class is built only for a nonzero residue."""
+    to the partial-flag ring.  The signed sum is accumulated by signed_sum in
+    one operator vector."""
     t0 = time.perf_counter()
     n = shape.n
     d = i - (n - shape.nj(j + 1))
     njd = shape.nj(j) + d
     table = build_xi_and_wJ(shape, j, i)
-    acc: dict[tuple, int] = {}
-    terms = 0
+    pairs = []
     for J0, wJ in table.items():
         if wJ is None:
             continue
-        terms += 1
         sgn = (-1) ** sum(v + 1 for v in J0)
         G = grassmannian_from_first_values(set(range(njd)) - set(J0), n)
-        for w, c in class_product(wJ, G, n).terms.items():
-            for b, v in c.terms.items():
-                key = (w.oneline, b)
-                s = acc.get(key, 0) + sgn * v
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-    ok = not acc
-    residual = None
-    if not ok:
-        rows: dict[tuple, dict] = {}
-        for (word, b), c in acc.items():
-            rows.setdefault(word, {})[b] = c
-        residual = _vec_to_class(rows, n)
+        pairs.append((sgn, class_product(wJ, G, n)))
+    terms = len(pairs)
+    residue = signed_sum(pairs, n)
+    ok = residue.is_zero()
+    residual = None if ok else residue
     report = KeyIdentityReport(shape, j, i, ok, terms, residual, time.perf_counter() - t0)
     if strict and not ok:
         raise IdentityViolation(f"nonzero residue for {shape}, j={j}, i={i}: {residual}")

@@ -14,7 +14,7 @@ from flagmirror.combinat import (
     min_rep_of,
     minimal_reps,
 )
-from flagmirror.errors import NotMinimalRep
+from flagmirror.errors import InvalidRange, NotMinimalRep
 from flagmirror.exactalg import MPoly
 from flagmirror.qhpartial import (
     c1_class,
@@ -58,6 +58,13 @@ def test_chevalley_identity():
 def test_chevalley_rejects_non_reps():
     with pytest.raises(NotMinimalRep):
         chevalley_multiply(P("2143"), 1, FlagShape(4, (2,)))
+
+
+def test_chevalley_rejects_bad_divisor_index():
+    shape = FlagShape(4, (1, 2))
+    for j in (0, 3):
+        with pytest.raises(InvalidRange):
+            chevalley_multiply(P("2134"), j, shape)
 
 
 def test_quantum_term_matches_wJ_remark():

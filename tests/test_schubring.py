@@ -31,6 +31,7 @@ from flagmirror.schubring import (
     quantum_H,
     quantum_schubert,
     schubert_poly,
+    signed_sum,
     xq_table,
 )
 from flagmirror.verify import check_det_formula, key_identity_sweep
@@ -514,3 +515,14 @@ def test_transition_rejects_a_missing_unit_term(monkeypatch):
                                               if w != (2, 1, 0)})
     with pytest.raises(TransitionFailure, match="not a unit term"):
         ops.transition((2, 1, 0))
+
+
+def test_signed_sum_matches_class_arithmetic():
+    n = 4
+    a = class_product(P("2143"), P("1342"), n)
+    b = class_product(P("3142"), P("2314"), n)
+    got = signed_sum([(2, a), (-1, b), (1, b)], n)
+    assert got == a.scaled(2)
+    assert signed_sum([(3, a), (-1, b)], n) == a.scaled(3) - b
+    assert signed_sum([(1, a), (-1, a)], n).is_zero()
+    assert signed_sum([], n).is_zero()
