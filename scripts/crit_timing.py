@@ -4,11 +4,12 @@ stage that `crit_report`'s "search" counts report, one row per shape and
 fiber, with the number of Toeplitz candidates.
 
 The shapes are the desk shapes plus 2;5, 2,4;6 and Fl_6, each at q = 1 and
-at the fiber q_j = 0.9 + 0.13ij, with the default `CritConfig`. Each search
-runs --repeats times in one process (the first run also builds the ring and
-compiles the chart evaluator); every column is the median over the runs.
-`cands` is the number of character candidates (roots tried) and `starts` the
-multistart fill-in starts. `degree` is the multiplicity stage, which
+at the fiber q_j = 0.9 + 0.13ij. Each search runs --repeats times in one
+process (the first run also builds the ring and compiles the chart
+evaluator); every column is the median over the runs. `cands` is the number
+of character candidates (roots tried), `clusters` the eigenvalue clusters
+that the cluster step solved (0 when the characters sufficed) and `croots`
+the Toeplitz roots it kept. `degree` is the multiplicity stage, which
 searches the nearby fiber when the fiber has a degenerate point. `certify`
 is the wall time of the search minus `search`, so it also covers a route
 that reports no finer stage; a stage the search does not report prints as
@@ -23,7 +24,7 @@ import time
 import warnings
 
 from flagmirror.combinat import FlagShape
-from flagmirror.crit import CritConfig, _search
+from flagmirror.crit import _search
 
 SHAPES = ("1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "1,2,3;4",
           "2;5", "2,4;6", "1,2,3,4,5;6")
@@ -37,12 +38,13 @@ def time_search(shape: FlagShape, q, repeats: int) -> dict:
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a count mismatch is a row, not an error
-            _, stats = _search(shape, q, CritConfig())
+            _, stats = _search(shape, q, None)
         wall = time.perf_counter() - t0
         runs.append(dict(stats, wall_s=wall, certify_s=wall - stats["search_s"]))
     out = {k: statistics.median(r[k] for r in runs)
            for k in (*STAGES, "certify_s", "wall_s") if k in runs[0]}
-    out["cands"], out["starts"] = runs[0]["roots_tried"], runs[0]["fill_in_starts"]
+    out["cands"], out["clusters"], out["croots"] = (
+        runs[0]["roots_tried"], runs[0]["clusters_solved"], runs[0]["cluster_roots_kept"])
     return out
 
 
@@ -51,7 +53,7 @@ if __name__ == "__main__":
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     cols = ("search", "polish", "merge", "degree", "residual", "certify", "wall")
-    print(f"{'shape':<13}{'q':>3}{'cands':>7}{'starts':>8}"
+    print(f"{'shape':<13}{'q':>3}{'cands':>7}{'clusters':>9}{'croots':>7}"
           + "".join(f"{c:>10}" for c in cols))
     for sstr in SHAPES:
         shape = FlagShape.from_string(sstr)
@@ -60,4 +62,5 @@ if __name__ == "__main__":
             row = time_search(shape, q, args.repeats)
             secs = "".join(f"{row[c + '_s']:>10.4f}" if c + "_s" in row else f"{'-':>10}"
                            for c in cols)
-            print(f"{sstr:<13}{label:>3}{row['cands']:>7}{row['starts']:>8}{secs}", flush=True)
+            print(f"{sstr:<13}{label:>3}{row['cands']:>7}{row['clusters']:>9}{row['croots']:>7}"
+                  f"{secs}", flush=True)

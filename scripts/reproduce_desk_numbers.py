@@ -7,13 +7,12 @@
 """
 
 from flagmirror.combinat import FlagShape
-from flagmirror.crit import CritConfig
 from flagmirror.verify import check_mirror_spectrum
 
 
-def show(shape_str, q, seed=42):
+def show(shape_str, q):
     shape = FlagShape.from_string(shape_str)
-    rep = check_mirror_spectrum(shape, q, CritConfig(seed=seed))
+    rep = check_mirror_spectrum(shape, q)
     print(f"\n== {shape_str} at q = {q} ==")
     print(f"critical points: {len(rep.points)} "
           f"(total multiplicity {sum(p.multiplicity for p in rep.points)}, "

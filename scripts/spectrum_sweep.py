@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run the mirror check on every flag shape with 3 <= n <= 6, at q = 1 and
-at the fiber q_j = 0.9 + 0.13ij, with the default `CritConfig`.
+at the fiber q_j = 0.9 + 0.13ij.
 
 Each check prints one line on stdout: the verdict, the shape, the fiber,
 the number of critical points, their total multiplicity, `max_distance`,
@@ -12,9 +12,10 @@ diffed directly:
     diff <(PYTHONHASHSEED=0 PYTHONPATH=old/src python scripts/spectrum_sweep.py 2>/dev/null) \\
          <(PYTHONHASHSEED=0 PYTHONPATH=src python scripts/spectrum_sweep.py 2>/dev/null)
 
-Shape strings given as arguments restrict the sweep to those shapes.  The
-points can move with the BLAS thread count, so compare runs made with the
-same thread settings.
+Shape strings given as arguments restrict the sweep to those shapes, and
+`--n N` to every shape of one n (`--n 7` is the n = 7 sweep).  The points
+can move with the BLAS thread count, so compare runs made with the same
+thread settings.
 """
 
 import argparse
@@ -42,9 +43,13 @@ def points_hash(points) -> str:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("shapes", nargs="*", help="shape strings such as '1,5;6' (default: all)")
+    ap.add_argument("--n", type=int, help="every shape of this n instead")
     args = ap.parse_args()
+    if args.n is not None and args.shapes:
+        ap.error("give shape strings or --n, not both")
     shapes = ([FlagShape.from_string(s) for s in args.shapes] or
-              [s for n in range(3, 7) for s in all_shapes(n)])
+              [s for n in ([args.n] if args.n is not None else range(3, 7))
+               for s in all_shapes(n)])
     ok = True
     for shape in shapes:
         for label, q in (("1", [1.0] * shape.r),

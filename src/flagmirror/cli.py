@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .combinat import FlagShape, Permutation
-from .crit import CritConfig, crit_report
+from .crit import crit_report
 from .errors import FlagMirrorError
 from .exactalg import json_dumps
 from .mirror import (
@@ -92,8 +92,7 @@ def cmd_c1_spectrum(args) -> int:
 
 def cmd_crit(args) -> int:
     shape = FlagShape.from_string(args.shape)
-    cfg = CritConfig(starts=args.starts, seed=args.seed)
-    rep = crit_report(shape, _parse_q(args.q), cfg)
+    rep = crit_report(shape, _parse_q(args.q))
     if args.format == "json":
         print(json_dumps(rep))
     else:
@@ -138,8 +137,7 @@ def cmd_verify_detformula(args) -> int:
 
 def cmd_verify_mirror(args) -> int:
     shape = FlagShape.from_string(args.shape)
-    cfg = CritConfig(starts=args.starts, seed=args.seed)
-    rep = check_mirror_spectrum(shape, _parse_q(args.q), cfg)
+    rep = check_mirror_spectrum(shape, _parse_q(args.q))
     if args.format == "json":
         print(json_dumps(rep.to_json()))
     else:
@@ -184,7 +182,7 @@ def cmd_report_all(args) -> int:
     print("== mirror spectrum ==")
     for s in ACCEPTANCE_SHAPES[:4] if args.quick else ACCEPTANCE_SHAPES:
         shape = FlagShape.from_string(s)
-        rep = check_mirror_spectrum(shape, [1.0] * shape.r, CritConfig(seed=args.seed))
+        rep = check_mirror_spectrum(shape, [1.0] * shape.r)
         ok &= rep.passed
         print(f"  {'PASS' if rep.passed else 'FAIL'} {s} q=1: "
               f"max distance {rep.max_distance:.2e}")
@@ -225,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crit", help="critical points of the superpotential")
     p.add_argument("--shape", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_crit)
 
@@ -245,14 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-mirror", help="spectrum vs critical values")
     p.add_argument("--shape", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_mirror)
 
     p = sub.add_parser("report-all", help="run the whole verification battery")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report_all)
     return ap
 

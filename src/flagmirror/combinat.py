@@ -58,13 +58,13 @@ class FlagShape:
     def r(self) -> int:
         return len(self.steps)
 
+    @cached_property
+    def _bounds(self) -> tuple[int, ...]:
+        return (0, *self.steps, self.n)
+
     def nj(self, j: int) -> int:
         """n_j for j in 0..r+1, with n_0 = 0 and n_{r+1} = n."""
-        if j == 0:
-            return 0
-        if j == self.r + 1:
-            return self.n
-        return self.steps[j - 1]
+        return self._bounds[j]
 
     @cached_property
     def block_sizes(self) -> tuple[int, ...]:

@@ -1,13 +1,14 @@
 """The fiberwise critical points of the superpotential at fixed quantum
 parameters: Toeplitz candidates read off the characters of quantum
-cohomology (a random multistart Newton fills any gap), lifted to the chart and
-polished by damped Newton, with deterministic deduplication, the multiplicity
-of each degenerate point read off a nearby fiber, and the Toeplitz criterion
-residual for each accepted point."""
+cohomology (solved for on the family of each eigenvalue cluster), lifted to
+the chart and polished by damped Newton, with deterministic deduplication,
+the multiplicity of each degenerate point read off a nearby fiber, and the
+Toeplitz criterion residual for each accepted point."""
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 import warnings
@@ -34,39 +35,30 @@ __all__ = [
 ]
 
 
-NEWTON_MAX_ITER = 100
+NEWTON_MAX_ITER = 100  # damped Newton steps per polish, down to |grad F| < NEWTON_TOL
 NEWTON_TOL = 1e-12
-DEDUPE_RADIUS = 1e-6
-POLE_GUARD = 1e-10
-START_BOX = (0.2, 2.0)
+DEDUPE_RADIUS = 1e-6  # polished points this close (relative) are merged
+POLE_GUARD = 1e-10  # denominators below this (relative) count as poles
 # seed of the divisor combination whose eigenvectors are the characters (the
 # points found do not depend on it); eigenvalues of that combination closer
 # than CLUSTER_RADIUS (relative) are counted as one cluster
 CHARACTER_SEED = 0
 CLUSTER_RADIUS = 1e-4
+# a cluster's family of characters has the dimension p of the singular values
+# above CLUSTER_RANK_TOL (relative); its refined Toeplitz roots are kept when
+# their scaled residual is below CLUSTER_ROOT_TOL
+CLUSTER_RANK_TOL = 1e-8
+CLUSTER_ROOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class CritConfig:
-    """Budget and seed of the multistart fill-in.
+    """A no-op: the search is deterministic, takes its tolerances from the
+    module constants, and ``seed`` changes nothing.  It is kept, with the
+    ``cfg`` parameters that take it, because the benchmark worker builds
+    ``CritConfig(seed=...)``; it goes once the benchmark stops passing it
+    (ROADMAP item 2)."""
 
-    The character route of ``find_critical_points`` takes neither; the
-    random multistart on the Toeplitz system runs only when the characters
-    leave the count short (also in the nearby-fiber search that gives a
-    degenerate point its multiplicity).  ``starts=None`` means 100x the
-    expected number of critical points (the Schubert-basis size); budgets
-    below 10x trigger a warning.  The multistart stops early once at least
-    the expected number of valid chart lifts is known and ``max(200, 3 *
-    expected)`` starts in a row have added none.
-
-    The tolerances are fixed module constants: at most ``NEWTON_MAX_ITER =
-    100`` damped Newton steps per polish down to ``|grad F| < NEWTON_TOL =
-    1e-12``, polished points within ``DEDUPE_RADIUS = 1e-6`` (relative) are
-    merged, denominators below ``POLE_GUARD = 1e-10`` (relative) count as
-    poles, and start moduli are uniform in ``START_BOX = (0.2, 2.0)``.
-    """
-
-    starts: int | None = None
     seed: int = 0
 
 
@@ -136,11 +128,6 @@ def _toeplitz_from_diagonals(x) -> np.ndarray:
     return np.where(d >= 0, np.asarray(x, dtype=complex)[..., d], 0)
 
 
-def _corner_minor(M: np.ndarray, k: int) -> complex:
-    n = M.shape[0]
-    return complex(np.linalg.det(M[n - k:, :k])) if k else 1.0 + 0j
-
-
 def _toeplitz_system(shape: FlagShape, q):
     """The critical-point equations in Toeplitz coordinates, reduced.
 
@@ -153,64 +140,84 @@ def _toeplitz_system(shape: FlagShape, q):
     with the trailing diagonals zero, the k x k corner minor is x[n-k]^k, a
     non-reduced equation on which Newton stalls.  Those diagonals are set to
     zero and their equations dropped, so the returned F maps the first n - m
-    diagonals to n - m residuals.  Returns (F, m).
+    diagonals (the last axis of its argument) to n - m residuals.  Returns
+    (F, m).
     """
     n = shape.n
     W = _lift_frame(shape)[0]
     t = toeplitz_scaling(shape, q)
-    steps = set(shape.steps)
-    targets = []
-    for k in range(1, n):
-        nj = n - k
-        if nj in steps:
-            eps = _corner_minor(W, k)
-            targets.append(eps * complex(np.prod(t[nj:])))
-        else:
-            targets.append(0.0 + 0j)
+    # the bottom-left k x k corner minors, k = 1..n-1
+    targets = [complex(np.linalg.det(W[n - k:, :k])) * complex(np.prod(t[n - k:]))
+               if n - k in shape.steps else 0j for k in range(1, n)]
     det_target = complex(np.prod(t))
     m = n - 1 - shape.steps[-1]  # targets[0..m-1] are zero
 
     def F(y):
-        T = _toeplitz_from_diagonals(np.concatenate([y, np.zeros(m, dtype=complex)]))
-        out = np.empty(n - m, dtype=complex)
-        for idx in range(m, n - 1):
-            out[idx - m] = _corner_minor(T, idx + 1) - targets[idx]
-        out[n - m - 1] = y[0] ** n - det_target
+        x = np.zeros(y.shape[:-1] + (n,), dtype=complex)
+        x[..., :n - m] = y
+        T, out = _toeplitz_from_diagonals(x), np.empty_like(x[..., m:])
+        for k in range(m + 1, n):
+            out[..., k - m - 1] = np.linalg.det(T[..., n - k:, :k]) - targets[k - 1]
+        out[..., -1] = y[..., 0] ** n - det_target
         return out
 
     return F, m
 
 
-def _solve_toeplitz_system(F, x0, maxiter: int = 200, tol: float = 1e-13,
-                           xmax: float = 1e4, h: float = 1e-7):
-    """Backtracking Newton with finite-difference Jacobian on the polynomial
-    corner-minor system; escapes beyond xmax are abandoned."""
-    x = np.array(x0, dtype=complex)
-    n = len(x)
-    for _ in range(maxiter):
-        if np.abs(x).max() > xmax:
-            return None
-        f = F(x)
-        fn = float(np.linalg.norm(f))
-        if fn < tol:
-            return x
-        J = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[a] = h
-            J[:, a] = (F(x + e) - F(x - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(30):
-            xn = x + t * step
-            if float(np.linalg.norm(F(xn))) < fn or t < 1e-8:
-                break
-            t *= 0.5
-        x = xn
-    return None
+def _gauss_newton(G, t, steps: int = 8, h: float = 1e-7):
+    """A few Gauss-Newton steps on the overdetermined polynomial system
+    G(t) = 0 (G maps the last axis), with a central-difference Jacobian and
+    least-squares steps; returns the iterate of smallest |G|."""
+    eye = h * np.eye(len(t))
+    for _ in range(steps):
+        tn = t + np.linalg.lstsq((G(t + eye) - G(t - eye)).T / (2 * h), -G(t), rcond=None)[0]
+        if not np.linalg.norm(G(tn)) < np.linalg.norm(G(t)):
+            break
+        t = tn
+    return t
+
+
+def _denoised(c: np.ndarray) -> np.ndarray:
+    """c with its entries at or below 1e-10 of the largest set to zero."""
+    return np.where(np.abs(c) > 1e-10 * np.abs(c).max(), c, 0)
+
+
+def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Sylvester matrix of two polynomials (constant first)."""
+    df, dg = len(f) - 1, len(g) - 1
+    rows = [np.pad(f[::-1], (i, dg - 1 - i)) for i in range(dg)] + \
+        [np.pad(g[::-1], (i, df - 1 - i)) for i in range(df)]
+    return np.reshape(rows, (df + dg, df + dg))
+
+
+def _family_roots(F, xa: np.ndarray, D: np.ndarray, n: int) -> np.ndarray:
+    """Candidate roots t of F(xa + D t) = 0 for t in C^p, p = 1 or 2, as
+    rows.  Each component of F has degree at most n - 1 in t, so an FFT of
+    its values on n roots of unity per variable gives its coefficients.
+    p = 1: the roots of the lowest-degree component that is not identically
+    zero.  p = 2: the roots in t_1 of the Sylvester resultant in t_2 of the
+    two lowest-degree components (sampled on a circle, again interpolated by
+    FFT), each substituted back into one of them that depends on t_2."""
+    p = D.shape[1]
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    grid = np.stack(np.meshgrid(*[w] * p, indexing="ij"), axis=-1)
+    coef = _denoised(np.fft.fftn(F(xa + grid @ D.T), axes=tuple(range(p))) / n ** p)
+    live = sorted((max(map(sum, np.argwhere(coef[..., k]))), k)
+                  for k in range(coef.shape[-1]) if coef[..., k].any())
+    if p == 1:
+        return np.roots(coef[::-1, live[0][1]])[:, None] if live else np.zeros((0, 1))
+    if len(live) < 2:
+        return np.zeros((0, 2))
+    (df, f), (dg, g) = live[:2]
+    # each cut to its degree in t_2; the resultant has degree <= df dg in t_1
+    f, g = (coef[:, :np.flatnonzero(coef[..., k].any(axis=0))[-1] + 1, k] for k in (f, g))
+    if f.shape[1] == 1:
+        f, g = g, f
+    pows = np.exp(2j * np.pi * np.arange(df * dg + 1) / (df * dg + 1))[:, None] ** np.arange(n)
+    res = [np.linalg.det(_sylvester(a, b)) for a, b in zip(pows @ f, pows @ g)]
+    return np.array([(t1, t2) for t1 in np.roots(_denoised(np.fft.fft(res))[::-1])
+                     for t2 in np.roots((t1 ** np.arange(n) @ f)[::-1])],
+                    dtype=complex).reshape(-1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -260,13 +267,15 @@ def _lift_batch(shape: FlagShape, X: np.ndarray, q, tol: float = 1e-5):
 
 
 def _characters(shape: FlagShape, q):
-    """Candidate characters of QH*_q, as rows, and the number of eigenvalue
-    clusters of dimension > 1.
+    """Candidate characters of QH*_q, as rows, the left eigenvectors they
+    come from, as columns, and the eigenvalue clusters of dimension > 1, as
+    sorted tuples of column indices.
 
     The candidates are the left eigenvectors of one fixed random complex
     combination of the divisor matrices, scaled to 1 at the identity class.
     Inside a cluster an eigenvector may mix characters; its Toeplitz
-    candidates then fail the lift or the gradient screen.
+    candidates then fail the lift or the gradient screen, and the cluster
+    step of ``_Search`` solves for the cluster's characters instead.
     """
     ring = partial_ring(shape)
     rng = random.Random(CHARACTER_SEED)
@@ -277,8 +286,8 @@ def _characters(shape: FlagShape, q):
     keep = np.abs(V[one]) > 1e-12 * np.abs(V).max(axis=0)
     close = np.abs(lam[:, None] - lam[None, :]) <= \
         CLUSTER_RADIUS * (1 + float(np.abs(lam).max()))
-    clusters = {tuple(np.flatnonzero(row)) for row in close if row.sum() > 1}
-    return (V[:, keep] / V[one, keep]).T, len(clusters)
+    clusters = sorted({tuple(np.flatnonzero(row)) for row in close if row.sum() > 1})
+    return (V[:, keep] / V[one, keep]).T, V, clusters
 
 
 @lru_cache(maxsize=None)
@@ -291,62 +300,73 @@ def _diagonal_classes(shape: FlagShape) -> np.ndarray:
         for d in range(1, shape.steps[-1] + 1)])
 
 
-def _character_diagonals(shape: FlagShape, q, chars) -> np.ndarray:
-    """The Toeplitz diagonals x_0..x_{n-1}, one row per character c and root
-    x_0 of x_0^n = prod t (character-major), by the closed formula of
-    ``find_critical_points``."""
+def _character_diagonals(shape: FlagShape, q, values) -> np.ndarray:
+    """The Toeplitz diagonals x_0..x_{n-1}, one row per row of values (a
+    character's values on ``_diagonal_classes``) and root x_0 of x_0^n =
+    prod t (row-major), by the closed formula of ``find_critical_points``."""
     n, nr = shape.n, shape.steps[-1]
     coef = np.array([(-1) ** d * np.prod([q[j - 1] ** -min(shape.nj(j), d)
                                           for j in range(1, shape.r + 1)])
                      for d in range(1, nr + 1)], dtype=complex)
     det_target = complex(np.prod(toeplitz_scaling(shape, q)))
     roots = det_target ** (1 / n) * np.exp(2j * np.pi * np.arange(n) / n)
-    X = np.zeros((len(chars), n, n), dtype=complex)
+    X = np.zeros((len(values), n, n), dtype=complex)
     X[:, :, 0] = roots
-    X[:, :, 1:nr + 1] = (coef * chars[:, _diagonal_classes(shape)])[:, None, :] * \
-        roots[:, None] ** np.arange(1, nr + 1)
+    X[:, :, 1:nr + 1] = (coef * values)[:, None, :] * roots[:, None] ** np.arange(1, nr + 1)
     return X.reshape(-1, n)
+
+
+def _cluster_family(shape: FlagShape, V, cluster) -> tuple[np.ndarray, np.ndarray]:
+    """The values on ``_diagonal_classes`` of the combinations chi of the
+    cluster's eigenvectors with chi(sigma_id) = 1, as an affine family
+    v_a + N t, t in C^p: returns v_a and N.  N has orthonormal columns, one
+    per singular value of the family's linear part above CLUSTER_RANK_TOL
+    times the norm of the cluster's eigenvectors on those rows."""
+    rows = np.concatenate([[partial_ring(shape).index(Permutation.identity(shape.n))],
+                           _diagonal_classes(shape)])
+    B = V[rows][:, list(cluster)]
+    b = B[0]
+    a = b.conj() / np.vdot(b, b)  # the least-norm solution of b . a = 1
+    kernel = np.linalg.svd(b[None])[2][1:].conj().T
+    U, sv, _ = np.linalg.svd(B[1:] @ kernel)
+    return B[1:] @ a, U[:, :int((sv > CLUSTER_RANK_TOL * np.linalg.norm(B, 2)).sum())]
 
 
 class _Search:
     """One critical-point search on one fiber: the kept chart lifts of the
-    Toeplitz solutions, their polished points, and the counts and stage
+    Toeplitz candidates, their polished points, and the counts and stage
     seconds reported on the DEBUG line and under ``crit_report``'s
     ``"search"`` key.  The chart lift of all the character candidates is one
     ``_lift_batch``, the degeneracy test one stacked SVD and the residuals
-    one batched LU.  ``starts`` is the fill-in budget of ``run`` (None: 100x
-    the Schubert-basis size); a search with ``measure=False`` gives every
-    point multiplicity 1."""
+    one batched LU.  A search with ``measure=False`` gives every point
+    multiplicity 1."""
 
-    def __init__(self, shape: FlagShape, q, seed: int, starts: int | None = None,
-                 measure: bool = True):
-        self.shape, self.q, self.seed, self.measure = shape, q, seed, measure
-        self.starts = starts if starts is not None else 100 * shape.basis_size
+    def __init__(self, shape: FlagShape, q, measure: bool = True):
+        self.shape, self.q, self.measure = shape, q, measure
         self.fm = f_minus_chart(shape)
-        self.rng = random.Random(seed)  # the multistart's stream
         self.nearby: np.ndarray | None = None  # the nearby fiber's points, once searched
-        self.m = shape.n - 1 - shape.steps[-1]  # diagonals forced to zero
-        self.tsols: list[np.ndarray] = []  # Toeplitz solutions of kept lifts and starts
+        self.eigvecs, self.clusters = None, []  # of ``_characters``
         self.lifts: list[np.ndarray] = []
         self.found: list[tuple] = []  # (value, z, |grad F|) of the polished lifts
         self.polished = 0
         self.stats = {
             "characters": 0, "clusters": 0, "roots_tried": 0,
             "character_rejected_stratum": 0, "character_rejected_gradient": 0,
-            "fill_in_starts": 0, "toeplitz_converged": 0, "toeplitz_distinct": 0,
-            "eliminated": self.m, "rejected_stratum": 0, "rejected_gradient": 0,
-            "polishes_failed": 0, "points": 0, "degenerate": 0, "groups": 0,
-            "nearby_points": 0, "nearby_fill_in_starts": 0, "groups_unattracted": 0,
-            "search_s": 0.0, "polish_s": 0.0, "merge_s": 0.0, "degree_s": 0.0,
-            "residual_s": 0.0,
+            "clusters_solved": 0, "clusters_unsolved": 0, "cluster_dims": [],
+            "cluster_roots_found": 0, "cluster_roots_kept": 0,
+            "cluster_rejected_stratum": 0, "cluster_rejected_gradient": 0,
+            "eliminated": shape.n - 1 - shape.steps[-1], "polishes_failed": 0,
+            "points": 0, "degenerate": 0, "groups": 0, "nearby_points": 0,
+            "nearby_clusters_solved": 0, "strays": 0, "groups_unattracted": 0,
+            "search_s": 0.0, "polish_s": 0.0, "merge_s": 0.0, "degree_s": 0.0, "residual_s": 0.0,
         }
 
-    def _lift(self, X) -> list[str | None]:
+    def _lift(self, X, stage: str) -> None:
         """Keep the chart lifts of the Toeplitz diagonals X (one row per
-        candidate); return, per row, None or the screen that rejects it."""
+        candidate), counting the rejected ones per stage and screen."""
         ok, vecs = _lift_batch(self.shape, X, self.q)
-        reasons: list[str | None] = ["stratum"] * len(X)
-        for i, vec in zip(np.flatnonzero(ok), vecs):
+        self.stats[f"{stage}_rejected_stratum"] += int(len(X) - ok.sum())
+        for vec in vecs:
             # a Toeplitz solution of another q-fiber or stratum lifts to a point
             # where the gradient is of order one; polishing it only fails slowly
             try:
@@ -354,58 +374,51 @@ class _Search:
             except NearPole:
                 gn = float("inf")
             if gn > 1e-6 * (1 + float(np.linalg.norm(vec))):
-                reasons[i] = "gradient"
+                self.stats[f"{stage}_rejected_gradient"] += 1
             else:
-                reasons[i] = None
                 self.lifts.append(vec)
-        return reasons
 
     def characters(self) -> None:
         """Lift the Toeplitz candidates of every character and root."""
         t0 = time.perf_counter()
-        chars, self.stats["clusters"] = _characters(self.shape, self.q)
-        self.stats["characters"] = len(chars)
-        X = _character_diagonals(self.shape, self.q, chars)
+        chars, self.eigvecs, self.clusters = _characters(self.shape, self.q)
+        self.stats["characters"], self.stats["clusters"] = len(chars), len(self.clusters)
+        X = _character_diagonals(self.shape, self.q, chars[:, _diagonal_classes(self.shape)])
         self.stats["roots_tried"] += len(X)
-        for x, reason in zip(X, self._lift(X)):
-            if reason:
-                self.stats[f"character_rejected_{reason}"] += 1
-            else:
-                self.tsols.append(x[:self.shape.n - self.m])
+        self._lift(X, "character")
         self.stats["search_s"] += time.perf_counter() - t0
 
-    def multistart(self, starts: int) -> None:
-        """Random-start Newton on the reduced Toeplitz system, lifting each
-        new solution; stops early once at least the expected number of lifts
-        is kept and ``max(200, 3 * expected)`` starts in a row added none."""
+    def solve_clusters(self) -> None:
+        """For each eigenvalue cluster whose family of characters has
+        dimension p <= 2 (``_cluster_family``), and each root x_0, find the
+        Toeplitz roots on the family's diagonals x_a + D t
+        (``_family_roots``), refine them by Gauss-Newton on all components
+        of the reduced system, and lift those of scaled residual |F| / (1 +
+        |x|)^(n-1) below CLUSTER_ROOT_TOL.  A cluster with p > 2 is counted
+        as unsolved."""
         t0 = time.perf_counter()
-        n, m, rng, stats = self.shape.n, self.m, self.rng, self.stats
-        system, _ = _toeplitz_system(self.shape, self.q)
-        expected = self.shape.basis_size
-        lo, hi = START_BOX
-        idle, idle_cap = 0, max(200, 3 * expected)
-        for _ in range(starts):
-            if idle >= idle_cap and len(self.lifts) >= expected:
-                break  # deterministic early stop: no new valid lift for a while
-            stats["fill_in_starts"] += 1
-            # draw all n diagonals, so that the random stream does not depend on m
-            x0 = [(lo + (hi - lo) * rng.random())
-                  * np.exp(2j * np.pi * rng.random()) for _ in range(n)]
-            y = _solve_toeplitz_system(system, x0[:n - m])
-            idle += 1
-            if y is None:
+        shape, stats, n = self.shape, self.stats, self.shape.n
+        F, m = _toeplitz_system(shape, self.q)  # m: diagonals forced to zero
+        kept = []
+        for cluster in self.clusters:
+            va, N = _cluster_family(shape, self.eigvecs, cluster)
+            p = N.shape[1]
+            stats["cluster_dims"].append(p)
+            stats["clusters_solved" if p <= 2 else "clusters_unsolved"] += 1
+            if not 0 < p <= 2:
                 continue
-            stats["toeplitz_converged"] += 1
-            if any(np.linalg.norm(y - s) <= 1e-8 * (1 + np.linalg.norm(s))
-                   for s in self.tsols):
-                continue
-            stats["toeplitz_distinct"] += 1
-            self.tsols.append(y)
-            reason = self._lift(np.concatenate([y, np.zeros(m, dtype=complex)])[None])[0]
-            if reason:
-                stats[f"rejected_{reason}"] += 1
-            else:
-                idle = 0
+            X = _character_diagonals(shape, self.q, np.vstack([va, N.T]))[:, :n - m]
+            X = X.reshape(p + 1, n, n - m)
+            X[1:, :, 0] = 0  # x_0 is the root, not on the family
+            for xa, D in zip(X[0], X[1:].transpose(1, 2, 0)):
+                for t in _family_roots(F, xa, D, n):
+                    stats["cluster_roots_found"] += 1
+                    y = xa + _gauss_newton(lambda s: F(xa + s @ D.T), t) @ D.T
+                    if np.linalg.norm(F(y)) < \
+                            CLUSTER_ROOT_TOL * (1 + np.linalg.norm(y)) ** (n - 1):
+                        kept.append(y)
+        stats["cluster_roots_kept"] += len(kept)
+        self._lift(np.pad(np.reshape(kept, (-1, n - m)), ((0, 0), (0, m))), "cluster")
         stats["search_s"] += time.perf_counter() - t0
 
     def certify(self) -> list[CritPoint]:
@@ -487,56 +500,53 @@ class _Search:
         multiplicities, run once per search."""
         if self.nearby is None:
             q = [v * (1 + 1e-4 * (0.9 + 0.13j * j)) for j, v in enumerate(self.q, 1)]
-            near = _Search(self.shape, q, self.seed, self.starts, measure=False)
+            near = _Search(self.shape, q, measure=False)
             self.nearby = np.reshape([p.z for p in near.run()], (-1, self.shape.dim))
             self.stats["nearby_points"] = len(self.nearby)
-            self.stats["nearby_fill_in_starts"] = near.stats["fill_in_starts"]
+            self.stats["nearby_clusters_solved"] = near.stats["clusters_solved"]
         return self.nearby
 
+    def strays(self) -> None:
+        """Lift the nearby fiber's points, if it was searched, that lie
+        farther than 0.25 (1 + |z|) from every polished point: they split off
+        a degenerate point of this fiber that no lift reached."""
+        Z = np.reshape([z for _, z, _ in self.found], (-1, self.shape.dim))
+        for z in self.nearby if self.nearby is not None else ():
+            if not np.any(np.linalg.norm(Z - z, axis=1) <= 0.25 * (1 + np.linalg.norm(z))):
+                self.lifts.append(z)
+                self.stats["strays"] += 1
+
     def run(self) -> list[CritPoint]:
-        """The characters, then the multistart fill-in if the total
-        multiplicity falls short of the Schubert-basis size."""
+        """The characters, then, while the total multiplicity falls short of
+        the Schubert-basis size, the cluster step and the strays."""
         self.characters()
         points = self.certify()
-        if sum(p.multiplicity for p in points) < self.shape.basis_size:
-            self.multistart(self.starts)
+        for step in (self.solve_clusters, self.strays):
+            if sum(p.multiplicity for p in points) >= self.shape.basis_size:
+                break
+            step()
             points = self.certify()
         return points
 
 
 def _search(shape: FlagShape, q, cfg: CritConfig | None):
-    """The critical points of ``find_critical_points`` and the search counts."""
-    cfg = cfg or CritConfig()
-    expected = shape.basis_size
-    starts = cfg.starts if cfg.starts is not None else 100 * expected
-    if starts < 10 * expected:
-        warnings.warn(f"starts={starts} is below 10x the expected count {expected}",
-                      stacklevel=3)
+    """The critical points of ``find_critical_points`` and the search
+    counts; ``cfg`` changes nothing."""
     q = [complex(v) for v in q]
     if any(v == 0 for v in q):
         raise ValueError("all quantum parameters must be nonzero")
 
-    search = _Search(shape, q, cfg.seed, starts)
+    search = _Search(shape, q)
     points = search.run()
     st = search.stats
-    log.debug(
-        "crit %s: %d characters (%d clusters of dim > 1), %d roots tried, lifts "
-        "rejected: %d stratum, %d gradient; fill-in: %d starts, %d Toeplitz "
-        "converged, %d distinct (m=%d), lifts rejected: %d stratum, %d gradient; "
-        "%d polishes failed; %d points; multiplicity: %d degenerate in %d groups, "
-        "%d nearby points (%d fill-in starts), %d groups unattracted; search %.3fs, "
-        "polish %.3fs, merge %.3fs, degree %.3fs, residual %.3fs",
-        shape.to_string(), st["characters"], st["clusters"], st["roots_tried"],
-        st["character_rejected_stratum"], st["character_rejected_gradient"],
-        st["fill_in_starts"], st["toeplitz_converged"], st["toeplitz_distinct"],
-        st["eliminated"], st["rejected_stratum"], st["rejected_gradient"],
-        st["polishes_failed"], st["points"], st["degenerate"], st["groups"],
-        st["nearby_points"], st["nearby_fill_in_starts"], st["groups_unattracted"],
-        st["search_s"], st["polish_s"], st["merge_s"], st["degree_s"], st["residual_s"])
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("crit %s: %s", shape.to_string(), " ".join(
+            f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}".replace(" ", "")
+            for k, v in st.items()))
     total = sum(p.multiplicity for p in points)
-    if total != expected:
+    if total != shape.basis_size:
         warnings.warn(
-            f"found total multiplicity {total} for {shape}, expected {expected}",
+            f"found total multiplicity {total} for {shape}, expected {shape.basis_size}",
             stacklevel=3)
     return points, st
 
@@ -556,8 +566,9 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     the minimal representative of (n-d+1, ..., n, 2, ..., n-d, 1) (1-based).
     This closed formula is empirical.  It was measured on every shape with
     n <= 5, at q = 1 and at q_j = 0.9 + 0.13 i j, where its candidates lift
-    to all the critical points, and at the multistart's points of the
-    acceptance shapes, where it holds to 1e-13 (tests/test_crit.py).
+    to all the critical points, and at the points that an independent random
+    multistart finds on the acceptance shapes, where it holds to 1e-13
+    (tests/test_crit.py).
 
     The candidates are mapped back to the chart together, as one stacked
     numpy batch; lifts off the chart's stratum, and lifts where the exact
@@ -574,29 +585,23 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     degenerate points within 0.25 (1 + |z|) of each other form one group,
     reported once, at its first point in (value, z) order, with the number
     of q'-points whose nearest point of the q-fiber lies in the group (at
-    least 1).  No seed enters that count, and a fiber without a degenerate
-    point never searches q'.
+    least 1).  A fiber without a degenerate point never searches q'.
 
     When the total multiplicity falls short of the Schubert-basis size
-    (characters that one divisor combination does not separate), the random
-    multistart on the Toeplitz system runs with the kept lifts as its
-    starting set, and the points are merged again.  For generic q the final
-    count equals the Schubert-basis size; a mismatch is reported as a
-    warning, not an error.
+    (characters that one divisor combination does not separate), the
+    characters of each eigenvalue cluster are solved for on the cluster's
+    affine family (``_Search.solve_clusters``), and the points are merged
+    again.  For generic q the final count equals the Schubert-basis size; a
+    mismatch is reported as a warning, not an error.
     """
     return _search(shape, q, cfg)[0]
 
 
 def toeplitz_scaling(shape: FlagShape, q) -> np.ndarray:
     """The block-constant diagonal with t_n = 1 and t_{n_j}/t_{n_j+1} = q_{n_j}."""
-    n, r = shape.n, shape.r
-    t = np.ones(n, dtype=complex)
-    for j in range(r, 0, -1):
-        blk = complex(1)
-        for m in range(j, r + 1):
-            blk *= complex(q[m - 1])
-        for pos in range(shape.nj(j - 1), shape.nj(j)):
-            t[pos] = blk
+    t = np.ones(shape.n, dtype=complex)
+    for j in range(1, shape.r + 1):
+        t[shape.nj(j - 1):shape.nj(j)] = math.prod(complex(v) for v in q[j - 1:shape.r])
     return t
 
 

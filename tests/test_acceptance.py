@@ -14,7 +14,7 @@ import numpy as np
 from tests_support import fraction_inverse, straighten
 
 from flagmirror.combinat import FlagShape, all_shapes
-from flagmirror.crit import CritConfig, find_critical_points
+from flagmirror.crit import find_critical_points
 from flagmirror.errors import NearPole, PivotFailure
 from flagmirror.exactalg import MPoly, det, minor
 from flagmirror.mirror import (
@@ -175,13 +175,13 @@ def test_criterion_3_factorization_oracle():
 
 def test_criterion_4_desk_numbers():
     t0 = time.time()
-    pts = find_critical_points(FlagShape(4, (1, 2)), [1.0, 1.0], CritConfig(seed=0))
+    pts = find_critical_points(FlagShape(4, (1, 2)), [1.0, 1.0])
     assert len(pts) == 12 and all(p.multiplicity == 1 for p in pts)
     assert sum(1 for p in pts if abs(p.value + 3) < 1e-8) == 1
     t1 = time.time() - t0
     assert t1 < 30.0
     t0b = time.time()
-    pts = find_critical_points(FlagShape(4, (2,)), [1.0], CritConfig(seed=0))
+    pts = find_critical_points(FlagShape(4, (2,)), [1.0])
     assert len(pts) == 6 and all(p.multiplicity == 1 for p in pts)
     t2 = time.time() - t0b
     assert t2 < 30.0
@@ -206,7 +206,7 @@ def test_criterion_5_and_9_mirror_spectrum():
             qs.append(q)
         for q in qs:
             assert all(abs(complex(v) - 1) < 0.3 for v in q)
-            rep = check_mirror_spectrum(shape, q, CritConfig(seed=42))
+            rep = check_mirror_spectrum(shape, q)
             all_pass &= rep.passed
             if not rep.passed:
                 details.append(f"{sstr}@{q}")

@@ -55,10 +55,9 @@ def test_c1_spectrum_json(capsys):
 
 
 def test_crit_and_verify_mirror(capsys):
-    code, out, _ = run(capsys, "crit", "--shape", "1;2", "--q", "1", "--seed", "3")
+    code, out, _ = run(capsys, "crit", "--shape", "1;2", "--q", "1")
     assert code == 0 and "2 points" in out
-    code, out, _ = run(capsys, "verify-mirror", "--shape", "1,2;4",
-                       "--q", "1,1", "--seed", "42")
+    code, out, _ = run(capsys, "verify-mirror", "--shape", "1,2;4", "--q", "1,1")
     assert code == 0
     assert out.startswith("PASS")
     assert "12 matched pairs" in out
@@ -106,6 +105,12 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "--cache-dir=ops", "qh-mult", "--n", "3",
                        "--u", "213", "--v", "213")
     assert code == 2 and "unrecognized arguments: --cache-dir" in err
+    # the critical-point search is deterministic: it takes no seed or budget
+    for cmd in (["crit", "--shape", "1;2", "--q", "1"],
+                ["verify-mirror", "--shape", "1;2", "--q", "1"], ["report-all", "--quick"]):
+        for flag in ("--seed", "--starts"):
+            code, _, err = run(capsys, *cmd, flag, "3")
+            assert code == 2 and f"unrecognized arguments: {flag}" in err
 
 
 def test_report_all_quick(capsys):

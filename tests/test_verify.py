@@ -11,7 +11,7 @@ from flagmirror import verify
 from flagmirror.cli import main
 from flagmirror.combinat import (FlagShape, Permutation, build_xi_and_wJ,
                                  grassmannian_from_first_values)
-from flagmirror.crit import CritConfig, toeplitz_scaling
+from flagmirror.crit import toeplitz_scaling
 from flagmirror.errors import FormulaViolation, IdentityViolation
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
@@ -142,9 +142,9 @@ def test_G_coset_independence():
 
 
 def test_mirror_spectrum_small():
-    rep = check_mirror_spectrum(FlagShape(3, (1, 2)), [1.0, 1.0], CritConfig(seed=42))
+    rep = check_mirror_spectrum(FlagShape(3, (1, 2)), [1.0, 1.0])
     assert rep.passed and len(rep.critical_values) == 6
-    rep = check_mirror_spectrum(FlagShape(4, (2,)), [1.0], CritConfig(seed=42))
+    rep = check_mirror_spectrum(FlagShape(4, (2,)), [1.0])
     assert rep.passed and len(rep.critical_values) == 6
     js = rep.to_json()
     assert js["passed"] and len(js["eigenvalues"]) == 6
@@ -183,7 +183,7 @@ def test_min_cost_assignment_matches_scipy():
 @pytest.mark.parametrize("sstr", ACCEPTANCE_SHAPES)
 def test_mirror_spectrum_max_distance_matches_scipy_route(sstr):
     shape = FlagShape.from_string(sstr)
-    rep = check_mirror_spectrum(shape, [1.0] * shape.r, CritConfig(seed=42))
+    rep = check_mirror_spectrum(shape, [1.0] * shape.r)
     cost = np.abs(np.array(rep.critical_values)[:, None] - rep.eigenvalues[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert rep.passed and rep.max_distance == float(cost[rows, cols].max())
@@ -192,7 +192,7 @@ def test_mirror_spectrum_max_distance_matches_scipy_route(sstr):
 def test_verify_mirror_count_mismatch(monkeypatch, capsys):
     real = verify.find_critical_points
     monkeypatch.setattr(verify, "find_critical_points", lambda *a: real(*a)[1:])
-    argv = ["verify-mirror", "--shape", "1,2;3", "--q", "1,1", "--seed", "42"]
+    argv = ["verify-mirror", "--shape", "1,2;3", "--q", "1,1"]
     assert main(argv) == 1
     assert capsys.readouterr().out.startswith(
         "FAIL shape 1,2;3: count mismatch: 5 critical values vs 6 eigenvalues (")
@@ -208,16 +208,16 @@ def test_verify_mirror_count_mismatch(monkeypatch, capsys):
 def test_mirror_spectrum_degenerate_fiber():
     # the all-ones fiber of (1,3;4) carries one triple critical point; the
     # value multiset still matches the twelve eigenvalues
-    rep = check_mirror_spectrum(FlagShape(4, (1, 3)), [1.0, 1.0], CritConfig(seed=42))
+    rep = check_mirror_spectrum(FlagShape(4, (1, 3)), [1.0, 1.0])
     assert rep.passed
     assert len(rep.points) == 10
     assert sorted(p.multiplicity for p in rep.points) == [1] * 9 + [3]
 
 
 def test_equivalence_route():
-    rep = check_equivalence_route(FlagShape(4, (1, 3)), [1.0, 1.0], CritConfig(seed=3))
+    rep = check_equivalence_route(FlagShape(4, (1, 3)), [1.0, 1.0])
     assert rep.ok and rep.max_residual < 1e-7
-    rep = check_equivalence_route(FlagShape(5, (2, 4)), [1.1, 0.9], CritConfig(seed=3))
+    rep = check_equivalence_route(FlagShape(5, (2, 4)), [1.1, 0.9])
     assert rep.ok
 
 

@@ -3,17 +3,19 @@ that the Monk-operator route of `flagmirror.schubring` is checked against,
 the per-pair quantum Chevalley rule that the tables of
 `flagmirror.qhpartial.partial_ring` are checked against,
 the lambda evaluator that the generated chart evaluator of
-`flagmirror.mirror` is checked against, and the per-candidate chart lift and
+`flagmirror.mirror` is checked against, the per-candidate chart lift and
 per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
-checked against."""
+checked against, and the random Toeplitz multistart that the character route
+of `flagmirror.crit` is checked against."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
-from flagmirror.crit import _lift_frame, toeplitz_scaling
+from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
 from flagmirror.errors import NearPole, NonIntegralCoefficient, PivotFailure, SizeCap
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import (
@@ -434,3 +436,72 @@ def toeplitz_residual_loop(shape, vec, q) -> float:
             for b in range(a + 1, len(diag)):
                 worst = max(worst, abs(diag[a] - diag[b]))
     return worst / scale
+
+
+# -- the random Toeplitz multistart ------------------------------------------
+
+START_BOX = (0.2, 2.0)  # start moduli are uniform in this box, arguments in [0, 2 pi)
+
+
+def solve_toeplitz_system(F, x0, maxiter: int = 200, tol: float = 1e-13,
+                          xmax: float = 1e4, h: float = 1e-7):
+    """Backtracking Newton with finite-difference Jacobian on the polynomial
+    corner-minor system; escapes beyond xmax are abandoned."""
+    x = np.array(x0, dtype=complex)
+    n = len(x)
+    for _ in range(maxiter):
+        if np.abs(x).max() > xmax:
+            return None
+        f = F(x)
+        fn = float(np.linalg.norm(f))
+        if fn < tol:
+            return x
+        J = np.empty((n, n), dtype=complex)
+        for a in range(n):
+            e = np.zeros(n, dtype=complex)
+            e[a] = h
+            J[:, a] = (F(x + e) - F(x - e)) / (2 * h)
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            return None
+        t = 1.0
+        for _ in range(30):
+            xn = x + t * step
+            if float(np.linalg.norm(F(xn))) < fn or t < 1e-8:
+                break
+            t *= 0.5
+        x = xn
+    return None
+
+
+def multistart_points(shape, q, seed: int, starts=None):
+    """The critical points of the q-fiber by random-start Newton on the
+    reduced Toeplitz system alone, each new solution lifted and screened by
+    a `crit._Search` and certified by its `certify`: the independent
+    cross-check of the character route.  ``starts=None`` means 100x the
+    Schubert-basis size; the starts stop early once at least that many lifts
+    are kept and ``max(200, 3 * basis_size)`` starts in a row added none."""
+    search = _Search(shape, [complex(v) for v in q])
+    system, m = _toeplitz_system(shape, search.q)
+    n, expected, rng = shape.n, shape.basis_size, random.Random(seed)
+    lo, hi = START_BOX
+    solutions: list = []
+    idle, idle_cap = 0, max(200, 3 * expected)
+    for _ in range(starts if starts is not None else 100 * expected):
+        if idle >= idle_cap and len(search.lifts) >= expected:
+            break
+        # draw all n diagonals, so that the random stream does not depend on m
+        x0 = [(lo + (hi - lo) * rng.random()) * np.exp(2j * np.pi * rng.random())
+              for _ in range(n)]
+        y = solve_toeplitz_system(system, x0[:n - m])
+        idle += 1
+        if y is None or any(np.linalg.norm(y - s) <= 1e-8 * (1 + np.linalg.norm(s))
+                            for s in solutions):
+            continue
+        solutions.append(y)
+        kept = len(search.lifts)
+        search._lift(np.concatenate([y, np.zeros(m, dtype=complex)])[None], "cluster")
+        if len(search.lifts) > kept:
+            idle = 0
+    return search.certify()
