@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Time the exact ring layer: `class_product` on seeded random pairs of S_7
-(median milliseconds per pair), then one row for `key_identity_sweep(8)` and
-one per n for `check_det_formula(n)`, n = 2..6 (median of REPEATS runs).
+(median milliseconds per pair), then one row for `key_identity_sweep(8)`,
+one per n for `check_det_formula(n)`, n = 2..6, and one for the benchmark's
+`ring-identities` pass, `key_identity_sweep(8)` then `check_det_formula(n)`
+for n = 2..5 (median of REPEATS runs).
 
-Every memo of `flagmirror.schubring` (products, Monk operators and their
-columns, polynomials, expansion slices) is cleared before each pair and each
-run, so each is timed as the first call of a fresh process and the median
-does not depend on how many ran before it.
+Every memo of `flagmirror.schubring` and `flagmirror.combinat` (products,
+Monk operators with their X_i entries, transitions and plans, q-exponents,
+polynomials, expansion slices, minimal representatives) is cleared before
+each pair and each run, so each is timed as the first call of a fresh
+process and the median does not depend on how many ran before it.
 
     PYTHONPATH=src python scripts/product_timing.py --pairs 20 --seed 0
 """
@@ -16,19 +19,27 @@ import random
 import statistics
 import time
 
-from flagmirror import schubring, verify
+from flagmirror import combinat, schubring, verify
 from flagmirror.combinat import Permutation
 
 N = 7
 SWEEP_N = 8
 DET_NS = (2, 3, 4, 5, 6)
+RING_DET_NS = (2, 3, 4, 5)
 REPEATS = 5
 
 
 def clear_memos():
-    for obj in vars(schubring).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
+    for module in (schubring, combinat):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def ring_identities():
+    verify.key_identity_sweep(SWEEP_N)
+    for n in RING_DET_NS:
+        verify.check_det_formula(n)
 
 
 def timed(fn) -> float:
@@ -49,13 +60,14 @@ def time_pairs(pairs: int, seed: int) -> list[float]:
 
 
 def layer_rows():
-    """(label, seconds of each run) for the key identity sweep and the
-    determinantal formula per n."""
+    """(label, seconds of each run) for the key identity sweep, the
+    determinantal formula per n and the ring-identities pass."""
     yield (f"key_identity_sweep({SWEEP_N})",
            [timed(lambda: verify.key_identity_sweep(SWEEP_N)) for _ in range(REPEATS)])
     for n in DET_NS:
         yield (f"check_det_formula({n})",
                [timed(lambda: verify.check_det_formula(n)) for _ in range(REPEATS)])
+    yield "ring-identities", [timed(ring_identities) for _ in range(REPEATS)]
 
 
 if __name__ == "__main__":

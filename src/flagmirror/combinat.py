@@ -300,27 +300,20 @@ def skew_shape_321(w: Permutation) -> SkewShape:
     return SkewShape(outer, inner, flag)
 
 
-def _block_ranges(shape: FlagShape) -> list[range]:
-    return [range(shape.nj(j - 1), shape.nj(j)) for j in range(1, shape.r + 2)]
+def _ascends_in_blocks(ol: tuple[int, ...], bounds: tuple[int, ...]) -> bool:
+    """True iff the word ol ascends between consecutive block bounds."""
+    return all(ol[p] < ol[p + 1] for lo, hi in zip(bounds, bounds[1:]) for p in range(lo, hi - 1))
 
 
 def is_minimal_rep(w: Permutation, shape: FlagShape) -> bool:
     """True iff w is increasing within every block of the shape."""
-    ol = w.oneline
-    for blk in _block_ranges(shape):
-        for a, b in zip(blk, blk[1:]):
-            if ol[a] > ol[b]:
-                return False
-    return True
+    return _ascends_in_blocks(w.oneline, shape._bounds)
 
 
 def min_rep_of(w: Permutation, shape: FlagShape) -> Permutation:
     """Minimal-length representative of the coset w W_P: sort each block."""
-    ol = list(w.oneline)
-    out: list[int] = []
-    for blk in _block_ranges(shape):
-        out.extend(sorted(ol[blk.start:blk.stop]))
-    return Permutation(tuple(out))
+    b = shape._bounds
+    return Permutation(tuple(v for lo, hi in zip(b, b[1:]) for v in sorted(w.oneline[lo:hi])))
 
 
 @lru_cache(maxsize=None)
@@ -354,36 +347,31 @@ def build_xi_and_wJ(shape: FlagShape, j: int, i: int) -> dict[tuple[int, ...], P
     Keys are the subsets J (0-based value tuples); a value of None records the
     case in which w_J is undefined and its Schubert class contributes zero.
     """
-    n, r = shape.n, shape.r
+    n, r, bounds = shape.n, shape.r, shape._bounds
     if not (1 <= j <= r - 1):
         raise InvalidRange(f"need 1 <= j <= r-1 = {r - 1}, got j={j}")
-    nj, nj1, nj2 = shape.nj(j), shape.nj(j + 1), shape.nj(j + 2)
+    nj, nj1, nj2 = bounds[j:j + 3]
     if not (n - nj1 < i < n - nj):
         raise InvalidRange(f"need {n - nj1} < i < {n - nj}, got i={i}")
     d = i - (n - nj1)
+    a = nj2 - nj1
 
+    # the words are built 0-based: J a subset of [0, i) avoiding [n_j + d, n)
     out: dict[tuple[int, ...], Permutation | None] = {}
-    top = min(i, nj + d)  # J subset of [i] avoiding [n_j+d+1, n]
-    for J1 in itertools.combinations(range(1, top + 1), d):  # 1-based values
-        xs = [x for x in range(1, i + 1) if x not in J1]
+    for J in itertools.combinations(range(min(i, nj + d)), d):
+        xs = tuple(x for x in range(i) if x not in J)
         if nj >= d:
-            b1 = list(J1) + list(range(i + 1, i + nj - d + 1))
-            b2 = [xs[0]] + list(range(i + nj - d + 1, n))
-            b3 = xs[1:nj2 - nj1] + [n]
-            b4 = xs[nj2 - nj1:]
-        elif xs[0] < J1[nj]:
-            b1 = list(J1[:nj])
-            b2 = [xs[0]] + list(J1[nj:]) + list(range(i + 1, n))
-            b3 = xs[1:nj2 - nj1] + [n]
-            b4 = xs[nj2 - nj1:]
+            head = J + tuple(range(i, i + nj - d)) + (xs[0],) + tuple(range(i + nj - d, n - 1))
+        elif xs[0] < J[nj]:
+            head = J[:nj] + (xs[0],) + J[nj:] + tuple(range(i, n - 1))
         else:
-            out[tuple(v - 1 for v in J1)] = None
+            out[J] = None
             continue
-        oneline = tuple(v - 1 for v in b1 + b2 + b3 + b4)
+        oneline = head + xs[1:a] + (n - 1,) + xs[a:]  # head: the first two blocks
         w = Permutation(oneline)
-        if not is_minimal_rep(w, shape):
-            raise NotMinimalRep(f"w_J = {w} escaped W^P for J={J1}")
-        out[tuple(v - 1 for v in J1)] = w
+        if not _ascends_in_blocks(oneline, bounds):
+            raise NotMinimalRep(f"w_J = {w} escaped W^P for J={tuple(v + 1 for v in J)}")
+        out[J] = w
     return out
 
 

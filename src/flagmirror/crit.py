@@ -80,16 +80,23 @@ class CritPoint:
         }
 
 
-def _newton_polish(fm, z0, q):
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D array, by its formula without its dispatch."""
+    return math.sqrt(v.real @ v.real + v.imag @ v.imag)
+
+
+def _newton_polish(fm, z0, q, g=None):
     """Damped Newton on the exact symbolic gradient (halving on residual
-    increase), used to polish candidate points in chart coordinates.  Returns
-    z and the |grad F(z)| < NEWTON_TOL it stopped at, or None."""
+    increase), used to polish candidate points in chart coordinates; g is
+    grad F(z0) when the caller has it.  Returns z and the |grad F(z)| <
+    NEWTON_TOL it stopped at, or None."""
     z = np.array(z0, dtype=complex)
-    try:
-        g = fm.gradient(z, q, POLE_GUARD)
-    except NearPole:
-        return None
-    gn = float(np.linalg.norm(g))
+    if g is None:
+        try:
+            g = fm.gradient(z, q, POLE_GUARD)
+        except NearPole:
+            return None
+    gn = _norm(g)
     for _ in range(NEWTON_MAX_ITER):
         if gn < NEWTON_TOL:
             return z, gn
@@ -106,7 +113,7 @@ def _newton_polish(fm, z0, q):
             except NearPole:
                 t *= 0.5
                 continue
-            gn_new = float(np.linalg.norm(gnew))
+            gn_new = _norm(gnew)
             if gn_new < gn:
                 z, g, gn = znew, gnew, gn_new
                 break
@@ -171,7 +178,7 @@ def _gauss_newton(G, t, steps: int = 8, h: float = 1e-7):
     eye = h * np.eye(len(t))
     for _ in range(steps):
         tn = t + np.linalg.lstsq((G(t + eye) - G(t - eye)).T / (2 * h), -G(t), rcond=None)[0]
-        if not np.linalg.norm(G(tn)) < np.linalg.norm(G(t)):
+        if not _norm(G(tn)) < _norm(G(t)):
             break
         t = tn
     return t
@@ -346,7 +353,7 @@ class _Search:
         self.fm = f_minus_chart(shape)
         self.nearby: np.ndarray | None = None  # the nearby fiber's points, once searched
         self.eigvecs, self.clusters = None, []  # of ``_characters``
-        self.lifts: list[np.ndarray] = []
+        self.lifts: list[tuple] = []  # (z, grad F(z) or None)
         self.found: list[tuple] = []  # (value, z, |grad F|) of the polished lifts
         self.polished = 0
         self.stats = {
@@ -370,13 +377,13 @@ class _Search:
             # a Toeplitz solution of another q-fiber or stratum lifts to a point
             # where the gradient is of order one; polishing it only fails slowly
             try:
-                gn = float(np.linalg.norm(self.fm.gradient(vec, self.q, POLE_GUARD)))
+                g = self.fm.gradient(vec, self.q, POLE_GUARD)
             except NearPole:
-                gn = float("inf")
-            if gn > 1e-6 * (1 + float(np.linalg.norm(vec))):
+                g = None
+            if g is None or _norm(g) > 1e-6 * (1 + _norm(vec)):
                 self.stats[f"{stage}_rejected_gradient"] += 1
             else:
-                self.lifts.append(vec)
+                self.lifts.append((vec, g))
 
     def characters(self) -> None:
         """Lift the Toeplitz candidates of every character and root."""
@@ -414,8 +421,7 @@ class _Search:
                 for t in _family_roots(F, xa, D, n):
                     stats["cluster_roots_found"] += 1
                     y = xa + _gauss_newton(lambda s: F(xa + s @ D.T), t) @ D.T
-                    if np.linalg.norm(F(y)) < \
-                            CLUSTER_ROOT_TOL * (1 + np.linalg.norm(y)) ** (n - 1):
+                    if _norm(F(y)) < CLUSTER_ROOT_TOL * (1 + _norm(y)) ** (n - 1):
                         kept.append(y)
         stats["cluster_roots_kept"] += len(kept)
         self._lift(np.pad(np.reshape(kept, (-1, n - m)), ((0, 0), (0, m))), "cluster")
@@ -427,8 +433,8 @@ class _Search:
         fm, q = self.fm, self.q
         t0 = time.perf_counter()
         with np.errstate(all="ignore"):  # an overflowing step has |grad F| nan: no decrease
-            for vec in self.lifts[self.polished:]:
-                polished = _newton_polish(fm, vec, q)
+            for vec, g in self.lifts[self.polished:]:
+                polished = _newton_polish(fm, vec, q, g)
                 if polished is not None:
                     z, gn = polished
                     self.found.append((fm.value(z, q, POLE_GUARD), z, gn))
@@ -478,7 +484,7 @@ class _Search:
         groups: list[list[int]] = []
         for i in np.flatnonzero(deg):
             for g in groups:
-                if np.linalg.norm(Z[i] - Z[g[0]]) <= 0.25 * (1 + np.linalg.norm(Z[g[0]])):
+                if _norm(Z[i] - Z[g[0]]) <= 0.25 * (1 + _norm(Z[g[0]])):
                     g.append(i)
                     break
             else:
@@ -512,8 +518,8 @@ class _Search:
         a degenerate point of this fiber that no lift reached."""
         Z = np.reshape([z for _, z, _ in self.found], (-1, self.shape.dim))
         for z in self.nearby if self.nearby is not None else ():
-            if not np.any(np.linalg.norm(Z - z, axis=1) <= 0.25 * (1 + np.linalg.norm(z))):
-                self.lifts.append(z)
+            if not np.any(np.linalg.norm(Z - z, axis=1) <= 0.25 * (1 + _norm(z))):
+                self.lifts.append((z, None))
                 self.stats["strays"] += 1
 
     def run(self) -> list[CritPoint]:

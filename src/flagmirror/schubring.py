@@ -1,15 +1,19 @@
 """Quantum Schubert calculus in the complete-flag ring QH*(Fl_n).
 
-Multiplication by the divisor classes is realized by sparse Monk operators on
-the Schubert basis, keyed by one-line word; a word's Monk column is computed
-on demand and kept in memory (no n!-sized build, no disk cache).  Products of
-general classes expand the shorter factor by the quantum transition,
-sigma_u = X_r sigma_{u t_rs} minus classes below u, in the commuting operators
-X_i = M_i - M_{i-1}, so a product needs Monk columns only.  The class of a
-polynomial p modulo the quantum ideal I_n^q (normal_form) is p evaluated in
-the X_i on sigma_id.  Quantum Schubert polynomials come from the standard
-elementary-monomial expansion, a Z-basis, computed by exact integer
-elimination and checked by multiplying back; they serve the public API.
+Multiplication by x_i is realized by the sparse operators X_i = M_i - M_{i-1}
+on the Schubert basis, keyed by one-line word, with M_k multiplication by the
+divisor class sigma_{s_k} (quantum Monk rule).  The pairs of positions a < b
+that M_i and M_{i-1} share cancel, so X_i sigma_w is a signed sum over the
+transpositions with a = i - 1 (sign +) and with b = i - 1 (sign -).  Those
+entries are computed on first use and memoised per (word, i), in memory (no
+n!-sized build, no disk cache).  Products of general classes expand the
+shorter factor by the quantum transition, sigma_u = X_r sigma_{u t_rs} minus
+classes below u, along a plan memoised per factor u, so a product needs X_i
+entries only.  The class of a polynomial p modulo the quantum ideal I_n^q
+(normal_form) is p evaluated in the X_i on sigma_id.  Quantum Schubert
+polynomials come from the standard elementary-monomial expansion, a Z-basis,
+computed by exact integer elimination and checked by multiplying back; they
+serve the public API.
 """
 
 from __future__ import annotations
@@ -287,96 +291,99 @@ def quantum_schubert(w: Permutation, n: int) -> MPoly:
 # -- Monk operators and products ----------------------------------------------
 
 
+def _accumulate(acc: dict, poly: dict, c: int, qexp: tuple | None) -> None:
+    """acc += c q^qexp poly on q-polynomials {q-exponent: int}, dropping the
+    terms that cancel; qexp None stands for q^0."""
+    for b, v in poly.items():
+        key = tuple(map(add, b, qexp)) if qexp else b
+        s = acc.get(key, 0) + c * v
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
+@lru_cache(maxsize=None)
+def _q_exponent(n: int, a: int, b: int) -> tuple[int, ...]:
+    """The exponent of q_{a+1}..q_b, for 0-based positions a < b."""
+    return tuple(int(a <= k < b) for k in range(n - 1))
+
+
 @dataclass
 class MonkOperators:
-    """Multiplication operators by the divisor classes sigma_{s_k} on the
-    Schubert basis of QH*(Fl_n), on sparse vectors keyed by one-line word."""
+    """The operators X_i = M_i - M_{i-1} (M_0 = M_n = 0) on the Schubert
+    basis of QH*(Fl_n), on sparse vectors keyed by one-line word, with M_k
+    multiplication by sigma_{s_k}.  M_k sigma_w sums over the transpositions
+    t_ab, a < k <= b (quantum Monk rule), so X_i sigma_w keeps those with
+    a = i - 1, with sign +, and those with b = i - 1, with sign -.  The
+    signed entries are memoised per (word, i); word lengths, transitions and
+    product plans per word."""
 
     n: int
-    # word -> [k-1] -> entries (one-line word of the image, q-exponent)
-    columns: dict[tuple, list[list[tuple]]] = field(default_factory=dict, repr=False)
+    # word -> [i-1] -> entries (sign, word of the image, q-exponent or None)
+    x_entries: dict[tuple, list] = field(default_factory=dict, repr=False)
     # word of u -> (r, word of u t_rs, rest of X_r sigma_{u t_rs})
     transitions: dict[tuple, tuple] = field(default_factory=dict, repr=False)
-    build_s: float = 0.0  # seconds spent computing columns
+    # word of u -> the steps that expand sigma_u, in evaluation order
+    plans: dict[tuple, list] = field(default_factory=dict, repr=False)
+    lengths: dict[tuple, int] = field(default_factory=dict, repr=False)
+    build_s: float = 0.0  # seconds spent computing X entries
     x_calls: int = 0  # calls of apply_x
 
-    def column(self, ol: tuple[int, ...]) -> list[list[tuple]]:
-        """Monk's rule at sigma_w for the one-line word ol of w: M_k sends
-        sigma_w to the sum over positions a < k <= b (1-based k) of
-        sigma_{w t_ab} when l(w t_ab) = l(w) + 1 (no value between positions
-        a and b lies between w(a) < w(b)), and of q_a..q_{b-1} sigma_{w t_ab}
-        when l(w t_ab) = l(w) + 1 - 2(b - a) (every value between them lies
-        between w(b) < w(a)).  Returns the entry lists of M_1..M_{n-1},
-        computed on first use and memoised per word."""
-        cols = self.columns.get(ol)
-        if cols is not None:
-            return cols
+    def length(self, ol: tuple[int, ...]) -> int:
+        """l(w) for the one-line word ol of w, memoised per word."""
+        got = self.lengths.get(ol)
+        if got is None:
+            self.lengths[ol] = got = word_length(ol)
+        return got
+
+    def x_entry(self, ol: tuple[int, ...], i: int) -> list[tuple]:
+        """The terms (sign, image word, q-exponent or None) of X_i sigma_w,
+        w with one-line word ol.  The positions a < b give sigma_{w t_ab}
+        when l(w t_ab) = l(w) + 1 (no value between positions a and b lies
+        between w(a) < w(b)), and q_{a+1}..q_b sigma_{w t_ab} when
+        l(w t_ab) = l(w) + 1 - 2(b - a) (every value between them lies
+        between w(b) < w(a)).  Each side of position p = i - 1 is one scan;
+        the side b = p is the side a = p with positions reversed and values
+        complemented."""
+        row = self.x_entries.get(ol)
+        if row is None:
+            self.x_entries[ol] = row = [None] * self.n
+        got = row[i - 1]
+        if got is not None:
+            return got
         t0 = time.perf_counter()
-        n = self.n
-        cols = [[] for _ in range(n - 1)]
-        for a in range(n - 1):
-            va = ol[a]
-            hi = n   # least value above va between a and b
-            lo = va  # least value between a and b; -1 once one exceeds va
-            for b in range(a + 1, n):
-                vb = ol[b]
-                if vb > va:
+        n, p = self.n, i - 1
+        got = []
+        for sign, others in ((1, range(p + 1, n)), (-1, range(p - 1, -1, -1))):
+            vals = ol if sign > 0 else [n - 1 - v for v in ol]
+            vp = lo = vals[p]  # lo: least value passed; -1 once one exceeds vp
+            hi = n  # least value above vp passed
+            for b in others:
+                vb = vals[b]
+                if vb > vp:
                     lo = -1
                     if vb >= hi:
                         continue
-                    hi = vb
-                    qexp = (0,) * (n - 1)
+                    hi, qexp = vb, None
                 elif vb < lo:
-                    lo = vb
-                    qexp = tuple(int(a <= i < b) for i in range(n - 1))
+                    lo, qexp = vb, _q_exponent(n, min(p, b), max(p, b))
                 else:
                     continue
                 swapped = list(ol)
-                swapped[a], swapped[b] = vb, va
-                entry = (tuple(swapped), qexp)
-                for k in range(a, b):
-                    cols[k].append(entry)
-        self.columns[ol] = cols
+                swapped[p], swapped[b] = ol[b], ol[p]
+                got.append((sign, tuple(swapped), qexp))
+        row[p] = got
         self.build_s += time.perf_counter() - t0
-        return cols
-
-    def apply(self, k: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
-        """Apply M_k (k in 1..n-1) to a sparse vector of q-polynomials."""
-        out: dict[tuple, dict] = {}
-        for word, poly in vec.items():
-            for row, qexp in self.column(word)[k - 1]:
-                acc = out.setdefault(row, {})
-                if any(qexp):
-                    for b, c in poly.items():
-                        key = tuple(map(add, b, qexp))
-                        v = acc.get(key, 0) + c
-                        if v:
-                            acc[key] = v
-                        else:
-                            del acc[key]
-                else:
-                    for b, c in poly.items():
-                        v = acc.get(b, 0) + c
-                        if v:
-                            acc[b] = v
-                        else:
-                            del acc[b]
-        return {r: p for r, p in out.items() if p}
+        return got
 
     def apply_x(self, i: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
-        """Apply X_i = M_i - M_{i-1} (M_0 = M_n = 0), i in 1..n."""
+        """Apply X_i (i in 1..n) to a sparse vector of q-polynomials."""
         self.x_calls += 1
-        out = self.apply(i, vec) if 1 <= i < self.n else {}
-        if i >= 2:
-            sub = self.apply(i - 1, vec)
-            for r, poly in sub.items():
-                acc = out.setdefault(r, {})
-                for b, c in poly.items():
-                    v = acc.get(b, 0) - c
-                    if v:
-                        acc[b] = v
-                    else:
-                        del acc[b]
+        out: dict[tuple, dict] = {}
+        for word, poly in vec.items():
+            for sgn, row, qexp in self.x_entry(word, i):
+                _accumulate(out.setdefault(row, {}), poly, sgn, qexp)
         return {r: p for r, p in out.items() if p}
 
     def transition(self, ol: tuple[int, ...]) -> tuple[int, tuple, dict[tuple, dict]]:
@@ -402,13 +409,39 @@ class MonkOperators:
         rest = self.apply_x(r + 1, {v: {(0,) * (n - 1): 1}})
         if rest.pop(ol, None) != {(0,) * (n - 1): 1}:
             raise TransitionFailure(f"sigma_{ol} is not a unit term of X_{r + 1} sigma_{v}")
-        lu = word_length(ol)
+        lu = self.length(ol)
         for w in rest:
-            lw = word_length(w)
+            lw = self.length(w)
             if not (lw < lu or (lw == lu and w > ol)):
                 raise TransitionFailure(f"X_{r + 1} sigma_{v} holds sigma_{w}, not below "
                                         f"sigma_{ol}")
         self.transitions[ol] = got = (r + 1, v, rest)
+        return got
+
+    def plan(self, ol: tuple[int, ...]) -> list[tuple]:
+        """The classes the transition recursion of sigma_u reaches, u with
+        one-line word ol, as (word, transition or None for the identity),
+        shortest first and, within a length, lexicographically greatest
+        first, so that every class a transition subtracts comes before its
+        use.  Memoised per word."""
+        got = self.plans.get(ol)
+        if got is not None:
+            return got
+        steps: dict[tuple, tuple | None] = {}
+        todo = [ol]
+        while todo:
+            w = todo.pop()
+            if w in steps:
+                continue
+            if self.length(w):
+                steps[w] = step = self.transition(w)
+                todo.append(step[1])
+                todo.extend(step[2])
+            else:
+                steps[w] = None
+        order = sorted(steps, reverse=True)
+        order.sort(key=self.length)  # stable: lexicographically greatest first per length
+        self.plans[ol] = got = [(w, steps[w]) for w in order]
         return got
 
 
@@ -423,10 +456,10 @@ def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def monk_operators(n: int) -> MonkOperators:
     """The Monk operators of QH*(Fl_n), 2 <= n <= 8, one object per process.
-    Creating it computes nothing: columns are computed per one-line word on
-    first use, so no n!-sized build runs, and nothing is read from or written
-    to disk.  key_identity_sweep logs the columns built and the apply_x calls
-    per n at DEBUG."""
+    Creating it computes nothing: X_i entries are computed per (one-line
+    word, i) on first use, so no n!-sized build runs, and nothing is read
+    from or written to disk.  key_identity_sweep logs the entries,
+    transitions and plans built and the apply_x calls per n at DEBUG."""
     if not (2 <= n <= _MAX_N):
         raise SizeCap(f"monk operators support 2 <= n <= {_MAX_N}, got {n}")
     return MonkOperators(n)
@@ -491,13 +524,7 @@ def signed_sum(pairs, n: int) -> QHClass:
     acc: dict[tuple, dict] = {}
     for sgn, cls in pairs:
         for w, c in cls.terms.items():
-            row = acc.setdefault(w.oneline, {})
-            for b, v in c.terms.items():
-                s = row.get(b, 0) + sgn * v
-                if s:
-                    row[b] = s
-                else:
-                    del row[b]
+            _accumulate(acc.setdefault(w.oneline, {}), c.terms, sgn, None)
     return _vec_to_class({word: p for word, p in acc.items() if p}, n)
 
 
@@ -520,57 +547,27 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
         if type(c) is not int:  # a true fraction: MPoly keeps integral ones as int
             raise NonIntegralCoefficient(str(c))
         xexp, qexp = e[:n], e[n:]
-        part = power_vec(xexp)
-        for r, p in part.items():
-            acc = total.setdefault(r, {})
-            for b, v in p.items():
-                key = tuple(map(add, b, qexp)) if any(qexp) else b
-                s = acc.get(key, 0) + c * v
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+        for r, p in power_vec(xexp).items():
+            _accumulate(total.setdefault(r, {}), p, c, qexp if any(qexp) else None)
     return {r: p for r, p in total.items() if p}
 
 
 def _transition_product(ops: MonkOperators, ol: tuple[int, ...],
                         vec: dict[tuple, dict]) -> dict[tuple, dict]:
     """sigma_u applied to vec, u with one-line word ol, by the quantum
-    transition: gather the classes the recursion reaches, then evaluate them
-    shortest first and, within a length, lexicographically greatest first,
-    so that every class a transition subtracts is ready before it is used."""
-    steps: dict[tuple, tuple | None] = {}
-    todo = [ol]
-    while todo:
-        w = todo.pop()
-        if w in steps:
-            continue
-        if any(a > b for a, b in zip(w, w[1:])):
-            steps[w] = step = ops.transition(w)
-            todo.append(step[1])
-            todo.extend(step[2])
-        else:
-            steps[w] = None  # the identity
+    transition along the plan of u (MonkOperators.plan)."""
     done: dict[tuple, dict[tuple, dict]] = {}
-    order = sorted(steps, reverse=True)
-    order.sort(key=word_length)  # stable: lexicographically greatest first per length
-    for w in order:
-        if steps[w] is None:
+    for w, step in ops.plan(ol):
+        if step is None:
             done[w] = vec
             continue
-        r, v, rest = steps[w]
+        r, v, rest = step
         out = ops.apply_x(r, done[v])
         for w2, coef in rest.items():
             for row, poly in done[w2].items():
                 acc = out.setdefault(row, {})
                 for b2, c2 in coef.items():
-                    for b, c in poly.items():
-                        key = tuple(map(add, b, b2))
-                        val = acc.get(key, 0) - c2 * c
-                        if val:
-                            acc[key] = val
-                        else:
-                            del acc[key]
+                    _accumulate(acc, poly, -c2, b2 if any(b2) else None)
         done[w] = {row: p for row, p in out.items() if p}
     return done[ol]
 
@@ -581,8 +578,9 @@ def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
 
     The shorter factor is expanded by the quantum transition
     (MonkOperators.transition), sigma_u = X_r sigma_{u t_rs} minus classes
-    below u, applied to the other factor's basis vector; the product needs
-    Monk columns only, no quantum Schubert polynomial.
+    below u, applied to the other factor's basis vector along the plan of u
+    (MonkOperators.plan); the product needs X_i entries only, no quantum
+    Schubert polynomial.  Every term is checked against the grading.
     """
     if u.n != n or v.n != n:
         raise NotInGroup(f"{u}, {v} must lie in S_{n}")
@@ -590,13 +588,14 @@ def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
         u, v = v, u
     ops = monk_operators(n)
     out = _transition_product(ops, u.oneline, {v.oneline: {(0,) * (n - 1): 1}})
-    result = _vec_to_class(out, n)
     lu, lv = u.length, v.length
-    for w, c in result.terms.items():
-        for b in c.terms:
-            if lu + lv != w.length + 2 * sum(b):
-                raise AssertionError(f"grading violated at sigma_{w} q^{b} in {u}*{v}")
-    return result
+    for word, poly in out.items():
+        lw = ops.length(word)
+        for b in poly:
+            if lu + lv != lw + 2 * sum(b):
+                raise AssertionError(f"grading violated at sigma_{Permutation(word)} q^{b} "
+                                     f"in {u}*{v}")
+    return _vec_to_class(out, n)
 
 
 def normal_form(p: MPoly, n: int) -> QHClass:

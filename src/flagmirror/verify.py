@@ -147,17 +147,20 @@ def key_identity_instances(max_n: int):
 
 
 def _log_monk(n: int) -> None:
-    """DEBUG line: the Monk columns of S_n built so far, their entries, the
-    apply_x calls made and the seconds spent building columns."""
+    """DEBUG line: the (word, i) entries of the operators X_i on S_n built so
+    far and their terms, the memoised transitions and plans, the apply_x calls
+    made and the seconds spent building entries."""
     ops = monk_operators(n)
-    entries = sum(len(e) for cols in ops.columns.values() for e in cols)
-    log.debug("monk n=%d: %d of %d columns, %d entries, %d apply_x calls, %.3fs", n,
-              len(ops.columns), math.factorial(n), entries, ops.x_calls, ops.build_s)
+    built = [e for row in ops.x_entries.values() for e in row if e is not None]
+    log.debug("monk n=%d: %d X entries of %d words, %d terms, %d transitions, %d plans, "
+              "%d apply_x calls, %.3fs", n, len(built), len(ops.x_entries),
+              sum(map(len, built)), len(ops.transitions), len(ops.plans), ops.x_calls,
+              ops.build_s)
 
 
 def key_identity_sweep(max_n: int, strict: bool = True):
-    """Check every key identity with n <= max_n; log per n the Monk columns
-    built and the apply_x calls made so far."""
+    """Check every key identity with n <= max_n; log per n the X_i entries,
+    transitions and plans built and the apply_x calls made so far."""
     reports = [check_key_identity(shape, j, i, strict)
                for shape, j, i in key_identity_instances(max_n)]
     for n in sorted({rep.shape.n for rep in reports}):

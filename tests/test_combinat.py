@@ -2,7 +2,7 @@ import itertools
 from math import comb, factorial
 
 import pytest
-from tests_support import reduced_word
+from tests_support import build_xi_and_wJ_reference, reduced_word
 
 from flagmirror.combinat import (
     FlagShape,
@@ -128,6 +128,20 @@ def test_build_xi_and_wJ_range_errors():
         build_xi_and_wJ(shape, 1, 5)  # i = n - n_1 is out of the open range
     with pytest.raises(InvalidRange):
         build_xi_and_wJ(shape, 2, 4)  # j must be at most r-1
+
+
+def test_build_xi_and_wJ_matches_reference_n8():
+    # every shape and legal (j, i) with n <= 8, keys, values and order
+    count = 0
+    for n in range(3, 9):
+        for shape in all_shapes(n):
+            for j in range(1, shape.r):
+                for i in range(n - shape.nj(j + 1) + 1, n - shape.nj(j)):
+                    got = build_xi_and_wJ(shape, j, i)
+                    want = build_xi_and_wJ_reference(shape, j, i)
+                    assert list(got.items()) == list(want.items()), (shape, j, i)
+                    count += 1
+    assert count == 303
 
 
 def test_wJ_all_321_avoiding_and_minimal():

@@ -9,8 +9,11 @@ import pytest
 from flagmirror import crit
 from flagmirror.combinat import FlagShape, Permutation, all_shapes, min_rep_of
 from flagmirror.crit import (
+    POLE_GUARD,
     CritConfig,
     CritPoint,
+    _newton_polish,
+    _norm,
     _Search,
     _toeplitz_system,
     crit_report,
@@ -124,6 +127,32 @@ def test_fd_gradient_reverification():
         # central differences lose ~half the digits; stay well below 10x a
         # realistic finite-difference floor rather than 10x newton_tol
         assert np.linalg.norm(g) < 1e-6
+
+
+def test_norm_is_numpys_to_the_bit():
+    rng = np.random.default_rng(3)
+    for k in range(2000):
+        m = int(rng.integers(1, 12))
+        v = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
+        if k % 2:
+            v = v + 1j * rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)
+        assert _norm(v) == float(np.linalg.norm(v))
+
+
+def test_polish_from_the_screen_gradient():
+    # the lifts keep the gradient their screen computed; polishing with it
+    # gives the same point as recomputing it
+    shape = FlagShape(4, (1, 2))
+    search = _Search(shape, [1.0 + 0j, 1.0 + 0j])
+    search.characters()
+    assert search.lifts
+    for vec, g in search.lifts:
+        with_g = _newton_polish(search.fm, vec, search.q, g)
+        again = _newton_polish(search.fm, vec, search.q)
+        assert np.array_equal(search.fm.gradient(vec, search.q, POLE_GUARD), g)
+        assert (with_g is None) == (again is None)
+        if with_g is not None:
+            assert np.array_equal(with_g[0], again[0]) and with_g[1] == again[1]
 
 
 def test_toeplitz_scaling():

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from tests_support import chevalley_terms
+from tests_support import chevalley_terms, monk_column
 
 from flagmirror.combinat import (
     FlagShape,
@@ -25,7 +25,7 @@ from flagmirror.qhpartial import (
     partial_ring,
     spectrum_report,
 )
-from flagmirror.schubring import QHClass, class_product, monk_operators
+from flagmirror.schubring import QHClass, class_product
 
 
 def P(s):
@@ -197,10 +197,9 @@ def test_chevalley_terms_match_monk_columns_on_complete_flags(n):
     # the partial-flag quantum Chevalley rule on 1,...,n-1;n and the
     # complete-flag quantum Monk rule of the operators are the same rule
     shape = FlagShape(n, tuple(range(1, n)))
-    ops = monk_operators(n)
     ring = partial_ring(shape)
     for ci, w in enumerate(ring.basis):
-        cols = ops.column(w.oneline)
+        cols = monk_column(w.oneline)
         for j in range(1, n):
             got = sorted((ring.basis[row].oneline, d)
                          for row, d in ring.chevalley_cols[j - 1][ci])

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_support import _elementary, fraction_inverse, omega_involution, straighten
+from tests_support import (
+    MonkColumnOperators,
+    _elementary,
+    fraction_inverse,
+    monk_apply,
+    monk_column,
+    omega_involution,
+    straighten,
+)
 
 from flagmirror import verify
 from flagmirror.combinat import Permutation
@@ -19,6 +27,7 @@ from flagmirror.schubring import (
     QHClass,
     _slice_expander,
     _sorted_perms,
+    _transition_product,
     _unimodular_inverse,
     _vec_to_class,
     apply_polynomial,
@@ -153,17 +162,29 @@ def test_monk_examples_small():
 
 
 def test_monk_operators_commute():
+    # the Monk-rule columns of the oracle
     for n in range(2, 5):
-        ops = monk_operators(n)
         words = list(itertools.permutations(range(n)))
         unit = {(0,) * (n - 1): 1}
-        cols = [[ops.apply(k, {w: dict(unit)}) for w in words]
+        cols = [[monk_apply(k, {w: dict(unit)}) for w in words]
                 for k in range(1, n)]
         for a in range(1, n):
             for b in range(a + 1, n):
-                ab = [ops.apply(b, cols[a - 1][ci]) for ci in range(len(words))]
-                ba = [ops.apply(a, cols[b - 1][ci]) for ci in range(len(words))]
+                ab = [monk_apply(b, cols[a - 1][ci]) for ci in range(len(words))]
+                ba = [monk_apply(a, cols[b - 1][ci]) for ci in range(len(words))]
                 assert ab == ba
+
+
+def test_x_operators_commute():
+    # X_a X_b = X_b X_a on the signed entries, every word of S_n, n <= 4
+    for n in range(2, 5):
+        ops = monk_operators(n)
+        unit = {(0,) * (n - 1): 1}
+        for w in itertools.permutations(range(n)):
+            images = [ops.apply_x(i, {w: dict(unit)}) for i in range(1, n + 1)]
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    assert ops.apply_x(b, images[a - 1]) == ops.apply_x(a, images[b - 1])
 
 
 def test_sizecap():
@@ -272,7 +293,7 @@ def test_x_n_is_minus_m_n_minus_1(n):
     unit = {(0,) * (n - 1): 1}
     for ol in itertools.permutations(range(n)):
         minus = {w: {b: -c for b, c in p.items()}
-                 for w, p in ops.apply(n - 1, {ol: dict(unit)}).items()}
+                 for w, p in monk_apply(n - 1, {ol: dict(unit)}).items()}
         assert ops.apply_x(n, {ol: dict(unit)}) == minus
     assert normal_form(quantum_E(1, n, n), n).is_zero()
 
@@ -388,23 +409,80 @@ def _monk_reference(ol):
     return columns
 
 
+def _x_reference(columns, i):
+    """X_i = M_i - M_{i-1} (M_0 = M_n = 0) from the columns of
+    _monk_reference, as {image word: (coefficient, q-exponent)}."""
+    out = {}
+    for sign, k in ((1, i), (-1, i - 1)):
+        for row, qexp in columns[k - 1] if 1 <= k <= len(columns) else ():
+            c = out.pop(row, (0, qexp))[0] + sign
+            if c:
+                out[row] = (c, qexp)
+    return out
+
+
+def _check_x_entries(ops, ol):
+    """The signed X_i entries of ol against M_i - M_{i-1} of the reference,
+    for i = 1..n, memoised per (word, i)."""
+    n = len(ol)
+    columns = _monk_reference(ol)
+    for i in range(1, n + 1):
+        entry = ops.x_entry(ol, i)
+        got = {row: (sgn, qexp or (0,) * (n - 1)) for sgn, row, qexp in entry}
+        assert len(got) == len(entry)
+        assert got == _x_reference(columns, i), (ol, i)
+        assert ops.x_entry(ol, i) is entry
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_build_monk_matches_monk_rule_reference(n):
-    ops = monk_operators(n)
+    # the oracle's column scan and the signed X_i entries against Monk's rule
+    # by lengths, on every word
+    ops = MonkOperators(n)
     for ol in itertools.permutations(range(n)):
-        assert ops.column(ol) == _monk_reference(ol)
+        assert monk_column(ol) == _monk_reference(ol)
+        _check_x_entries(ops, ol)
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_monk_columns_match_reference_random_words(n):
-    # only the on-demand route reaches these sizes; 200 words each
+    # 200 seeded words each
     rng = random.Random(n)
-    ops = monk_operators(n)
+    ops = MonkOperators(n)
     for _ in range(200):
         ol = tuple(rng.sample(range(n), n))
-        col = ops.column(ol)
-        assert col == _monk_reference(ol)
-        assert ops.column(ol) is col  # memoised per word
+        assert monk_column(ol) == _monk_reference(ol)
+        _check_x_entries(ops, ol)
+
+
+def test_class_product_matches_monk_column_route_s4():
+    # the same transitions run on the oracle's X_i = M_i - M_{i-1}
+    oracle = MonkColumnOperators(4)
+    unit = (0,) * 3
+    perms = _sorted_perms(4)
+    for u in perms:
+        for v in perms:
+            want = _vec_to_class(_transition_product(oracle, u.oneline, {v.oneline: {unit: 1}}), 4)
+            assert class_product(u, v, 4) == want
+
+
+def test_product_plan_memo():
+    # a product gives the same class with its plan memoised and with every
+    # memo of the operators cleared
+    n = 6
+    rng = random.Random(6)
+    unit = {(0,) * (n - 1): 1}
+    ops = MonkOperators(n)
+    for _ in range(20):
+        u, v = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        cold = _transition_product(ops, u, {v: dict(unit)})
+        plan = ops.plan(u)
+        assert _transition_product(ops, u, {v: dict(unit)}) == cold
+        assert ops.plan(u) is plan
+        for memo in (ops.plans, ops.transitions, ops.x_entries, ops.lengths):
+            memo.clear()
+        assert _transition_product(ops, u, {v: dict(unit)}) == cold
+        assert _vec_to_class(cold, n) == class_product(Permutation(u), Permutation(v), n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -438,7 +516,7 @@ def test_monk_operators_touch_no_disk(tmp_path, monkeypatch):
     class_product.cache_clear()
     u, v = P("214365"), P("351624")
     assert class_product(u, v, 6) == class_product(v, u, 6)
-    assert monk_operators(6).columns  # the product built its columns in memory
+    assert monk_operators(6).x_entries  # the product built its entries in memory
     assert list(tmp_path.iterdir()) == []
 
 
@@ -452,13 +530,14 @@ def test_debug_log_lines(caplog):
         assert _slice_expander.cache_info().currsize == 0
         _slice_expander(5, 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
-    # one line per n of the sweep: n = 4 reaches no operator, n = 5 four words
+    # one line per n of the sweep: n = 4 expands only the identity, n = 5
+    # four words through three transitions
     monk = [line for line in lines if line.startswith("monk")]
     assert len(monk) == 2
-    assert re.fullmatch(r"monk n=4: 0 of 24 columns, 0 entries, 0 apply_x calls, 0\.000s",
-                        monk[0])
-    assert re.fullmatch(r"monk n=5: 4 of 120 columns, \d+ entries, 11 apply_x calls, "
-                        r"\d+\.\d{3}s", monk[1])
+    assert re.fullmatch(r"monk n=4: 0 X entries of 0 words, 0 terms, 0 transitions, 1 plans, "
+                        r"0 apply_x calls, 0\.000s", monk[0])
+    assert re.fullmatch(r"monk n=5: 9 X entries of 4 words, 17 terms, 3 transitions, 4 plans, "
+                        r"11 apply_x calls, \d+\.\d{3}s", monk[1])
     slices = [line for line in lines if line.startswith("slice")]
     assert len(slices) == 1 and slices[0].startswith("slice n=5 m=3: 15 x 15, ")
 

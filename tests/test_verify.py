@@ -83,8 +83,8 @@ def test_det_formula_debug_lines(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
     assert len(lines) == 2
     assert re.fullmatch(r"detformula n=4: 14 permutations, \d+\.\d{3}s", lines[0])
-    assert re.fullmatch(r"monk n=4: \d+ of 24 columns, \d+ entries, \d+ apply_x calls, "
-                        r"\d+\.\d{3}s", lines[1])
+    assert re.fullmatch(r"monk n=4: \d+ X entries of \d+ words, \d+ terms, \d+ transitions, "
+                        r"\d+ plans, \d+ apply_x calls, \d+\.\d{3}s", lines[1])
 
 
 def test_det_formula_hand_case_132():

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite, among them the straightening oracle
 that the Monk-operator route of `flagmirror.schubring` is checked against,
-the per-pair quantum Chevalley rule that the tables of
+the Monk-rule columns M_k that its signed X_i entries are checked against,
+the 1-based construction of the w_J that `flagmirror.combinat.build_xi_and_wJ`
+is checked against, the per-pair quantum Chevalley rule that the tables of
 `flagmirror.qhpartial.partial_ring` are checked against,
 the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, the per-candidate chart lift and
@@ -8,15 +10,18 @@ per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
 checked against, and the random Toeplitz multistart that the character route
 of `flagmirror.crit` is checked against."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
 from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
-from flagmirror.errors import NearPole, NonIntegralCoefficient, PivotFailure, SizeCap
+from flagmirror.errors import (InvalidRange, NearPole, NonIntegralCoefficient, NotMinimalRep,
+                               PivotFailure, SizeCap)
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import (
     _columns_of_pname,
@@ -28,6 +33,7 @@ from flagmirror.mirror import (
     zchart,
 )
 from flagmirror.schubring import (
+    MonkOperators,
     QHClass,
     _length_jump,
     _sorted_perms,
@@ -229,6 +235,118 @@ def straighten(p: MPoly, n: int) -> QHClass:
         if coeffs:
             terms[v] = MPoly(qt, coeffs)
     return QHClass(("complete", n), terms)
+
+
+# -- the Monk rule as columns M_1..M_{n-1} -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def monk_column(ol: tuple[int, ...]) -> list[list[tuple]]:
+    """Monk's rule at sigma_w for the one-line word ol of w: M_k sends
+    sigma_w to the sum over positions a < k <= b (1-based k) of
+    sigma_{w t_ab} when l(w t_ab) = l(w) + 1 (no value between positions
+    a and b lies between w(a) < w(b)), and of q_a..q_{b-1} sigma_{w t_ab}
+    when l(w t_ab) = l(w) + 1 - 2(b - a) (every value between them lies
+    between w(b) < w(a)).  Returns the entry lists (one-line word of the
+    image, q-exponent) of M_1..M_{n-1}."""
+    n = len(ol)
+    cols = [[] for _ in range(n - 1)]
+    for a in range(n - 1):
+        va = ol[a]
+        hi = n   # least value above va between a and b
+        lo = va  # least value between a and b; -1 once one exceeds va
+        for b in range(a + 1, n):
+            vb = ol[b]
+            if vb > va:
+                lo = -1
+                if vb >= hi:
+                    continue
+                hi = vb
+                qexp = (0,) * (n - 1)
+            elif vb < lo:
+                lo = vb
+                qexp = tuple(int(a <= i < b) for i in range(n - 1))
+            else:
+                continue
+            swapped = list(ol)
+            swapped[a], swapped[b] = vb, va
+            entry = (tuple(swapped), qexp)
+            for k in range(a, b):
+                cols[k].append(entry)
+    return cols
+
+
+def monk_apply(k: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
+    """Apply M_k (k in 1..n-1) to a sparse vector of q-polynomials."""
+    out: dict[tuple, dict] = {}
+    for word, poly in vec.items():
+        for row, qexp in monk_column(word)[k - 1]:
+            acc = out.setdefault(row, {})
+            for b, c in poly.items():
+                key = tuple(map(add, b, qexp))
+                v = acc.get(key, 0) + c
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+    return {r: p for r, p in out.items() if p}
+
+
+class MonkColumnOperators(MonkOperators):
+    """The Monk operators with X_i = M_i - M_{i-1} (M_0 = M_n = 0) formed
+    as two column applies and a cancelling merge: the oracle route that the
+    signed X_i entries of `MonkOperators` are checked against."""
+
+    def apply_x(self, i, vec):
+        self.x_calls += 1
+        out = monk_apply(i, vec) if 1 <= i < self.n else {}
+        if i >= 2:
+            for r, poly in monk_apply(i - 1, vec).items():
+                acc = out.setdefault(r, {})
+                for b, c in poly.items():
+                    v = acc.get(b, 0) - c
+                    if v:
+                        acc[b] = v
+                    else:
+                        del acc[b]
+        return {r: p for r, p in out.items() if p}
+
+
+# -- the w_J of the key identity, built on 1-based values ----------------------
+
+
+def build_xi_and_wJ_reference(shape, j: int, i: int):
+    """`build_xi_and_wJ` as the 1-based block lists of its defining formula,
+    each w_J checked by `is_minimal_rep`."""
+    n, r = shape.n, shape.r
+    if not (1 <= j <= r - 1):
+        raise InvalidRange(f"need 1 <= j <= r-1 = {r - 1}, got j={j}")
+    nj, nj1, nj2 = shape.nj(j), shape.nj(j + 1), shape.nj(j + 2)
+    if not (n - nj1 < i < n - nj):
+        raise InvalidRange(f"need {n - nj1} < i < {n - nj}, got i={i}")
+    d = i - (n - nj1)
+    out = {}
+    top = min(i, nj + d)  # J subset of [i] avoiding [n_j+d+1, n]
+    for J1 in itertools.combinations(range(1, top + 1), d):  # 1-based values
+        xs = [x for x in range(1, i + 1) if x not in J1]
+        if nj >= d:
+            b1 = list(J1) + list(range(i + 1, i + nj - d + 1))
+            b2 = [xs[0]] + list(range(i + nj - d + 1, n))
+            b3 = xs[1:nj2 - nj1] + [n]
+            b4 = xs[nj2 - nj1:]
+        elif xs[0] < J1[nj]:
+            b1 = list(J1[:nj])
+            b2 = [xs[0]] + list(J1[nj:]) + list(range(i + 1, n))
+            b3 = xs[1:nj2 - nj1] + [n]
+            b4 = xs[nj2 - nj1:]
+        else:
+            out[tuple(v - 1 for v in J1)] = None
+            continue
+        w = Permutation(tuple(v - 1 for v in b1 + b2 + b3 + b4))
+        if not is_minimal_rep(w, shape):
+            raise NotMinimalRep(f"w_J = {w} escaped W^P for J={J1}")
+        out[tuple(v - 1 for v in J1)] = w
+    return out
 
 
 # -- the quantum Chevalley rule, one transposition at a time -------------------
