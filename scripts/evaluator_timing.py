@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Time the chart evaluator of F_-: compile milliseconds and the median
-microseconds per `gradient` and per `hessian` call, one row per shape.
+microseconds per `value`, per `gradient` and per `hessian` call, one row per
+shape.
 
 The shapes are the desk shapes plus 2;5, 2,4;6, Fl_6 and 2,4;7. Compile time
-runs from building `FMinusChart` through its first gradient and Hessian call,
-so a route that compiles its derivatives lazily is timed in full. Each call is
-timed over --repeats repeats at each of --points seeded chart points, at the
-fiber q_j = 0.9 + 0.13ij; the median is over all of them.
+runs from building `FMinusChart` through its first value, gradient and
+Hessian call, so a route that compiles its derivatives lazily is timed in
+full. Each call is timed over --repeats repeats at each of --points seeded
+chart points, at the fiber q_j = 0.9 + 0.13ij; the median is over all of
+them. Only the public `FMinusChart` methods are called, so the script runs
+against either tree's src:
 
     PYTHONPATH=src python scripts/evaluator_timing.py --points 20 --seed 0
 """
@@ -35,17 +38,18 @@ def time_calls(fn, points, q, repeats: int) -> float:
 
 
 def time_shape(shape: FlagShape, points: int, repeats: int, seed: int):
-    """(compile ms, gradient us, Hessian us) for one shape."""
+    """(compile ms, value us, gradient us, Hessian us) for one shape."""
     rng = random.Random(seed)
     zs = [random_z_vector(shape, rng) for _ in range(points)]
     q = [0.9 + 0.13j * j for j in range(1, shape.r + 1)]
     t0 = time.perf_counter()
     fm = FMinusChart(shape)
+    fm.value(zs[0], q)
     fm.gradient(zs[0], q)
     fm.hessian(zs[0], q)
     compile_ms = 1e3 * (time.perf_counter() - t0)
-    return (compile_ms, time_calls(fm.gradient, zs, q, repeats),
-            time_calls(fm.hessian, zs, q, repeats))
+    return (compile_ms, *(time_calls(fn, zs, q, repeats)
+                          for fn in (fm.value, fm.gradient, fm.hessian)))
 
 
 if __name__ == "__main__":
@@ -54,8 +58,9 @@ if __name__ == "__main__":
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    print(f"{'shape':<13}{'dim':>4}{'compile ms':>12}{'gradient us':>13}{'hessian us':>12}")
+    print(f"{'shape':<13}{'dim':>4}{'compile ms':>12}{'value us':>10}{'gradient us':>13}"
+          f"{'hessian us':>12}")
     for sstr in SHAPES:
         shape = FlagShape.from_string(sstr)
-        cms, gus, hus = time_shape(shape, args.points, args.repeats, args.seed)
-        print(f"{sstr:<13}{shape.dim:>4}{cms:>12.1f}{gus:>13.1f}{hus:>12.1f}")
+        cms, vus, gus, hus = time_shape(shape, args.points, args.repeats, args.seed)
+        print(f"{sstr:<13}{shape.dim:>4}{cms:>12.1f}{vus:>10.1f}{gus:>13.1f}{hus:>12.1f}")

@@ -379,11 +379,14 @@ def _columns_of_pname(name: str) -> list[int]:
 class FMinusChart:
     """The superpotential as a rational function of the free chart coordinates,
     each term N/D expanded into exact chart polynomials, evaluated by one
-    straight-line Python source per shape that is generated from them (see
-    `_evaluator_source`) and compiled once."""
+    straight-line Python function per shape that is generated from them (see
+    `_evaluator_source`) and compiled once.  Its ``order`` argument picks how
+    far the one body runs: -1 the term values, 0 the value, 1 the gradient,
+    2 the Hessian."""
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
+        t0 = time.perf_counter()
         ptab = pluecker_table(shape)
         # chart-coordinate value of every Plucker symbol; q = 1 strips the q
         # prefactor of the quantum numerators, which is re-applied numerically
@@ -392,25 +395,26 @@ class FMinusChart:
                  for name, kind in zip(ptab.names, ptab.kinds)]
         self.terms = [(t, t.numerator.substitute(pvals), t.denominator.substitute(pvals))
                       for t in superpotential(shape)]
-        srcs, self.emitted = _evaluator_source(self.terms, shape.dim)
-        ns = {"_np": np, "_C": np.complex128, "_ONE": np.complex128(1.0), "NearPole": NearPole}
-        for src in srcs:  # one function at a time: compile's peak memory grows with the source
-            exec(compile(src, f"<F_- {shape}>", "exec"), ns)  # noqa: S102 - generated source
-        self._value, self._gradient, self._hessian, self._term_values = (
-            ns["_value"], ns["_gradient"], ns["_hessian"], ns["_term_values"])
+        src, self.emitted = _evaluator_source(self.terms, shape.dim)
+        t1 = time.perf_counter()
+        ns = {"_np": np, "_C": np.complex128, "_ONE": np.complex128(1.0), "NearPole": NearPole,
+              "_ORDERS": ("value", "gradient", "hessian")}
+        exec(compile(src, f"<F_- {shape}>", "exec"), ns)  # noqa: S102 - generated source
+        self._eval = ns["_eval"]
+        self.seconds = (t1 - t0, time.perf_counter() - t1)  # generated, compiled
 
     def term_values(self, zvec):
         """(numerator, denominator) complex values per term, without q factors."""
-        return self._term_values(zvec)
+        return self._eval(zvec, None, None, -1)
 
     def value(self, zvec, q, pole_guard: float = 1e-12) -> complex:
-        return self._value(zvec, q, pole_guard)
+        return self._eval(zvec, q, pole_guard, 0)
 
     def gradient(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
-        return self._gradient(zvec, q, pole_guard)
+        return self._eval(zvec, q, pole_guard, 1)
 
     def hessian(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
-        return self._hessian(zvec, q, pole_guard)
+        return self._eval(zvec, q, pole_guard, 2)
 
 
 def _signed_sum(*parts) -> str:
@@ -436,17 +440,18 @@ def _poly_src(p: MPoly) -> str:
     return _signed_sum(*parts)
 
 
-def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
-    """Sources of _term_values, _value, _gradient and _hessian for the (term, N, D)
-    of one shape, then the gradient and Hessian term entries (emitted, in all)
-    and the lines.  Each N and D is evaluated once with its pole check, then
-    the quotient rule term by term, the Hessian on each term's support.  Only
-    products with an identically zero factor, the unit prefactor of
-    non-quantum terms and, where D is the constant 1, the pole check and the
-    divisions by D are left out, and both complex divisions per term go
-    through numpy, so every result equals numpy-scalar arithmetic on the same
-    polynomials by the same formulas."""
-    zs = "    " + "".join(f"z{a}, " for a in range(dim)) + "= zvec.tolist()"
+def _evaluator_source(terms, dim: int) -> tuple[str, tuple[int, ...]]:
+    """Source of ``_eval(zvec, q, guard, order)`` for the (term, N, D) of one
+    shape, then the gradient and Hessian term entries (emitted, in all), the
+    lines and the bytes.  The one body evaluates each N and D once and returns
+    the term values when ``order < 0``; then runs the pole checks and returns
+    F at order 0; then each term's first partials, once, and the gradient at
+    order 1; then the Hessian on each term's support.  Only products with an
+    identically zero factor, the unit prefactor of non-quantum terms and,
+    where D is the constant 1, the pole check and the divisions by D are left
+    out, and both complex divisions per term go through numpy, so every
+    result equals numpy-scalar arithmetic on the same polynomials by the same
+    formulas."""
     cs = [f"c{t.index[0]}*" if t.family == "quantum" else "" for t, _, _ in terms]
     nd = [(_poly_src(N), _poly_src(D)) for _, N, D in terms]
     nas = [[N.derivative(a) for a in range(dim)] for _, N, _ in terms]
@@ -455,63 +460,58 @@ def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
     dk, ik = zip(*[("", "") if D == 1 else (f"*d{k}", f"*i{k}")
                    for k, (_, _, D) in enumerate(terms)])
 
-    def head(name):
-        out = [f"def _{name}(zvec, q, guard):", zs]
-        out += [f"    c{t.index[0]} = complex(q[{t.index[0] - 1}])"
-                for t, _, _ in terms if t.family == "quantum"]
-        for k, (t, _, _) in enumerate(terms):
-            out.append(f"    n{k} = {nd[k][0]}")
-            if dk[k]:
-                out += [f"    d{k} = {nd[k][1]}",
-                        f"    if abs(d{k}) < guard * (1.0 + abs(n{k})):",
-                        f"        raise NearPole(f'denominator {{abs(d{k}):.3e}} at the "
-                        f"{t.family} term {t.index} in {name}')"]
-        return out
-
-    def local(lines, name, p):
+    def local(name, p):
         """Emit name = p unless p is zero; the name, or "" for zero."""
         src = _poly_src(p)
         if src:
             lines.append(f"    {name} = {src}")
         return src and name
 
-    def firsts(lines, k):
-        """Emit term k's nonzero first partials; their names and N_a D - N D_a, "" for 0."""
-        na = [local(lines, f"na{k}_{a}", p) for a, p in enumerate(nas[k])]
-        da = [local(lines, f"da{k}_{a}", p) for a, p in enumerate(das[k])]
-        return na, da, [_signed_sum(("+", x and f"{x}{dk[k]}"), ("-", y and f"n{k}*{y}"))
-                        for x, y in zip(na, da)]
-
-    tv = ["def _term_values(zvec):", zs,
-          "    return [" + ", ".join(f"({n}, {d})" for n, d in nd) + "]"]
-    value = head("value") + ["    return 0j + " + " + ".join(
+    lines = ["def _eval(zvec, q, guard, order):",
+             "    " + "".join(f"z{a}, " for a in range(dim)) + "= zvec.tolist()"]
+    for k, (n, d) in enumerate(nd):
+        lines.append(f"    n{k} = {n}")
+        if dk[k]:
+            lines.append(f"    d{k} = {d}")
+    lines += ["    if order < 0:", "        return [" + ", ".join(
+        f"(n{k}, {f'd{k}' if dk[k] else d})" for k, (_, d) in enumerate(nd)) + "]"]
+    lines += [f"    c{t.index[0]} = complex(q[{t.index[0] - 1}])"
+              for t, _, _ in terms if t.family == "quantum"]
+    for k, (t, _, _) in enumerate(terms):
+        if dk[k]:
+            lines += [f"    if abs(d{k}) < guard * (1.0 + abs(n{k})):",
+                      f"        raise NearPole(f'denominator {{abs(d{k}):.3e}} at the "
+                      f"{t.family} term {t.index} in {{_ORDERS[order]}}')"]
+    lines += ["    if order == 0:", "        return 0j + " + " + ".join(
         f"_C({c}n{k})" + (dk[k] and f" / d{k}") for k, c in enumerate(cs))]
 
-    gl = head("gradient")
-    grad = [[] for _ in range(dim)]
+    # each term's nonzero first partials: their names and N_a D - N D_a, "" for 0
+    firsts, grad = [], [[] for _ in range(dim)]
     for k, c in enumerate(cs):
         if dk[k]:
-            gl.append(f"    i{k} = complex(_ONE / (d{k} * d{k}))")
-        for a, num in enumerate(firsts(gl, k)[2]):
-            if num:
-                grad[a].append(f"{c}({num}){ik[k]}")
-    gl.append("    return _np.array([" + ", ".join(
-        " + ".join(g) or "0j" for g in grad) + "], complex)")
+            lines.append(f"    i{k} = complex(_ONE / (d{k} * d{k}))")
+        na = [local(f"na{k}_{a}", p) for a, p in enumerate(nas[k])]
+        da = [local(f"da{k}_{a}", p) for a, p in enumerate(das[k])]
+        num = [_signed_sum(("+", x and f"{x}{dk[k]}"), ("-", y and f"n{k}*{y}"))
+               for x, y in zip(na, da)]
+        firsts.append((na, da, num))
+        for a, x in enumerate(num):
+            if x:
+                grad[a].append(f"{c}({x}){ik[k]}")
+    lines += ["    if order == 1:", "        return _np.array([" + ", ".join(
+        " + ".join(g) or "0j" for g in grad) + "], complex)"]
 
-    hl = head("hessian")
     hess = {(a, b): [] for a in range(dim) for b in range(a + 1)}
-    for k, c in enumerate(cs):
+    for k, (c, (na, da, num)) in enumerate(zip(cs, firsts)):
         if dk[k]:
-            hl += [f"    i{k} = _ONE / (d{k} * d{k})", f"    j{k} = complex(i{k} / d{k})",
-                   f"    i{k} = complex(i{k})"]
-        na, da, num = firsts(hl, k)
+            lines.append(f"    j{k} = complex(_ONE / (d{k} * d{k}) / d{k})")
         support = [a for a in range(dim) if num[a]]
         for i, a in enumerate(support):
             if any(da):
-                hl.append(f"    s{k}_{a} = 2.0*({num[a]})")  # shared by the entries of row a
+                lines.append(f"    s{k}_{a} = 2.0*({num[a]})")  # shared by the entries of row a
             for b in support[:i + 1]:
-                nab = na[a] and local(hl, f"nab{k}_{a}_{b}", nas[k][a].derivative(b))
-                dab = da[a] and local(hl, f"dab{k}_{a}_{b}", das[k][a].derivative(b))
+                nab = na[a] and local(f"nab{k}_{a}_{b}", nas[k][a].derivative(b))
+                dab = da[a] and local(f"dab{k}_{a}_{b}", das[k][a].derivative(b))
                 part = _signed_sum(("+", nab and f"{nab}{dk[k]}"),
                                    ("+", na[a] and da[b] and f"{na[a]}*{da[b]}"),
                                    ("-", na[b] and da[a] and f"{na[b]}*{da[a]}"),
@@ -521,22 +521,21 @@ def _evaluator_source(terms, dim: int) -> tuple[list[str], tuple[int, ...]]:
                     val = (f"({part}){ik[k]}" + (second and f" - {second}") if part
                            else f"-({second})")
                     hess[a, b].append(f"{c}({val})")
-    hl += [f"    h{a}_{b} = " + " + ".join(parts) for (a, b), parts in hess.items() if parts]
-    hl.append("    return _np.array([" + ", ".join(
+    lines += [f"    h{a}_{b} = " + " + ".join(parts) for (a, b), parts in hess.items() if parts]
+    lines.append("    return _np.array([" + ", ".join(
         f"h{max(a, b)}_{min(a, b)}" if hess[max(a, b), min(a, b)] else "0j"
         for a in range(dim) for b in range(dim)) + f"], complex).reshape({dim}, {dim})")
-    funcs, t = (tv, value, gl, hl), len(terms)
-    return (["\n".join(f) + "\n" for f in funcs], (sum(map(len, grad)), t * dim,
-            sum(map(len, hess.values())), t * len(hess), sum(map(len, funcs))))
+    src, t = "\n".join(lines) + "\n", len(terms)
+    return src, (sum(map(len, grad)), t * dim, sum(map(len, hess.values())), t * len(hess),
+                 len(lines), len(src))
 
 
 @lru_cache(maxsize=None)
 def f_minus_chart(shape: FlagShape) -> FMinusChart:
-    t0 = time.perf_counter()
     fm = FMinusChart(shape)
     log.debug("chart %s: dim %d, %d terms, emitted %d of %d gradient and %d of %d Hessian "
-              "term entries, %d lines, %.3fs", shape, shape.dim, len(fm.terms), *fm.emitted,
-              time.perf_counter() - t0)
+              "term entries, %d lines, %d bytes, generated %.3fs, compiled %.3fs",
+              shape, shape.dim, len(fm.terms), *fm.emitted, *fm.seconds)
     return fm
 
 
