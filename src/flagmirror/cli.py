@@ -178,7 +178,7 @@ def cmd_report_all(args) -> int:
     for s in ("1,2;4", "2,4;7"):
         r = check_tau_symmetry(FlagShape.from_string(s), samples=20)
         ok &= r.ok
-        print(f"  {'PASS' if r.ok else 'FAIL'} {s}")
+        print(f"  {'PASS' if r.ok else 'FAIL'} {s} (G_1 on {r.G_checked} of {r.samples} samples)")
     print("== mirror spectrum ==")
     for s in ACCEPTANCE_SHAPES[:4] if args.quick else ACCEPTANCE_SHAPES:
         shape = FlagShape.from_string(s)

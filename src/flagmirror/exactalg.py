@@ -3,19 +3,19 @@
 An exact coefficient is a Python ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is a true fraction; no float enters the
 symbolic path, and every division on it is exact.  The numeric path
-(eigenvalues, LU of complex matrices) uses complex double precision.  Minors
-of matrices with polynomial entries go through fraction-free Bareiss
-elimination so no rational blowup occurs.
+(eigenvalues, LU of complex matrices) uses complex double precision.  Exact
+and polynomial minors come from one division-free Laplace expansion,
+`leading_minors`, which both the chart's Plucker coordinates and `det` use.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from numbers import Number
-from operator import add, mul, neg, sub, truediv
+from operator import add, truediv
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
 __all__ = [
     "VarTable",
     "MPoly",
+    "leading_minors",
     "minor",
     "det",
     "lu_unipotent",
@@ -41,7 +42,7 @@ Exp = tuple
 class VarTable:
     """Named indeterminates with kinds 'x' (weight 1), 'q' (even weight) or
     'chart' (weight 0).  The weights define the graded part of the monomial
-    order used for canonical printing and for exact division."""
+    order used for canonical printing and leading terms."""
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]
@@ -282,48 +283,6 @@ class MPoly:
                 out.pop(key, None)
         return MPoly(table, out)
 
-    def divexact(self, g: "MPoly") -> "MPoly":
-        """Exact division; raises ValueError if g does not divide self.
-
-        The remainder's terms wait in a heap keyed by the graded order, each
-        key computed once when its monomial first appears, so a division
-        costs one key per term instead of a scan per quotient term."""
-        self._check(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        weights = self.table.weights
-
-        def key(e):  # heapq pops the least: negate the graded lex order
-            return -sum(map(mul, e, weights)), tuple(map(neg, e)), e
-
-        ge, gc = g.leading()
-        tail = [(e, c) for e, c in g.terms.items() if e != ge]
-        r = dict(self.terms)
-        heap = [key(e) for e in r]
-        heapify(heap)
-        out: dict = {}
-        while heap:
-            re = heappop(heap)[2]
-            rc = r.pop(re, 0)
-            if not rc:  # cancelled after it was pushed
-                continue
-            qe = tuple(map(sub, re, ge))
-            if any(k < 0 for k in qe):
-                raise ValueError("not divisible")
-            qc = out[qe] = _quo(rc, gc)
-            for e2, c2 in tail:
-                e = tuple(map(add, qe, e2))
-                t = qc * c2
-                old = r.get(e)
-                if old is None:
-                    r[e] = -t
-                    heappush(heap, key(e))
-                elif old == t:
-                    del r[e]
-                else:
-                    r[e] = old - t
-        return MPoly(self.table, out)
-
     # -- printing ------------------------------------------------------------
 
     def monomial_string(self, exp: Exp) -> str:
@@ -374,53 +333,44 @@ def _is_exact(rows) -> bool:
     return True
 
 
+def leading_minors(M, kmax: int) -> dict:
+    """Every minor of the first k rows of M on each sorted 0-based column set
+    K, for k <= kmax, keyed by K.  Laplace expansion along row k reuses the
+    (k-1)-row minors, so no division occurs.  The empty minor and a vanishing
+    one are the one and zero of the entries' ring: MPolys over the table of
+    an MPoly entry if there is one, else the ints 1 and 0."""
+    rows = _as_rows(M)
+    table = next((v.table for r in rows for v in r if isinstance(v, MPoly)), None)
+    one, zero = (1, 0) if table is None else (MPoly.const(table, 1), MPoly.zero(table))
+    out = {(): one}
+    for k in range(1, kmax + 1):
+        row = rows[k - 1]
+        for K in itertools.combinations(range(len(row)), k):
+            total = zero
+            for t, c in enumerate(K):
+                if row[c] == zero:
+                    continue
+                term = row[c] * out[K[:t] + K[t + 1:]]
+                total = total + term if (k - 1 + t) % 2 == 0 else total - term
+            out[K] = total
+    return out
+
+
 def det(M):
-    """Determinant: Bareiss for exact/polynomial entries, LAPACK for numeric."""
+    """Determinant: the full minor of `leading_minors` for exact or
+    polynomial entries, LAPACK for numeric ones.  The exact route forms the
+    2^n minors of the leading columns, which suits the ring's small
+    matrices (n <= 8)."""
     rows = _as_rows(M)
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant of a non-square matrix")
     if _is_exact(rows):
-        return _det_bareiss(rows)
+        # expand along columns (det M = det M^T): the ring's matrices, those
+        # of quantum_H and of the determinantal formula, vanish below a
+        # staircase, so most minors of their first k columns vanish
+        return leading_minors(list(zip(*rows)), n)[tuple(range(n))]
     return complex(np.linalg.det(np.array(rows, dtype=complex)))
-
-
-def _det_bareiss(rows):
-    """Fraction-free Bareiss elimination over any integral domain whose
-    elements support *, - and exact division (MPoly.divexact, or the exact
-    scalar quotient, which every Bareiss step divides evenly)."""
-    n = len(rows)
-    table = next((v.table for r in rows for v in r if isinstance(v, MPoly)), None)
-    if table is not None:
-        rows = [[v if isinstance(v, MPoly) else MPoly.const(table, v) for v in r] for r in rows]
-    a = [list(r) for r in rows]
-    sign = 1
-
-    def iszero(v):
-        return v.is_zero() if isinstance(v, MPoly) else v == 0
-
-    def dividex(u, v):
-        return u.divexact(v) if isinstance(u, MPoly) else _quo(u, v)
-
-    prev = 1
-    for k in range(n - 1):
-        if iszero(a[k][k]):
-            for i in range(k + 1, n):
-                if not iszero(a[i][k]):
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return a[k][k] * 0 if isinstance(a[k][k], MPoly) else 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev == 1 else dividex(num, prev)
-            a[i][k] = 0
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
 
 def minor(M, rows, cols):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .combinat import FlagShape, Partition, partition_of_columns
 from .errors import BadSubsetSize, NearPole
-from .exactalg import MPoly, VarTable, lu_unipotent, minor
+from .exactalg import MPoly, VarTable, leading_minors, lu_unipotent, minor
 
 log = logging.getLogger("flagmirror")
 
@@ -109,22 +109,6 @@ def symbolic_z(shape: FlagShape):
     for r, c, sign in _fixed_entries(shape):
         M[r][c] = MPoly.const(tab, sign)
     return M
-
-
-def _symbolic_minors(shape: FlagShape) -> dict[tuple[int, ...], MPoly]:
-    """Every minor of the first k rows of symbolic_z on a column set K
-    (0-based, sorted), for k up to the last step.  Laplace expansion along
-    row k reuses the (k-1)-row minors, so no polynomial division occurs."""
-    zsym = symbolic_z(shape)
-    out = {(): MPoly.const(chart_table(shape), 1)}
-    for k in range(1, shape.steps[-1] + 1):
-        for K in itertools.combinations(range(shape.n), k):
-            total = MPoly.zero(chart_table(shape))
-            for t, c in enumerate(K):
-                term = zsym[k - 1][c] * out[K[:t] + K[t + 1:]]
-                total = total + term if (k - 1 + t) % 2 == 0 else total - term
-            out[K] = total
-    return out
 
 
 def z_from_vector(shape: FlagShape, vec) -> np.ndarray:
@@ -390,7 +374,7 @@ class FMinusChart:
         ptab = pluecker_table(shape)
         # chart-coordinate value of every Plucker symbol; q = 1 strips the q
         # prefactor of the quantum numerators, which is re-applied numerically
-        minors = _symbolic_minors(shape)
+        minors = leading_minors(symbolic_z(shape), shape.steps[-1])
         pvals = [1 if kind == "q" else minors[tuple(_columns_of_pname(name))]
                  for name, kind in zip(ptab.names, ptab.kinds)]
         self.terms = [(t, t.numerator.substitute(pvals), t.denominator.substitute(pvals))

@@ -337,13 +337,15 @@ class TauSymmetryReport:
     max_unipotent_residual: float
     max_superdiagonal_residual: float
     max_G_residual: float
+    G_checked: int  # samples whose chart point has an LU, so G_1 was compared
 
     @property
     def ok(self) -> bool:
         return (self.max_involution_residual < 1e-9
                 and self.max_unipotent_residual < 1e-9
                 and self.max_superdiagonal_residual < 1e-9
-                and self.max_G_residual < 1e-9)
+                and self.max_G_residual < 1e-9
+                and self.G_checked > 0)
 
     def to_json(self):
         return {
@@ -354,6 +356,7 @@ class TauSymmetryReport:
             "max_unipotent_residual": self.max_unipotent_residual,
             "max_superdiagonal_residual": self.max_superdiagonal_residual,
             "max_G_residual": self.max_G_residual,
+            "G_checked": self.G_checked,
             "ok": self.ok,
         }
 
@@ -361,11 +364,14 @@ class TauSymmetryReport:
 def check_tau_symmetry(shape: FlagShape, samples: int = 50, seed: int = 0) -> TauSymmetryReport:
     """Numeric checks of the involution tau(g) = w0 (g^{-1})^T w0^{-1}:
     it is an involution, preserves the upper unipotent group, reflects
-    superdiagonal entries, and exchanges G_1^m with G_1^{n-m}."""
+    superdiagonal entries, and exchanges G_1^m with G_1^{n-m}.  A sample
+    whose chart point has no LU skips the G_1 check; with none checked the
+    report is not ok."""
     n = shape.n
     rng = random.Random(seed)
     comp = tuple(sorted(n - s for s in shape.steps))
     r_inv = r_uni = r_sd = r_G = 0.0
+    G_checked = 0
 
     def rmat(scale=1.0):
         return np.array([[complex(rng.gauss(0, scale), rng.gauss(0, scale))
@@ -398,7 +404,8 @@ def check_tau_symmetry(shape: FlagShape, samples: int = 50, seed: int = 0) -> Ta
             a = G_1(g1, m)
             b = G_1(g2, n - m)
             r_G = max(r_G, abs(a - b) / (1 + abs(a)))
-    return TauSymmetryReport(shape, comp, samples, r_inv, r_uni, r_sd, r_G)
+        G_checked += 1
+    return TauSymmetryReport(shape, comp, samples, r_inv, r_uni, r_sd, r_G, G_checked)
 
 
 # -- critical-point equivalence route -----------------------------------------------------

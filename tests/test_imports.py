@@ -1,5 +1,6 @@
 """Import hygiene, checked with ``ast`` and a fresh interpreter: no unused
-imports (no linter runs on this repository), and no scipy at run time."""
+imports (no linter runs on this repository), no scipy at run time, and every
+name the benchmark in ``perfbench/`` imports or patches still exists."""
 
 import ast
 import os
@@ -76,3 +77,20 @@ def test_runtime_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_finds_every_name_it_uses():
+    """The benchmark in perfbench/ runs against the source tree of its own
+    checkout: its worker imports names from flagmirror and its tracer patches
+    others, so deleting one of them breaks every benchmark run. Import the
+    worker and install the tracer as a traced run does."""
+    code = ("import worker, spans\n"
+            "tracer, memo = spans.install()\n"
+            "print(memo['qschubert'].cache_info().misses,"
+            " memo['class_product'].cache_info().misses)")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench")))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]

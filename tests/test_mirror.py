@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_support import LambdaChart, as_pyfunc, reduced_word
+from tests_support import LambdaChart, as_pyfunc, laplace_det, reduced_word
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, PivotFailure
-from flagmirror.exactalg import MPoly, minor
+from flagmirror.exactalg import MPoly, leading_minors, minor
 from flagmirror.mirror import (
     _evaluator_source,
     _poly_src,
-    _symbolic_minors,
     chart_table,
     divisor_equations,
     f_minus_chart,
@@ -194,12 +193,15 @@ def test_symbolic_z_and_chart():
                     assert abs(complex(got) - z2[i, j]) < 1e-12
 
 
-def test_symbolic_minors_match_bareiss():
+def test_chart_minors_match_recursive_laplace():
+    # the chart's Plucker coordinates, typed over its table even when they
+    # vanish, against the n!-term expansion of each submatrix
     for n in range(2, 6):
         for shape in all_shapes(n):
             zsym = symbolic_z(shape)
-            for K, poly in _symbolic_minors(shape).items():
-                assert poly == minor(zsym, range(len(K)), K)
+            for K, poly in leading_minors(zsym, shape.steps[-1]).items():
+                assert type(poly) is MPoly and poly.table == chart_table(shape)
+                assert poly == laplace_det([[zsym[i][c] for c in K] for i in range(len(K))])
 
 
 def simple_reflection_matrix(i: int, n: int) -> np.ndarray:

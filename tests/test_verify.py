@@ -12,7 +12,7 @@ from flagmirror.cli import main
 from flagmirror.combinat import (FlagShape, Permutation, build_xi_and_wJ,
                                  grassmannian_from_first_values)
 from flagmirror.crit import toeplitz_scaling
-from flagmirror.errors import FormulaViolation, IdentityViolation
+from flagmirror.errors import FormulaViolation, IdentityViolation, PivotFailure
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
 from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, xq_table
@@ -72,7 +72,8 @@ def test_det_formula_small_n():
 
 @pytest.mark.slow
 def test_det_formula_n7():
-    # 429 permutations; nearly all of the time goes to the Bareiss MPoly det
+    # 429 permutations; about three quarters of the time goes to normal_form
+    # and a fifth to the determinants
     rep = check_det_formula(7)
     assert rep.ok and rep.checked == 429
 
@@ -109,9 +110,21 @@ def test_det_formula_identity_case():
 def test_tau_symmetry_shapes():
     for s in ("1,2;4", "2,4;7"):
         rep = check_tau_symmetry(FlagShape.from_string(s), samples=20, seed=2)
-        assert rep.ok
+        assert rep.ok and rep.G_checked == 20
     rep = check_tau_symmetry(FlagShape(7, (2, 4)), samples=10, seed=0)
     assert rep.complementary_steps == (3, 5)
+
+
+def test_tau_symmetry_without_a_G_check_is_not_ok(monkeypatch):
+    def no_lu(z):
+        raise PivotFailure("leading principal minor 1 vanishes")
+
+    monkeypatch.setattr(verify, "lu_unipotent", no_lu)
+    rep = check_tau_symmetry(FlagShape.from_string("1,2;4"), samples=5, seed=2)
+    assert rep.G_checked == 0 and rep.max_G_residual == 0.0
+    assert rep.max_involution_residual < 1e-9  # the other checks still ran
+    assert not rep.ok
+    assert rep.to_json()["G_checked"] == 0 and rep.to_json()["ok"] is False
 
 
 def test_tau_involution_props():

@@ -4,6 +4,8 @@ the Monk-rule columns M_k that its signed X_i entries are checked against,
 the 1-based construction of the w_J that `flagmirror.combinat.build_xi_and_wJ`
 is checked against, the per-pair quantum Chevalley rule that the tables of
 `flagmirror.qhpartial.partial_ring` are checked against,
+the recursive first-row Laplace determinant that `flagmirror.exactalg.det`
+and the chart minors are checked against,
 the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, the per-candidate chart lift and
 per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
@@ -22,13 +24,13 @@ from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
 from flagmirror.errors import (InvalidRange, NearPole, NonIntegralCoefficient, NotMinimalRep,
                                PivotFailure, SizeCap)
-from flagmirror.exactalg import MPoly, lu_unipotent
+from flagmirror.exactalg import MPoly, leading_minors, lu_unipotent
 from flagmirror.mirror import (
     _columns_of_pname,
     _fixed_entries,
-    _symbolic_minors,
     pluecker_table,
     superpotential,
+    symbolic_z,
     z_from_vector,
     zchart,
 )
@@ -44,6 +46,22 @@ from flagmirror.schubring import (
     schubert_poly,
     xq_table,
 )
+
+
+def laplace_det(rows):
+    """Determinant by recursive expansion along the first row: n! products,
+    no sharing of minors."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * laplace_det(sub)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def fraction_inverse(A):
@@ -404,7 +422,7 @@ class LambdaChart:
     def __init__(self, shape):
         self.r, self.dim = shape.r, shape.dim
         ptab = pluecker_table(shape)
-        minors = _symbolic_minors(shape)
+        minors = leading_minors(symbolic_z(shape), shape.steps[-1])
         pvals = [0 if kind == "q" else minors[tuple(_columns_of_pname(name))]
                  for name, kind in zip(ptab.names, ptab.kinds)]
         self.terms = []
