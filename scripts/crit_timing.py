@@ -38,7 +38,7 @@ def time_search(shape: FlagShape, q, repeats: int) -> dict:
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a count mismatch is a row, not an error
-            _, stats = _search(shape, q, None)
+            _, stats = _search(shape, q)
         wall = time.perf_counter() - t0
         runs.append(dict(stats, wall_s=wall, certify_s=wall - stats["search_s"]))
     out = {k: statistics.median(r[k] for r in runs)

@@ -7,12 +7,12 @@ Exit codes: 0 on success/PASS, 1 on verification FAIL, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .combinat import FlagShape, Permutation
 from .crit import crit_report
 from .errors import FlagMirrorError
-from .exactalg import json_dumps
 from .mirror import (
     divisor_equations,
     superpotential,
@@ -46,7 +46,7 @@ def cmd_superpotential(args) -> int:
     shape = FlagShape.from_string(args.shape)
     terms = young_view(shape) if args.young else superpotential(shape)
     if args.format == "json":
-        print(json_dumps([term_to_json(t) for t in terms]))
+        print(json.dumps([term_to_json(t) for t in terms], indent=2))
     elif args.format == "latex":
         print(" + ".join(term_to_latex(t) for t in terms))
     else:
@@ -60,7 +60,7 @@ def cmd_divisors(args) -> int:
     shape = FlagShape.from_string(args.shape)
     divs = divisor_equations(shape)
     if args.format == "json":
-        print(json_dumps({k: p.to_json() for k, p in sorted(divs.items())}))
+        print(json.dumps({k: p.to_json() for k, p in sorted(divs.items())}, indent=2))
     else:
         for k, p in sorted(divs.items()):
             print(f"D{k:<3} {p}")
@@ -72,7 +72,7 @@ def cmd_qh_mult(args) -> int:
     v = Permutation.from_string(args.v)
     out = class_product(u, v, args.n)
     if args.format == "json":
-        print(json_dumps(out.to_json()))
+        print(json.dumps(out.to_json(), indent=2))
     else:
         print(out)
     return 0
@@ -82,7 +82,7 @@ def cmd_c1_spectrum(args) -> int:
     shape = FlagShape.from_string(args.shape)
     rep = spectrum_report(shape, _parse_q(args.q))
     if args.format == "json":
-        print(json_dumps(rep))
+        print(json.dumps(rep, indent=2))
     else:
         print(f"shape {rep['shape']}  dim {rep['dim']}")
         for re_, im in rep["eigenvalues"]:
@@ -94,7 +94,7 @@ def cmd_crit(args) -> int:
     shape = FlagShape.from_string(args.shape)
     rep = crit_report(shape, _parse_q(args.q))
     if args.format == "json":
-        print(json_dumps(rep))
+        print(json.dumps(rep, indent=2))
     else:
         print(f"shape {rep['shape']}: {rep['count']} points "
               f"(total multiplicity {rep['total_multiplicity']}, "
@@ -139,7 +139,7 @@ def cmd_verify_mirror(args) -> int:
     shape = FlagShape.from_string(args.shape)
     rep = check_mirror_spectrum(shape, _parse_q(args.q))
     if args.format == "json":
-        print(json_dumps(rep.to_json()))
+        print(json.dumps(rep.to_json(), indent=2))
     else:
         k, m = len(rep.critical_values), len(rep.eigenvalues)
         verdict = (f"{k} matched pairs, max distance {rep.max_distance:.2e} "

@@ -19,9 +19,9 @@ import numpy as np
 
 from .combinat import FlagShape, Permutation, min_rep_of
 from .errors import NearPole
-from .exactalg import complex_to_json
+from .exactalg import complex_to_json, lu_unipotent
 from .mirror import chart_vector, f_minus_chart, wPw0_matrix, z_from_vector
-from .qhpartial import partial_ring
+from .qhpartial import partial_ring, validate_q
 
 log = logging.getLogger("flagmirror")
 
@@ -39,6 +39,7 @@ NEWTON_MAX_ITER = 100  # damped Newton steps per polish, down to |grad F| < NEWT
 NEWTON_TOL = 1e-12
 DEDUPE_RADIUS = 1e-6  # polished points this close (relative) are merged
 POLE_GUARD = 1e-10  # denominators below this (relative) count as poles
+LIFT_TOL = 1e-5  # a lift is off the stratum where U or z misses its pattern by more (relative)
 # seed of the divisor combination whose eigenvectors are the characters (the
 # points found do not depend on it); eigenvalues of that combination closer
 # than CLUSTER_RADIUS (relative) are counted as one cluster
@@ -53,11 +54,11 @@ CLUSTER_ROOT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CritConfig:
-    """A no-op: the search is deterministic, takes its tolerances from the
-    module constants, and ``seed`` changes nothing.  It is kept, with the
-    ``cfg`` parameters that take it, because the benchmark worker builds
-    ``CritConfig(seed=...)``; it goes once the benchmark stops passing it
-    (ROADMAP item 2)."""
+    """A no-op: the search is deterministic and takes its tolerances from the
+    module constants.  It is kept, with the ignored ``cfg`` parameter of
+    ``verify.check_mirror_spectrum``, because the benchmark worker passes
+    ``CritConfig(seed=...)`` there; it goes once the benchmark stops passing
+    it (ROADMAP item 2)."""
 
     seed: int = 0
 
@@ -171,12 +172,13 @@ def _toeplitz_system(shape: FlagShape, q):
     return F, m
 
 
-def _gauss_newton(G, t, steps: int = 8, h: float = 1e-7):
-    """A few Gauss-Newton steps on the overdetermined polynomial system
-    G(t) = 0 (G maps the last axis), with a central-difference Jacobian and
-    least-squares steps; returns the iterate of smallest |G|."""
+def _gauss_newton(G, t):
+    """Up to 8 Gauss-Newton steps on the overdetermined polynomial system
+    G(t) = 0 (G maps the last axis), with a central-difference Jacobian of
+    step 1e-7 and least-squares steps; returns the iterate of smallest |G|."""
+    h = 1e-7
     eye = h * np.eye(len(t))
-    for _ in range(steps):
+    for _ in range(8):
         tn = t + np.linalg.lstsq((G(t + eye) - G(t - eye)).T / (2 * h), -G(t), rcond=None)[0]
         if not _norm(G(tn)) < _norm(G(t)):
             break
@@ -242,13 +244,14 @@ def _lift_frame(shape: FlagShape):
     return W, W_inv, pivot_row, above
 
 
-def _lift_batch(shape: FlagShape, X: np.ndarray, q, tol: float = 1e-5):
+def _lift_batch(shape: FlagShape, X: np.ndarray, q):
     """Invert the Toeplitz correspondence for each row x of X, the diagonals
     of T: factor t^{-1} T = V W U with V, U upper-triangular around the
     representative W of w_P^{-1} w_0, and read the chart coordinates off
     z = (t^{-1} T) U^{-1}.  Returns the mask of the rows whose T lies in the
     chart's stratum (no vanishing pivot, U finite, upper-triangular and
-    invertible, z on the chart pattern) and the chart vectors of those rows."""
+    invertible, z on the chart pattern, each to LIFT_TOL) and the chart
+    vectors of those rows."""
     _, W_inv, pivot_row, above = _lift_frame(shape)
     b = np.diag(1.0 / toeplitz_scaling(shape, q)) @ _toeplitz_from_diagonals(X)
     A = b.copy()
@@ -261,14 +264,14 @@ def _lift_batch(shape: FlagShape, X: np.ndarray, q, tol: float = 1e-5):
                 A[:, i, :] -= (A[:, i, c] / piv)[:, None] * A[:, ic, :]
     U = W_inv @ A
     scale = np.maximum(1.0, np.abs(U).max(axis=(1, 2)))
-    ok &= ~(np.abs(np.tril(U, -1)).max(axis=(1, 2)) > tol * scale) & \
+    ok &= ~(np.abs(np.tril(U, -1)).max(axis=(1, 2)) > LIFT_TOL * scale) & \
         np.isfinite(U).all(axis=(1, 2))
     ok[ok] = np.linalg.slogdet(U[ok])[0] != 0  # LU meets a zero pivot: U has no inverse
     keep = np.flatnonzero(ok)
     z = b[keep] @ np.linalg.inv(U[keep])
     vecs = chart_vector(shape, z)
     off = np.abs(z_from_vector(shape, vecs) - z).max(axis=(1, 2)) > \
-        tol * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
+        LIFT_TOL * np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
     ok[keep[off]] = False
     return ok, vecs[~off]
 
@@ -535,14 +538,10 @@ class _Search:
         return points
 
 
-def _search(shape: FlagShape, q, cfg: CritConfig | None):
+def _search(shape: FlagShape, q):
     """The critical points of ``find_critical_points`` and the search
-    counts; ``cfg`` changes nothing."""
-    q = [complex(v) for v in q]
-    if any(v == 0 for v in q):
-        raise ValueError("all quantum parameters must be nonzero")
-
-    search = _Search(shape, q)
+    counts."""
+    search = _Search(shape, validate_q(shape, q))
     points = search.run()
     st = search.stats
     if log.isEnabledFor(logging.DEBUG):
@@ -557,7 +556,7 @@ def _search(shape: FlagShape, q, cfg: CritConfig | None):
     return points, st
 
 
-def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> list[CritPoint]:
+def find_critical_points(shape: FlagShape, q) -> list[CritPoint]:
     """Deduplicated converged critical points, sorted by critical value.
 
     The Toeplitz candidates come from the characters of QH*_q first.  By
@@ -600,7 +599,7 @@ def find_critical_points(shape: FlagShape, q, cfg: CritConfig | None = None) -> 
     again.  For generic q the final count equals the Schubert-basis size; a
     mismatch is reported as a warning, not an error.
     """
-    return _search(shape, q, cfg)[0]
+    return _search(shape, q)[0]
 
 
 def toeplitz_scaling(shape: FlagShape, q) -> np.ndarray:
@@ -613,22 +612,15 @@ def toeplitz_scaling(shape: FlagShape, q) -> np.ndarray:
 
 def _toeplitz_residuals(shape: FlagShape, vecs: np.ndarray, q) -> np.ndarray:
     """``toeplitz_residual`` of each row of vecs (chart vectors), from one
-    batched no-pivot elimination z = L U with U unipotent; inf where a
-    leading principal minor of z vanishes (a pivot below 1e-12 of the largest
-    entry, which is at least the 1 of the chart pattern)."""
-    A = z_from_vector(shape, vecs)  # becomes L on and below the diagonal
-    tiny, bad = 1e-12 * np.abs(A).max(axis=(1, 2)), np.zeros(len(A), dtype=bool)
-    with np.errstate(all="ignore"):  # rows with a vanishing pivot give inf
-        for j in range(shape.n):
-            bad |= np.abs(A[:, j, j]) < tiny
-            u = A[:, j, None, j + 1:] / A[:, j, j, None, None]  # row j of U
-            A[:, j + 1:, j + 1:] -= A[:, j + 1:, j, None] * u
-        T = toeplitz_scaling(shape, q)[:, None] * np.tril(A)
-        worst = np.zeros(len(A))
-        for d in range(shape.n):
-            diag = np.diagonal(T, -d, axis1=1, axis2=2)
-            worst = np.maximum(worst, np.abs(diag[:, :, None] - diag[:, None, :]).max(axis=(1, 2)))
-        return np.where(bad, np.inf, worst / np.abs(T).max(axis=(1, 2)))
+    batched ``lu_unipotent`` of the chart matrices; inf where a leading
+    principal minor of z vanishes (its factors are nan)."""
+    L, _ = lu_unipotent(z_from_vector(shape, vecs))
+    T = toeplitz_scaling(shape, q)[:, None] * L
+    worst = np.zeros(len(L))
+    for d in range(shape.n):
+        diag = np.diagonal(T, -d, axis1=1, axis2=2)
+        worst = np.maximum(worst, np.abs(diag[:, :, None] - diag[:, None, :]).max(axis=(1, 2)))
+    return np.where(np.isnan(worst), np.inf, worst / np.abs(T).max(axis=(1, 2)))
 
 
 def toeplitz_residual(p: CritPoint, shape: FlagShape, q) -> float:
@@ -641,8 +633,8 @@ def toeplitz_residual(p: CritPoint, shape: FlagShape, q) -> float:
     return float(_toeplitz_residuals(shape, np.asarray(p.z)[None], q)[0])
 
 
-def crit_report(shape: FlagShape, q, cfg: CritConfig | None = None) -> dict:
-    points, stats = _search(shape, q, cfg)
+def crit_report(shape: FlagShape, q) -> dict:
+    points, stats = _search(shape, q)
     return {
         "shape": shape.to_string(),
         "q": [complex_to_json(complex(v)) for v in q],

@@ -51,6 +51,11 @@ class TransitionFailure(FlagMirrorError):
     below u, as the quantum transition requires (implementation bug)."""
 
 
+class OffChart(FlagMirrorError):
+    """A numeric matrix is not of the chart's form: v = wPw0 z^{-1} is not
+    unipotent upper-triangular."""
+
+
 class BadSubsetSize(FlagMirrorError):
     """Pluecker column set has a size that is not one of the flag steps."""
 

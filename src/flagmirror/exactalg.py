@@ -2,20 +2,20 @@
 
 An exact coefficient is a Python ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is a true fraction; no float enters the
-symbolic path, and every division on it is exact.  The numeric path
-(eigenvalues, LU of complex matrices) uses complex double precision.  Exact
-and polynomial minors come from one division-free Laplace expansion,
-`leading_minors`, which both the chart's Plucker coordinates and `det` use.
+symbolic path, and every division on it is exact.  `det` and `minor` are
+one division-free Laplace expansion, `leading_minors`, for entries of any
+ring; the chart's Plucker coordinates come from it too.  The numeric path
+(eigenvalues, and the unipotent LU of one complex matrix or a stack of
+them) uses complex double precision, and numeric callers take their
+determinants from LAPACK.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Number
-from operator import add, truediv
+from operator import add
 
 import numpy as np
 
@@ -323,16 +323,6 @@ def _as_rows(M):
     return [list(r) for r in M]
 
 
-def _is_exact(rows) -> bool:
-    for r in rows:
-        for v in r:
-            if isinstance(v, MPoly):
-                return True
-            if isinstance(v, (complex, float, np.complexfloating, np.floating)):
-                return False
-    return True
-
-
 def leading_minors(M, kmax: int) -> dict:
     """Every minor of the first k rows of M on each sorted 0-based column set
     K, for k <= kmax, keyed by K.  Laplace expansion along row k reuses the
@@ -357,20 +347,18 @@ def leading_minors(M, kmax: int) -> dict:
 
 
 def det(M):
-    """Determinant: the full minor of `leading_minors` for exact or
-    polynomial entries, LAPACK for numeric ones.  The exact route forms the
-    2^n minors of the leading columns, which suits the ring's small
-    matrices (n <= 8)."""
+    """Determinant: the full minor of `leading_minors`, for entries of any
+    ring (ints, Fractions, MPolys, complex numbers).  It forms the 2^n minors
+    of the leading columns, which suits the ring's small matrices (n <= 8);
+    numeric code calls LAPACK (np.linalg.det) itself."""
     rows = _as_rows(M)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant of a non-square matrix")
-    if _is_exact(rows):
-        # expand along columns (det M = det M^T): the ring's matrices, those
-        # of quantum_H and of the determinantal formula, vanish below a
-        # staircase, so most minors of their first k columns vanish
-        return leading_minors(list(zip(*rows)), n)[tuple(range(n))]
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    # expand along columns (det M = det M^T): the ring's matrices, those of
+    # quantum_H and of the determinantal formula, vanish below a staircase,
+    # so most minors of their first k columns vanish
+    return leading_minors(list(zip(*rows)), n)[tuple(range(n))]
 
 
 def minor(M, rows, cols):
@@ -381,43 +369,44 @@ def minor(M, rows, cols):
     rset, cset = sorted(rows), sorted(cols)
     if len(rset) != len(cset):
         raise DimensionMismatch(f"|rows|={len(rset)} != |cols|={len(cset)}")
-    if not rset:
-        return 1
     m = _as_rows(M)
-    sub = [[m[i][j] for j in cset] for i in rset]
-    return det(sub)
+    return det([[m[i][j] for j in cset] for i in rset])
 
 
-def lu_unipotent(A, tol: float = 1e-12):
-    """Factor A = L U with L lower-triangular and U unipotent upper-triangular.
+PIVOT_TOL = 1e-12  # an LU pivot below this times the largest entry vanishes
 
-    Exact on int and Fraction matrices; on complex input a pivot with relative
-    magnitude below ``tol`` raises PivotFailure (a leading principal minor of
-    A vanishes there, since those minors are the products of L's diagonal).
+
+def lu_unipotent(A):
+    """Factor A = L U with L lower-triangular and U unipotent upper-triangular,
+    for one complex matrix or a stack of shape (..., n, n).
+
+    Right-looking elimination without pivoting: divide row j by its pivot to
+    get row j of U, then subtract the outer product from the trailing block.
+    A pivot below PIVOT_TOL times the largest entry of its matrix means that a
+    leading principal minor vanishes there (they are the products of L's
+    diagonal): a single matrix raises PivotFailure, and in a stack that
+    matrix's L and U are all nan.
     """
-    rows = _as_rows(A)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("LU of a non-square matrix")
-    exact = _is_exact(rows)
-    zero = 0 if exact else 0j
-    one = 1 if exact else 1.0 + 0j
-    div = _quo if exact else truediv
-    scale = 1 if exact else max(max(abs(complex(v)) for v in r) for r in rows) or 1.0
-    L = [[zero] * n for _ in range(n)]
-    U = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            L[i][j] = rows[i][j] - sum((L[i][k] * U[k][j] for k in range(j)), zero)
-        piv = L[j][j]
-        bad = piv == 0 if exact else abs(piv) < tol * scale
-        if bad:
-            raise PivotFailure(f"leading principal minor {j + 1} vanishes")
-        for jj in range(j + 1, n):
-            U[j][jj] = div(rows[j][jj] - sum((L[j][k] * U[k][jj] for k in range(j)), zero), piv)
-    if exact:
-        return L, U
-    return np.array(L, dtype=complex), np.array(U, dtype=complex)
+    A = np.array(A, dtype=complex)  # a copy; becomes L on and below the diagonal
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch(f"LU of an array of shape {A.shape}")
+    n = A.shape[-1]
+    U = np.empty_like(A)
+    U[...] = np.eye(n)
+    scale = np.abs(A).max(axis=(-2, -1))
+    tiny = PIVOT_TOL * (scale + (scale == 0))  # a zero matrix fails too
+    bad = np.zeros(A.shape[:-2], dtype=bool)
+    with np.errstate(all="ignore"):  # after a vanishing pivot the factors are garbage
+        for j in range(n):
+            bad |= np.abs(A[..., j, j]) < tiny
+            u = U[..., j, None, j + 1:] = A[..., j, None, j + 1:] / A[..., j, j, None, None]
+            A[..., j + 1:, j + 1:] -= A[..., j + 1:, j, None] * u
+    if A.ndim == 2 and bad:
+        j = int(np.argmax(np.abs(np.diagonal(A)) < tiny))
+        raise PivotFailure(f"leading principal minor {j + 1} vanishes")
+    L = np.tril(A)
+    L[bad] = U[bad] = np.nan
+    return L, U
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -443,22 +432,3 @@ def eigenvalues(M) -> np.ndarray:
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def json_dumps(obj) -> str:
-    """json.dumps with a default handler for Fractions and numpy scalars."""
-
-    def default(v):
-        if isinstance(v, Fraction):
-            return str(v)
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (complex, np.complexfloating)):
-            return complex_to_json(complex(v))
-        if isinstance(v, Number):
-            return float(v)
-        raise TypeError(f"cannot serialize {type(v)}")
-
-    return json.dumps(obj, indent=2, default=default)

@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import FlagShape, Partition, partition_of_columns
-from .errors import BadSubsetSize, NearPole
-from .exactalg import MPoly, VarTable, leading_minors, lu_unipotent, minor
+from .errors import BadSubsetSize, NearPole, OffChart
+from .exactalg import MPoly, VarTable, leading_minors, lu_unipotent
 
 log = logging.getLogger("flagmirror")
 
@@ -177,7 +177,8 @@ def pluecker(z, cols, shape: FlagShape):
     cols = sorted(cols)
     if len(cols) not in shape.steps:
         raise BadSubsetSize(f"|K| = {len(cols)} is not a step of {shape}")
-    return minor(z, range(len(cols)), cols)
+    rows = range(len(cols))
+    return complex(np.linalg.det(np.asarray(z, dtype=complex)[np.ix_(rows, cols)]))
 
 
 def _pvar(shape: FlagShape, cols) -> MPoly:
@@ -328,14 +329,8 @@ def uv_from_z(z, shape: FlagShape):
     z = np.asarray(z, dtype=complex)
     _, u = lu_unipotent(z)
     v = wPw0_matrix(shape) @ np.linalg.inv(z)
-    n = shape.n
-    scale = max(1.0, float(np.abs(v).max()))
-    for i in range(n):
-        if abs(v[i, i] - 1) > 1e-8 * scale:
-            raise AssertionError("v is not unipotent; z is outside the chart form")
-        for k in range(i):
-            if abs(v[i, k]) > 1e-8 * scale:
-                raise AssertionError("v is not upper-triangular")
+    if np.abs(np.tril(v) - np.eye(shape.n)).max() > 1e-8 * max(1.0, float(np.abs(v).max())):
+        raise OffChart("v is not unipotent upper-triangular; z is outside the chart form")
     return u, v
 
 

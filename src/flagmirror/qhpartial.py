@@ -33,6 +33,7 @@ __all__ = [
     "c1_matrix",
     "c1_spectrum",
     "spectrum_report",
+    "validate_q",
 ]
 
 
@@ -159,12 +160,21 @@ def c1_matrix(shape: FlagShape, q) -> np.ndarray:
     return M
 
 
+def validate_q(shape: FlagShape, q) -> list[complex]:
+    """q as a list of complex numbers, one nonzero q_{n_j} per step n_j of
+    shape; raises ValueError otherwise."""
+    q = [complex(v) for v in q]
+    if len(q) != shape.r:
+        raise ValueError(f"{shape.to_string()} takes one quantum parameter per step "
+                         f"({shape.r}), got {len(q)}")
+    if not all(q):
+        raise ValueError("all quantum parameters must be nonzero")
+    return q
+
+
 def c1_spectrum(shape: FlagShape, q) -> np.ndarray:
     """Eigenvalues (with multiplicity) of quantum multiplication by c_1."""
-    q = [complex(v) for v in q]
-    if any(v == 0 for v in q):
-        raise ValueError("all quantum parameters must be nonzero")
-    return eigenvalues(c1_matrix(shape, q))
+    return eigenvalues(c1_matrix(shape, validate_q(shape, q)))
 
 
 def spectrum_report(shape: FlagShape, q) -> dict:

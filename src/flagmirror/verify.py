@@ -22,7 +22,7 @@ from .combinat import (
 )
 from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_scaling
 from .errors import FormulaViolation, IdentityViolation, PivotFailure
-from .exactalg import MPoly, complex_to_json, det, lu_unipotent, minor
+from .exactalg import MPoly, complex_to_json, det, lu_unipotent
 from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
 from .qhpartial import c1_spectrum
 from .schubring import (QHClass, _sorted_perms, class_product, monk_operators, normal_form,
@@ -61,10 +61,8 @@ def G_function(g, rows, m: int):
     """Minor quotient on B_- cosets: rows are 0-based, columns are the last
     n-m ones for both numerator and denominator."""
     g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    cols = range(m, n)
-    num = minor(g, sorted(rows), cols)
-    den = minor(g, range(m, n), cols)
+    cols = range(m, g.shape[0])
+    num, den = (complex(np.linalg.det(g[np.ix_(r, cols)])) for r in (sorted(rows), cols))
     return num / den
 
 
@@ -204,7 +202,9 @@ def det_formula_class(w: Permutation, n: int) -> QHClass:
 def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     """For every 321-avoiding w in S_n the determinantal class equals sigma_w;
     logs the permutations checked and the seconds at DEBUG, then the Monk
-    line of S_n."""
+    line of S_n.  Raises SizeCap outside 2 <= n <= 8 before it builds the
+    n! permutations."""
+    monk_operators(n)  # checks n; builds nothing
     t0 = time.perf_counter()
     failures = []
     checked = 0
@@ -304,10 +304,11 @@ def check_mirror_spectrum(shape: FlagShape, q, cfg: CritConfig | None = None) ->
     superpotential (with local multiplicity) by a min-sum assignment: the
     pairing whose distances have the least sum.  `max_distance` is the
     largest distance of a pair within it, and the check passes when that is
-    below the tolerance; it is inf when the two counts differ."""
+    below the tolerance; it is inf when the two counts differ.  ``cfg`` is
+    ignored (see ``CritConfig``)."""
     t0 = time.perf_counter()
     eig = c1_spectrum(shape, q)
-    points = find_critical_points(shape, q, cfg)
+    points = find_critical_points(shape, q)
     values = []
     for p in points:
         values.extend([p.value] * p.multiplicity)
@@ -395,7 +396,7 @@ def check_tau_symmetry(shape: FlagShape, samples: int = 50, seed: int = 0) -> Ta
             continue
         q = [complex(0.7 + 0.6 * rng.random(), 0.4 * (rng.random() - 0.5))
              for _ in range(shape.r)]
-        bminus = np.diag(toeplitz_scaling(shape, q)) @ np.asarray(L)
+        bminus = np.diag(toeplitz_scaling(shape, q)) @ L
         g1 = bminus @ w0_matrix(n)
         g2 = tau(bminus) @ w0_matrix(n)
         # G_1^m is regular on the cell only at the steps m in I^P; tau takes
@@ -426,22 +427,22 @@ class EquivalenceReport:
                 "ok": self.ok}
 
 
-def check_equivalence_route(shape: FlagShape, q, cfg: CritConfig | None = None,
-                            tol: float = 1e-7) -> EquivalenceReport:
+def check_equivalence_route(shape: FlagShape, q) -> EquivalenceReport:
     """At every critical point, check the superdiagonal identities that tie
     the factorization entries to the rational functions G_1^m:
     u_{i,i+1} equals -G_1^{n_j} at i = n - n_j, equals the constant value for
     i < n - n_r, and equals -(G_1^{n_j} + G_1^{n_{j+1}}) in between; the
-    v-entries satisfy v = -(t_{n_j+1}/t_{n_j}) G_1^{n_j} at every chart point."""
+    v-entries satisfy v = -(t_{n_j+1}/t_{n_j}) G_1^{n_j} at every chart point.
+    The route is ok when every relative residual is below 1e-7."""
     n, r = shape.n, shape.r
-    points = find_critical_points(shape, q, cfg)
+    points = find_critical_points(shape, q)
     t = toeplitz_scaling(shape, q)
     worst = 0.0
     for p in points:
         z = z_from_vector(shape, p.z)
         u, v = uv_from_z(z, shape)
         L, _ = lu_unipotent(z)
-        bminus = np.diag(t) @ np.asarray(L)
+        bminus = np.diag(t) @ L
         g = bminus @ w0_matrix(n)
         gvals = {m: G_1(g, m) for m in shape.steps}
         for j in range(1, r + 1):
@@ -458,4 +459,4 @@ def check_equivalence_route(shape: FlagShape, q, cfg: CritConfig | None = None,
         base = u[n - shape.nj(r) - 1, n - shape.nj(r)]
         for i in range(1, n - shape.nj(r)):
             worst = max(worst, abs(u[i - 1, i] - base) / (1 + abs(base)))
-    return EquivalenceReport(shape, list(q), len(points), worst, worst < tol)
+    return EquivalenceReport(shape, list(q), len(points), worst, worst < 1e-7)

@@ -113,6 +113,20 @@ def test_usage_errors(capsys):
             assert code == 2 and f"unrecognized arguments: {flag}" in err
 
 
+def test_wrong_number_of_quantum_parameters(capsys):
+    # one nonzero q per step, or a usage error with an error line: never a
+    # spectrum of the wrong fiber, an ignored q, or a traceback with the
+    # FAIL exit code
+    per_step = "takes one quantum parameter per step"
+    for cmd, shape, q, want in (
+            ("c1-spectrum", "1,2;3", "1", f"1,2;3 {per_step} (2), got 1"),
+            ("crit", "1;3", "1,5", f"1;3 {per_step} (1), got 2"),
+            ("verify-mirror", "1,2;3", "1", f"1,2;3 {per_step} (2), got 1"),
+            ("verify-mirror", "1,2;3", "1,0", "all quantum parameters must be nonzero")):
+        code, out, err = run(capsys, cmd, "--shape", shape, "--q", q)
+        assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
 def test_report_all_quick(capsys):
     code, out, _ = run(capsys, "report-all", "--quick")
     assert code == 0

@@ -10,7 +10,6 @@ from flagmirror import crit
 from flagmirror.combinat import FlagShape, Permutation, all_shapes, min_rep_of
 from flagmirror.crit import (
     POLE_GUARD,
-    CritConfig,
     CritPoint,
     _newton_polish,
     _norm,
@@ -96,9 +95,8 @@ def test_fl124_regression_values():
 
 def test_determinism():
     shape = FlagShape(3, (1,))
-    cfg = CritConfig(seed=123)
-    a = find_critical_points(shape, [1.0], cfg)
-    b = find_critical_points(shape, [1.0], cfg)
+    a = find_critical_points(shape, [1.0])
+    b = find_critical_points(shape, [1.0])
     assert [(p.value, tuple(p.z)) for p in a] == [(p.value, tuple(p.z)) for p in b]
 
 
@@ -106,7 +104,7 @@ def test_seed_and_starts_invariance():
     shape = FlagShape(4, (2,))
     a = _values(multistart_points(shape, [1.0], seed=1))
     b = _values(multistart_points(shape, [1.0], seed=77, starts=1200))
-    c = _values(find_critical_points(shape, [1.0], CritConfig(seed=77)))
+    c = _values(find_critical_points(shape, [1.0]))
     assert len(a) == 6
     assert np.allclose(a, b, atol=1e-7)
     assert np.allclose(a, c, atol=1e-7)
@@ -181,7 +179,7 @@ def test_toeplitz_residual_noncritical():
 def test_count_warning_and_validation(monkeypatch):
     shape = FlagShape(2, (1,))
     with pytest.raises(ValueError):
-        find_critical_points(shape, [0.0], CritConfig())
+        find_critical_points(shape, [0.0])
     # without the cluster step Gr(2,6) at q = 1 comes out 3 points short
     monkeypatch.setattr(_Search, "solve_clusters", lambda self: None)
     with warnings.catch_warnings(record=True) as caught:
@@ -401,7 +399,7 @@ def test_combination_seed_independence(sstr, monkeypatch):
         reference = find_critical_points(shape, q)
         for seed in range(10):
             monkeypatch.setattr(crit, "CHARACTER_SEED", seed)
-            points, stats = crit._search(shape, q, None)
+            points, stats = crit._search(shape, q)
             assert stats["cluster_dims"] == [], (q, seed)
             assert _same_multiset(points, reference), (q, seed)
 
@@ -411,7 +409,7 @@ def test_fill_in_completes_colliding_characters_gr26():
     # give 12 of the 15 points, and the cluster step finds the other three on
     # the cluster's one-parameter family of characters
     shape = FlagShape.from_string("2;6")
-    points, stats = crit._search(shape, [1.0], None)
+    points, stats = crit._search(shape, [1.0])
     assert len(points) == 15 and sum(p.multiplicity for p in points) == 15
     assert stats["clusters"] == stats["clusters_solved"] == 1
     assert stats["cluster_dims"] == [1] and stats["cluster_roots_kept"] > 0
@@ -462,13 +460,14 @@ CLUSTER_SHAPES = ["2;6", "3;6", "4;6", "2,4;6"]
 
 @pytest.mark.parametrize("sstr", CLUSTER_SHAPES)
 def test_cluster_shapes_complete_on_both_fibers(sstr):
-    # the cluster step completes each fiber, and no seed changes a point
+    # the cluster step completes each fiber, and a repeated search gives the
+    # same points
     shape = FlagShape.from_string(sstr)
     for q in ([1.0] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a count mismatch fails
-            points, stats = crit._search(shape, q, CritConfig(seed=0))
-            again, _ = crit._search(shape, q, CritConfig(seed=7))
+            points, stats = crit._search(shape, q)
+            again, _ = crit._search(shape, q)
         assert sum(p.multiplicity for p in points) == shape.basis_size, q
         assert stats["clusters_solved"] >= 1 and stats["clusters_unsolved"] == 0, q
         assert stats["strays"] == 0, q
@@ -491,13 +490,13 @@ DEGENERATE = {"1,3;4": [3], "1,2;5": [2], "2,3;5": [3], "3,4;5": [2]}
 
 @pytest.mark.parametrize("sstr", list(DEGENERATE))
 def test_degenerate_multiplicities_do_not_depend_on_seed(sstr):
+    # the search takes no seed; test_determinism covers repeated searches
     shape = FlagShape.from_string(sstr)
-    for seed in range(10):
-        points, stats = crit._search(shape, [1.0] * shape.r, CritConfig(seed=seed))
-        assert [p.multiplicity for p in points if p.multiplicity > 1] == DEGENERATE[sstr]
-        assert sum(p.multiplicity for p in points) == shape.basis_size
-        assert stats["groups"] == len(DEGENERATE[sstr]) and stats["groups_unattracted"] == 0
-        assert stats["nearby_points"] == shape.basis_size
+    points, stats = crit._search(shape, [1.0] * shape.r)
+    assert [p.multiplicity for p in points if p.multiplicity > 1] == DEGENERATE[sstr]
+    assert sum(p.multiplicity for p in points) == shape.basis_size
+    assert stats["groups"] == len(DEGENERATE[sstr]) and stats["groups_unattracted"] == 0
+    assert stats["nearby_points"] == shape.basis_size
 
 
 @pytest.mark.slow
@@ -557,7 +556,7 @@ def test_singular_lift_is_rejected_as_stratum():
     shape = FlagShape.from_string("1,5;6")
     q = [1 + 1e-6 * (0.9 + 0.13j * j) for j in (1, 2)]
     _check_lift_batch(shape, [q])
-    points, stats = crit._search(shape, q, CritConfig())
+    points, stats = crit._search(shape, q)
     assert stats["character_rejected_stratum"] > 0
     assert sum(p.multiplicity for p in points) == shape.basis_size
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tests_support import LambdaChart, as_pyfunc, laplace_det, reduced_word
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
-from flagmirror.errors import BadSubsetSize, NearPole, PivotFailure
+from flagmirror.errors import BadSubsetSize, NearPole, OffChart, PivotFailure
 from flagmirror.exactalg import MPoly, leading_minors, minor
 from flagmirror.mirror import (
     _evaluator_source,
@@ -284,6 +284,14 @@ def test_uv_outside_chart_pivot_failure():
     z = wPw0_matrix(shape)  # all free entries zero: leading minors vanish
     with pytest.raises(PivotFailure):
         uv_from_z(z, shape)
+
+
+def test_uv_off_chart_form_is_a_typed_error():
+    # a random complex matrix has an LU, but wPw0 z^{-1} is not unipotent
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3 * np.eye(4)
+    with pytest.raises(OffChart, match="outside the chart form"):
+        uv_from_z(z, FlagShape(4, (2,)))
 
 
 def test_route_agreement_and_gradient():

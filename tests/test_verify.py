@@ -12,7 +12,7 @@ from flagmirror.cli import main
 from flagmirror.combinat import (FlagShape, Permutation, build_xi_and_wJ,
                                  grassmannian_from_first_values)
 from flagmirror.crit import toeplitz_scaling
-from flagmirror.errors import FormulaViolation, IdentityViolation, PivotFailure
+from flagmirror.errors import FormulaViolation, IdentityViolation, PivotFailure, SizeCap
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
 from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, xq_table
@@ -70,12 +70,21 @@ def test_det_formula_small_n():
         assert rep.checked == {2: 2, 3: 5, 4: 14}[n]
 
 
-@pytest.mark.slow
 def test_det_formula_n7():
     # 429 permutations; about three quarters of the time goes to normal_form
     # and a fifth to the determinants
     rep = check_det_formula(7)
     assert rep.ok and rep.checked == 429
+
+
+def test_det_formula_checks_n_before_listing_permutations(monkeypatch):
+    def no_listing(n):
+        raise AssertionError(f"listed the {n}! permutations")
+
+    monkeypatch.setattr(verify, "_sorted_perms", no_listing)
+    for n in (1, 9, 10):
+        with pytest.raises(SizeCap, match=f"2 <= n <= 8, got {n}"):
+            check_det_formula(n)
 
 
 def test_det_formula_debug_lines(caplog):

@@ -5,7 +5,8 @@ the 1-based construction of the w_J that `flagmirror.combinat.build_xi_and_wJ`
 is checked against, the per-pair quantum Chevalley rule that the tables of
 `flagmirror.qhpartial.partial_ring` are checked against,
 the recursive first-row Laplace determinant that `flagmirror.exactalg.det`
-and the chart minors are checked against,
+and the chart minors are checked against, the per-matrix Crout loop that the
+batched `flagmirror.exactalg.lu_unipotent` is checked against,
 the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, the per-candidate chart lift and
 per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
@@ -24,7 +25,7 @@ from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
 from flagmirror.errors import (InvalidRange, NearPole, NonIntegralCoefficient, NotMinimalRep,
                                PivotFailure, SizeCap)
-from flagmirror.exactalg import MPoly, leading_minors, lu_unipotent
+from flagmirror.exactalg import MPoly, leading_minors
 from flagmirror.mirror import (
     _columns_of_pname,
     _fixed_entries,
@@ -554,12 +555,31 @@ def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
     return vec
 
 
+def reference_lu(A):
+    """A = L U with U unipotent upper-triangular, for one complex matrix,
+    by the Crout loop: column j of L, then row j of U, each entry one inner
+    product with the factors found so far.  Raises PivotFailure at a pivot
+    below 1e-12 times the largest entry of A (1e-12 when A is zero)."""
+    A = np.array(A, dtype=complex)
+    n = len(A)
+    scale = float(np.abs(A).max()) or 1.0
+    L, U = np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
+    for j in range(n):
+        for i in range(j, n):
+            L[i, j] = A[i, j] - sum((L[i, k] * U[k, j] for k in range(j)), 0j)
+        if abs(L[j, j]) < 1e-12 * scale:
+            raise PivotFailure(f"leading principal minor {j + 1} vanishes")
+        for jj in range(j + 1, n):
+            U[j, jj] = (A[j, jj] - sum((L[j, k] * U[k, jj] for k in range(j)), 0j)) / L[j, j]
+    return L, U
+
+
 def toeplitz_residual_loop(shape, vec, q) -> float:
     """The Toeplitz residual of one chart vector by the per-point loop that
-    `crit._toeplitz_residuals` replaced: `lu_unipotent`, then the diameter of
+    `crit._toeplitz_residuals` replaced: `reference_lu`, then the diameter of
     every diagonal pair by pair; inf where a leading minor vanishes."""
     try:
-        L, _ = lu_unipotent(z_from_vector(shape, vec))
+        L, _ = reference_lu(z_from_vector(shape, vec))
     except PivotFailure:
         return float("inf")
     T = np.diag(toeplitz_scaling(shape, q)) @ np.asarray(L)
