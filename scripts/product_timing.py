@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time the exact ring layer: `class_product` on seeded random pairs of S_7
 (median milliseconds per pair), then one row for `key_identity_sweep(8)`,
-one per n for `check_det_formula(n)`, n = 2..6, and one for the benchmark's
+one per n for `check_det_formula(n)`, n = 2..7, and one for the benchmark's
 `ring-identities` pass, `key_identity_sweep(8)` then `check_det_formula(n)`
 for n = 2..5 (median of REPEATS runs).
 
-Every memo of `flagmirror.schubring` and `flagmirror.combinat` (products,
-Monk operators with their X_i entries, transitions and plans, q-exponents,
-polynomials, expansion slices, minimal representatives) is cleared before
-each pair and each run, so each is timed as the first call of a fresh
-process and the median does not depend on how many ran before it.
+Every memo of `flagmirror.schubring` and `flagmirror.combinat` (products as
+classes and as operator vectors, Monk operators with their X_i entries,
+transitions and plans, q-exponents, polynomials, expansion slices, minimal
+representatives) is cleared before each pair and each run, so each is timed
+as the first call of a fresh process and the median does not depend on how
+many ran before it.
 
     PYTHONPATH=src python scripts/product_timing.py --pairs 20 --seed 0
 """
@@ -24,7 +25,7 @@ from flagmirror.combinat import Permutation
 
 N = 7
 SWEEP_N = 8
-DET_NS = (2, 3, 4, 5, 6)
+DET_NS = (2, 3, 4, 5, 6, 7)
 RING_DET_NS = (2, 3, 4, 5)
 REPEATS = 5
 

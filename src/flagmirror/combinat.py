@@ -334,11 +334,9 @@ def minimal_reps(shape: FlagShape) -> tuple[Permutation, ...]:
     return tuple(reps)
 
 
-def grassmannian_from_first_values(values: frozenset[int] | set[int], n: int) -> Permutation:
-    """Permutation with first |values| entries = sorted(values), rest ascending."""
-    head = tuple(sorted(values))
-    tail = tuple(v for v in range(n) if v not in values)
-    return Permutation(head + tail)
+def grassmannian_word(values: frozenset[int] | set[int], n: int) -> tuple[int, ...]:
+    """One-line word with first |values| entries = sorted(values), rest ascending."""
+    return (*sorted(values), *(v for v in range(n) if v not in values))
 
 
 def build_xi_and_wJ(shape: FlagShape, j: int, i: int) -> dict[tuple[int, ...], Permutation | None]:

@@ -6,14 +6,16 @@ divisor class sigma_{s_k} (quantum Monk rule).  The pairs of positions a < b
 that M_i and M_{i-1} share cancel, so X_i sigma_w is a signed sum over the
 transpositions with a = i - 1 (sign +) and with b = i - 1 (sign -).  Those
 entries are computed on first use and memoised per (word, i), in memory (no
-n!-sized build, no disk cache).  Products of general classes expand the
-shorter factor by the quantum transition, sigma_u = X_r sigma_{u t_rs} minus
-classes below u, along a plan memoised per factor u, so a product needs X_i
-entries only.  The class of a polynomial p modulo the quantum ideal I_n^q
-(normal_form) is p evaluated in the X_i on sigma_id.  Quantum Schubert
-polynomials come from the standard elementary-monomial expansion, a Z-basis,
-computed by exact integer elimination and checked by multiplying back; they
-serve the public API.
+n!-sized build, no disk cache).  A general class sigma_u acts on an operator
+vector ({word: {q-exponent: int}}) by the quantum transition, sigma_u =
+X_r sigma_{u t_rs} minus classes below u, along a plan memoised per u
+(transition_product), so a product needs X_i entries only.  product_vec
+memoises sigma_u * sigma_v as such a vector and signed_sum adds vectors, so
+the identity checks build no QHClass unless a residue is nonzero.  The class
+of a polynomial p modulo the quantum ideal I_n^q (normal_form) is p evaluated
+in the X_i on sigma_id.  Quantum Schubert polynomials come from the standard
+elementary-monomial expansion, a Z-basis, computed by exact integer
+elimination and checked by multiplying back; they serve the public API.
 """
 
 from __future__ import annotations
@@ -46,8 +48,12 @@ __all__ = [
     "MonkOperators",
     "monk_operators",
     "class_product",
+    "product_vec",
+    "transition_product",
     "normal_form",
     "signed_sum",
+    "sorted_perms",
+    "vec_to_class",
     "QHClass",
 ]
 
@@ -153,7 +159,7 @@ def schubert_poly(w: Permutation, n: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def _sorted_perms(n: int) -> tuple[Permutation, ...]:
+def sorted_perms(n: int) -> tuple[Permutation, ...]:
     perms = [Permutation(p) for p in itertools.permutations(range(n))]
     perms.sort(key=lambda w: (w.length, w.oneline))
     return tuple(perms)
@@ -511,21 +517,22 @@ class QHClass:
                 sorted(self.terms.items(), key=lambda t: (t[0].length, t[0].oneline))}
 
 
-def _vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
+def vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
     """The class of an operator vector, whose coefficients are ints."""
     qt = q_table(n)
     return QHClass(("complete", n), {Permutation(word): MPoly(qt, poly)
                                      for word, poly in vec.items()})
 
 
-def signed_sum(pairs, n: int) -> QHClass:
-    """sum of c * cls over (c, cls) pairs, c an int and cls a class of QH*(Fl_n),
-    accumulated in one operator vector rather than by QHClass additions."""
+def signed_sum(pairs) -> dict[tuple, dict]:
+    """sum of c * vec over (c, vec) pairs, c an int and vec an operator
+    vector, as one new operator vector without the terms that cancel; the
+    inputs are left untouched."""
     acc: dict[tuple, dict] = {}
-    for sgn, cls in pairs:
-        for w, c in cls.terms.items():
-            _accumulate(acc.setdefault(w.oneline, {}), c.terms, sgn, None)
-    return _vec_to_class({word: p for word, p in acc.items() if p}, n)
+    for sgn, vec in pairs:
+        for word, poly in vec.items():
+            _accumulate(acc.setdefault(word, {}), poly, sgn, None)
+    return {word: p for word, p in acc.items() if p}
 
 
 def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) -> dict[tuple, dict]:
@@ -552,7 +559,7 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
     return {r: p for r, p in total.items() if p}
 
 
-def _transition_product(ops: MonkOperators, ol: tuple[int, ...],
+def transition_product(ops: MonkOperators, ol: tuple[int, ...],
                         vec: dict[tuple, dict]) -> dict[tuple, dict]:
     """sigma_u applied to vec, u with one-line word ol, by the quantum
     transition along the plan of u (MonkOperators.plan)."""
@@ -572,9 +579,11 @@ def _transition_product(ops: MonkOperators, ol: tuple[int, ...],
     return done[ol]
 
 
-@lru_cache(maxsize=512)
-def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
-    """Quantum product sigma_u * sigma_v in QH*(Fl_n).
+@lru_cache(maxsize=1024)
+def product_vec(u_word: tuple[int, ...], v_word: tuple[int, ...], n: int) -> dict[tuple, dict]:
+    """Quantum product sigma_u * sigma_v in QH*(Fl_n) as an operator vector,
+    u and v given by one-line words; memoised, so callers must not mutate
+    the result.
 
     The shorter factor is expanded by the quantum transition
     (MonkOperators.transition), sigma_u = X_r sigma_{u t_rs} minus classes
@@ -582,20 +591,29 @@ def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
     (MonkOperators.plan); the product needs X_i entries only, no quantum
     Schubert polynomial.  Every term is checked against the grading.
     """
-    if u.n != n or v.n != n:
-        raise NotInGroup(f"{u}, {v} must lie in S_{n}")
-    if u.length > v.length:
-        u, v = v, u
+    if len(u_word) != n or len(v_word) != n:
+        raise NotInGroup(f"{u_word}, {v_word} must lie in S_{n}")
     ops = monk_operators(n)
-    out = _transition_product(ops, u.oneline, {v.oneline: {(0,) * (n - 1): 1}})
-    lu, lv = u.length, v.length
+    lu, lv = ops.length(u_word), ops.length(v_word)
+    if lu > lv:
+        u_word, v_word = v_word, u_word
+    out = transition_product(ops, u_word, {v_word: {(0,) * (n - 1): 1}})
     for word, poly in out.items():
         lw = ops.length(word)
         for b in poly:
             if lu + lv != lw + 2 * sum(b):
                 raise AssertionError(f"grading violated at sigma_{Permutation(word)} q^{b} "
-                                     f"in {u}*{v}")
-    return _vec_to_class(out, n)
+                                     f"in {Permutation(u_word)}*{Permutation(v_word)}")
+    return out
+
+
+# product_vec memoises the product; this memo is kept for its cache_info,
+# which the benchmark's tracer (perfbench/spans.py) reads
+@lru_cache(maxsize=512)
+def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
+    """Quantum product sigma_u * sigma_v in QH*(Fl_n): the class of
+    product_vec on the one-line words of u and v."""
+    return vec_to_class(product_vec(u.oneline, v.oneline, n), n)
 
 
 def normal_form(p: MPoly, n: int) -> QHClass:
@@ -606,4 +624,4 @@ def normal_form(p: MPoly, n: int) -> QHClass:
     if p.table != xq_table(n):
         raise ValueError("expected a polynomial over xq_table(n)")
     ops = monk_operators(n)
-    return _vec_to_class(apply_polynomial(ops, p, {tuple(range(n)): {(0,) * (n - 1): 1}}), n)
+    return vec_to_class(apply_polynomial(ops, p, {tuple(range(n)): {(0,) * (n - 1): 1}}), n)

@@ -4,6 +4,7 @@ domain, and the spectrum-versus-critical-values comparison."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
@@ -17,7 +18,7 @@ from .combinat import (
     Permutation,
     all_shapes,
     build_xi_and_wJ,
-    grassmannian_from_first_values,
+    grassmannian_word,
     skew_shape_321,
 )
 from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_scaling
@@ -25,8 +26,10 @@ from .errors import FormulaViolation, IdentityViolation, PivotFailure
 from .exactalg import MPoly, complex_to_json, det, lu_unipotent
 from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
 from .qhpartial import c1_spectrum
-from .schubring import (QHClass, _sorted_perms, class_product, monk_operators, normal_form,
-                        q_table, quantum_H, signed_sum, xq_table)
+from . import schubring
+from .schubring import (QHClass, monk_operators, normal_form, product_vec,
+                        quantum_H, signed_sum, sorted_perms, transition_product,
+                        vec_to_class, xq_table)
 
 __all__ = [
     "ACCEPTANCE_SHAPES",
@@ -48,6 +51,10 @@ __all__ = [
 ]
 
 log = logging.getLogger("flagmirror")
+
+# the benchmark's tracer (perfbench/spans.py) wraps this name; the checks
+# here call product_vec
+class_product = schubring.class_product
 
 # the desk-scale shapes of the mirror acceptance check; `report-all --quick`
 # runs the first four
@@ -109,8 +116,9 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
     """Verify sum_J (-1)^{|J|} sigma_{w_J} sigma_{[1, n_j+d] \\ J} = 0 in the
     complete-flag ring, exactly.  All classes are indexed by minimal coset
     representatives and carry no quantum parameters, so the vanishing descends
-    to the partial-flag ring.  The signed sum is accumulated by signed_sum in
-    one operator vector."""
+    to the partial-flag ring.  The signed products (product_vec) are summed
+    in one operator vector by signed_sum; a QHClass is built only for a
+    nonzero residue."""
     t0 = time.perf_counter()
     n = shape.n
     d = i - (n - shape.nj(j + 1))
@@ -121,12 +129,12 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
         if wJ is None:
             continue
         sgn = (-1) ** sum(v + 1 for v in J0)
-        G = grassmannian_from_first_values(set(range(njd)) - set(J0), n)
-        pairs.append((sgn, class_product(wJ, G, n)))
+        G = grassmannian_word(set(range(njd)) - set(J0), n)
+        pairs.append((sgn, product_vec(wJ.oneline, G, n)))
     terms = len(pairs)
-    residue = signed_sum(pairs, n)
-    ok = residue.is_zero()
-    residual = None if ok else residue
+    residue = signed_sum(pairs)
+    ok = not residue
+    residual = None if ok else vec_to_class(residue, n)
     report = KeyIdentityReport(shape, j, i, ok, terms, residual, time.perf_counter() - t0)
     if strict and not ok:
         raise IdentityViolation(f"nonzero residue for {shape}, j={j}, i={i}: {residual}")
@@ -157,12 +165,18 @@ def _log_monk(n: int) -> None:
 
 
 def key_identity_sweep(max_n: int, strict: bool = True):
-    """Check every key identity with n <= max_n; log per n the X_i entries,
-    transitions and plans built and the apply_x calls made so far."""
-    reports = [check_key_identity(shape, j, i, strict)
-               for shape, j, i in key_identity_instances(max_n)]
-    for n in sorted({rep.shape.n for rep in reports}):
+    """Check every key identity with n <= max_n; log per n the instances,
+    the products they asked for and those formed (product_vec memo misses),
+    then the Monk line of S_n."""
+    reports = []
+    for n, instances in itertools.groupby(key_identity_instances(max_n), lambda t: t[0].n):
+        misses = schubring.product_vec.cache_info().misses
+        batch = [check_key_identity(shape, j, i, strict) for shape, j, i in instances]
+        log.debug("keyidentity n=%d: %d instances, %d products asked, %d formed", n,
+                  len(batch), sum(rep.terms for rep in batch),
+                  schubring.product_vec.cache_info().misses - misses)
         _log_monk(n)
+        reports += batch
     return reports
 
 
@@ -183,7 +197,8 @@ class DetFormulaReport:
 
 
 def det_formula_class(w: Permutation, n: int) -> QHClass:
-    """normal_form of det(H_{lambda_i - mu_j - i + j}(X_{phi_i}))."""
+    """normal_form of det(H_{lambda_i - mu_j - i + j}(X_{phi_i})): the
+    formula's literal statement in Z[q][x], the oracle of det_formula_vec."""
     sk = skew_shape_321(w)
     k = len(sk.flag)
     tab = xq_table(n)
@@ -199,27 +214,104 @@ def det_formula_class(w: Permutation, n: int) -> QHClass:
     return normal_form(det(rows), n)
 
 
+def quantum_H_word(l: int, k: int, n: int) -> tuple[int, ...] | None:
+    """The 0-based one-line word of the Schubert class that H_l^k equals in
+    QH*(Fl_n): the cycle (1, ..., k-1, k+l, k, ..., k+l-1, k+l+1, ..., n) in
+    1-based notation, the identity at l = 0 (Fomin, Gelfand and Postnikov,
+    JAMS 10, 1997).  None where H_l^k is 0: l < 0, or k + l - 1 = n.  Raises
+    ValueError for k + l - 1 > n, as quantum_H does."""
+    if l < 0:
+        return None
+    if l == 0:
+        return tuple(range(n))
+    if k + l - 1 > n:
+        raise ValueError(f"H_{l}^{k} needs k+l-1 <= n = {n}")
+    if k + l - 1 == n:
+        return None
+    return (*range(k - 1), k + l - 1, *range(k - 1, k + l - 1), *range(k + l, n))
+
+
+class _WordProducts:
+    """Products sigma_{w_1} ... sigma_{w_m} in QH*(Fl_n) as operator vectors.
+    QH* is commutative, so a product is keyed by its non-identity words
+    sorted by (length, word) and formed as sigma of the shortest applied
+    (transition_product) to the memoised product of the rest, down to the
+    basis vector of the longest.  Counts the products formed and the
+    lookups answered from the memo; a single word is its basis vector and
+    is not memoised."""
+
+    def __init__(self, n: int):
+        self.ops = monk_operators(n)
+        self.identity = tuple(range(n))
+        self.unit = {(0,) * (n - 1): 1}
+        self.memo: dict[tuple, dict] = {}
+        self.reused = 0
+
+    def __call__(self, words) -> dict[tuple, dict]:
+        key = tuple(sorted((w for w in words if w != self.identity),
+                           key=lambda w: (self.ops.length(w), w)))
+        return self._product(key) if key else {self.identity: self.unit}
+
+    def _product(self, key: tuple) -> dict[tuple, dict]:
+        if len(key) == 1:
+            return {key[0]: self.unit}
+        got = self.memo.get(key)
+        if got is not None:
+            self.reused += 1
+            return got
+        self.memo[key] = got = transition_product(self.ops, key[0], self._product(key[1:]))
+        return got
+
+
+def det_formula_vec(w: Permutation, n: int,
+                    products: _WordProducts | None = None) -> dict[tuple, dict]:
+    """det(H_{lambda_a - mu_b - a + b}^{phi_a}) of the 321-avoiding w as an
+    operator vector: the Leibniz expansion over the nonzero entries, each
+    entry the class of its quantum_H_word, each term's product taken from
+    `products` (a fresh memo if None)."""
+    sk = skew_shape_321(w)
+    k = len(sk.flag)
+    if products is None:
+        products = _WordProducts(n)
+    entries = [[quantum_H_word(sk.outer[a] - sk.inner[b] - a + b, sk.flag[a], n)
+                for b in range(k)] for a in range(k)]
+    pairs = []
+
+    def expand(a: int, used: tuple, sign: int, words: tuple) -> None:
+        if a == k:
+            pairs.append((sign, products(words)))
+            return
+        for b, word in enumerate(entries[a]):
+            if word is None or b in used:
+                continue
+            # the columns already used to the right of b are the new inversions
+            flip = sum(c > b for c in used) % 2
+            expand(a + 1, used + (b,), -sign if flip else sign, words + (word,))
+
+    expand(0, (), 1, ())
+    return signed_sum(pairs)
+
+
 def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
-    """For every 321-avoiding w in S_n the determinantal class equals sigma_w;
-    logs the permutations checked and the seconds at DEBUG, then the Monk
-    line of S_n.  Raises SizeCap outside 2 <= n <= 8 before it builds the
-    n! permutations."""
-    monk_operators(n)  # checks n; builds nothing
+    """For every 321-avoiding w in S_n the determinantal class equals sigma_w,
+    checked in the Monk operators by det_formula_vec with one product memo
+    for all w.  Logs the permutations checked, the cycle products formed and
+    reused and the seconds at DEBUG, then the Monk line of S_n.  Raises
+    SizeCap outside 2 <= n <= 8 before it builds the n! permutations."""
+    products = _WordProducts(n)  # checks n; builds nothing
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    qt = q_table(n)
-    for w in _sorted_perms(n):
+    for w in sorted_perms(n):
         if not w.is_321_avoiding:
             continue
         checked += 1
-        got = det_formula_class(w, n)
-        want = QHClass(("complete", n), {w: MPoly.const(qt, 1)})
-        if got != want:
+        if det_formula_vec(w, n, products) != {w.oneline: products.unit}:
             failures.append(w)
     ok = not failures
     elapsed = time.perf_counter() - t0
-    log.debug("detformula n=%d: %d permutations, %.3fs", n, checked, elapsed)
+    log.debug("detformula n=%d: %d permutations, %d cycle products formed, %d reused, %.3fs",
+              n, checked, len(products.memo), products.reused, elapsed)
     _log_monk(n)
     if strict and not ok:
         raise FormulaViolation(f"determinantal formula failed for {failures}")

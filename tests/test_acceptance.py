@@ -28,9 +28,9 @@ from flagmirror.mirror import (
     z_from_vector,
 )
 from flagmirror.schubring import (
-    _sorted_perms,
     class_product,
     quantum_schubert,
+    sorted_perms,
 )
 from flagmirror.verify import (
     ACCEPTANCE_SHAPES,
@@ -243,7 +243,7 @@ def test_criterion_7_det_formula():
 def test_criterion_8_ring_engine_soundness():
     t0 = time.time()
     # operator route vs the straightening oracle of tests_support, all pairs in S_4
-    perms = _sorted_perms(4)
+    perms = sorted_perms(4)
     for u in perms:
         pu = quantum_schubert(u, 4)
         for v in perms:

@@ -9,7 +9,7 @@ from flagmirror.combinat import (
     Permutation,
     all_shapes,
     build_xi_and_wJ,
-    grassmannian_from_first_values,
+    grassmannian_word,
     is_minimal_rep,
     min_rep_of,
     minimal_reps,
@@ -74,7 +74,7 @@ def test_quantum_term_matches_wJ_remark():
     j, i = 1, 4
     for J0, wJ in build_xi_and_wJ(shape, j, i).items():
         first = set(J0) | set(range(i, shape.n))
-        w = grassmannian_from_first_values(first, shape.n)
+        w = Permutation(grassmannian_word(first, shape.n))
         w = min_rep_of(w, shape)
         out = chevalley_multiply(w, j + 1, shape)
         quantum = {t: c for t, c in out.terms.items()

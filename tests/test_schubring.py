@@ -18,32 +18,33 @@ from tests_support import (
     straighten,
 )
 
-from flagmirror import verify
+from flagmirror import schubring, verify
 from flagmirror.combinat import Permutation
-from flagmirror.errors import ExpansionFailure, SizeCap, TransitionFailure
+from flagmirror.errors import ExpansionFailure, NotInGroup, SizeCap, TransitionFailure
 from flagmirror.exactalg import MPoly, VarTable, det
 from flagmirror.schubring import (
     MonkOperators,
     QHClass,
     _slice_expander,
-    _sorted_perms,
-    _transition_product,
     _unimodular_inverse,
-    _vec_to_class,
     apply_polynomial,
     class_product,
     elementary_expand,
     monk_operators,
     normal_form,
+    product_vec,
     q_table,
     quantum_E,
     quantum_H,
     quantum_schubert,
     schubert_poly,
     signed_sum,
+    sorted_perms,
+    transition_product,
+    vec_to_class,
     xq_table,
 )
-from flagmirror.verify import check_det_formula, key_identity_sweep
+from flagmirror.verify import det_formula_class, key_identity_sweep
 
 
 def P(s):
@@ -197,7 +198,7 @@ def test_sizecap():
 
 
 def test_operator_vs_oracle_all_pairs_s3():
-    perms = _sorted_perms(3)
+    perms = sorted_perms(3)
     for u in perms:
         for v in perms:
             lhs = class_product(u, v, 3)
@@ -207,7 +208,7 @@ def test_operator_vs_oracle_all_pairs_s3():
 
 def test_product_commutative_associative_s4():
     rng = random.Random(0)
-    perms = _sorted_perms(4)
+    perms = sorted_perms(4)
     for _ in range(8):
         u, v, w = (rng.choice(perms) for _ in range(3))
         assert class_product(u, v, 4) == class_product(v, u, 4)
@@ -224,7 +225,7 @@ def test_product_commutative_associative_s4():
 
 def test_grading_random_pairs():
     rng = random.Random(1)
-    perms = _sorted_perms(4)
+    perms = sorted_perms(4)
     for _ in range(20):
         u, v = rng.choice(perms), rng.choice(perms)
         out = class_product(u, v, 4)
@@ -279,7 +280,7 @@ def test_omega_preserves_ideal(n):
 
 def test_normal_form_examples():
     n = 3
-    for w in _sorted_perms(n):
+    for w in sorted_perms(n):
         assert normal_form(quantum_schubert(w, n), n) == one_class(w, n)
     assert normal_form(quantum_E(1, n, n), n).is_zero()
     got = normal_form(x(2, 1) * x(2, 1), 2)
@@ -303,8 +304,8 @@ def _straighten_cases():
     omega-transformed E-monomials and their H-monomials for n <= 4, every
     quantum_H for n <= 5, and seeded random polynomials with q terms."""
     for n in (3, 4):
-        for u in _sorted_perms(n):
-            for v in _sorted_perms(n):
+        for u in sorted_perms(n):
+            for v in sorted_perms(n):
                 yield f"S{u}*S{v}", n, quantum_schubert(u, n) * quantum_schubert(v, n)
     for n in (2, 3, 4):
         for imono in itertools.product(*(range(k + 1) for k in range(1, n))):
@@ -333,7 +334,8 @@ def test_normal_form_matches_straighten(monkeypatch):
     assert len(cases) == 612 + 2 * 32 + 48 + 120
     for label, n, p in cases:
         assert normal_form(p, n) == straighten(p, n), label
-    # the determinants of the 321-avoiding formula at n = 5, as verify builds them
+    # the determinants of the 321-avoiding formula at n = 5, as its
+    # polynomial statement det_formula_class builds them
     seen = []
 
     def record(p, n):
@@ -341,7 +343,9 @@ def test_normal_form_matches_straighten(monkeypatch):
         return normal_form(p, n)
 
     monkeypatch.setattr(verify, "normal_form", record)
-    assert check_det_formula(5).checked == 42
+    for w in sorted_perms(5):
+        if w.is_321_avoiding:
+            det_formula_class(w, 5)
     assert len(seen) == 42
     for p in seen:
         assert normal_form(p, 5) == straighten(p, 5)
@@ -459,10 +463,10 @@ def test_class_product_matches_monk_column_route_s4():
     # the same transitions run on the oracle's X_i = M_i - M_{i-1}
     oracle = MonkColumnOperators(4)
     unit = (0,) * 3
-    perms = _sorted_perms(4)
+    perms = sorted_perms(4)
     for u in perms:
         for v in perms:
-            want = _vec_to_class(_transition_product(oracle, u.oneline, {v.oneline: {unit: 1}}), 4)
+            want = vec_to_class(transition_product(oracle, u.oneline, {v.oneline: {unit: 1}}), 4)
             assert class_product(u, v, 4) == want
 
 
@@ -475,14 +479,14 @@ def test_product_plan_memo():
     ops = MonkOperators(n)
     for _ in range(20):
         u, v = (tuple(rng.sample(range(n), n)) for _ in range(2))
-        cold = _transition_product(ops, u, {v: dict(unit)})
+        cold = transition_product(ops, u, {v: dict(unit)})
         plan = ops.plan(u)
-        assert _transition_product(ops, u, {v: dict(unit)}) == cold
+        assert transition_product(ops, u, {v: dict(unit)}) == cold
         assert ops.plan(u) is plan
         for memo in (ops.plans, ops.transitions, ops.x_entries, ops.lengths):
             memo.clear()
-        assert _transition_product(ops, u, {v: dict(unit)}) == cold
-        assert _vec_to_class(cold, n) == class_product(Permutation(u), Permutation(v), n)
+        assert transition_product(ops, u, {v: dict(unit)}) == cold
+        assert vec_to_class(cold, n) == class_product(Permutation(u), Permutation(v), n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -514,6 +518,7 @@ def test_monk_operators_touch_no_disk(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     monk_operators.cache_clear()
     class_product.cache_clear()
+    product_vec.cache_clear()
     u, v = P("214365"), P("351624")
     assert class_product(u, v, 6) == class_product(v, u, 6)
     assert monk_operators(6).x_entries  # the product built its entries in memory
@@ -522,7 +527,7 @@ def test_monk_operators_touch_no_disk(tmp_path, monkeypatch):
 
 def test_debug_log_lines(caplog):
     monk_operators.cache_clear()
-    class_product.cache_clear()
+    product_vec.cache_clear()
     _slice_expander.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="flagmirror"):
         key_identity_sweep(5)
@@ -538,6 +543,12 @@ def test_debug_log_lines(caplog):
                         r"0 apply_x calls, 0\.000s", monk[0])
     assert re.fullmatch(r"monk n=5: 9 X entries of 4 words, 17 terms, 3 transitions, 4 plans, "
                         r"11 apply_x calls, \d+\.\d{3}s", monk[1])
+    # one line per n before it: the instances, the products they ask for
+    # and those product_vec formed
+    sweep = [line for line in lines if line.startswith("keyidentity")]
+    assert sweep == ["keyidentity n=4: 1 instances, 2 products asked, 2 formed",
+                     "keyidentity n=5: 6 instances, 12 products asked, 8 formed"]
+    assert lines.index(sweep[1]) == lines.index(monk[1]) - 1
     slices = [line for line in lines if line.startswith("slice")]
     assert len(slices) == 1 and slices[0].startswith("slice n=5 m=3: 15 x 15, ")
 
@@ -546,11 +557,11 @@ def _polynomial_route(u, v, n):
     """sigma_u * sigma_v by evaluating u's quantum Schubert polynomial in the
     operators X_i on sigma_v (the route the quantum transition replaced)."""
     vec = {v.oneline: {(0,) * (n - 1): 1}}
-    return _vec_to_class(apply_polynomial(monk_operators(n), quantum_schubert(u, n), vec), n)
+    return vec_to_class(apply_polynomial(monk_operators(n), quantum_schubert(u, n), vec), n)
 
 
 def test_transition_product_matches_polynomial_route():
-    perms = _sorted_perms(4)
+    perms = sorted_perms(4)
     for u in perms:
         for v in perms:
             assert class_product(u, v, 4) == _polynomial_route(u, v, 4)
@@ -573,7 +584,7 @@ def test_transition_rest_lies_below(n):
     # length and lexicographically greater
     ops = monk_operators(n)
     unit = {(0,) * (n - 1): 1}
-    for u in _sorted_perms(n)[1:]:
+    for u in sorted_perms(n)[1:]:
         ol = u.oneline
         r = max(i for i in range(n - 1) if ol[i] > ol[i + 1])
         s = max(j for j in range(r + 1, n) if ol[j] < ol[r])
@@ -598,10 +609,46 @@ def test_transition_rejects_a_missing_unit_term(monkeypatch):
 
 def test_signed_sum_matches_class_arithmetic():
     n = 4
-    a = class_product(P("2143"), P("1342"), n)
-    b = class_product(P("3142"), P("2314"), n)
-    got = signed_sum([(2, a), (-1, b), (1, b)], n)
-    assert got == a.scaled(2)
-    assert signed_sum([(3, a), (-1, b)], n) == a.scaled(3) - b
-    assert signed_sum([(1, a), (-1, a)], n).is_zero()
-    assert signed_sum([], n).is_zero()
+    a = product_vec(P("2143").oneline, P("1342").oneline, n)
+    b = product_vec(P("3142").oneline, P("2314").oneline, n)
+    a_cls, b_cls = vec_to_class(a, n), vec_to_class(b, n)
+    frozen = repr((a, b))
+    assert vec_to_class(signed_sum([(2, a), (-1, b), (1, b)]), n) == a_cls.scaled(2)
+    assert vec_to_class(signed_sum([(3, a), (-1, b)]), n) == a_cls.scaled(3) - b_cls
+    assert signed_sum([(1, a), (-1, a)]) == {}
+    assert signed_sum([]) == {}
+    # the memoised products it summed are left as they were
+    assert repr((a, b)) == frozen
+
+
+def test_product_vec_matches_class_product():
+    for n, pairs in ((4, 30), (6, 20), (7, 5)):
+        rng = random.Random(200 + n)
+        for _ in range(pairs):
+            u, v = (Permutation(tuple(rng.sample(range(n), n))) for _ in range(2))
+            vec = product_vec(u.oneline, v.oneline, n)
+            assert vec_to_class(vec, n) == class_product(u, v, n)
+            assert product_vec(u.oneline, v.oneline, n) is vec  # memoised
+            assert vec_to_class(product_vec(v.oneline, u.oneline, n), n) == class_product(u, v, n)
+    with pytest.raises(NotInGroup):
+        product_vec((1, 0, 2), (0, 1), 3)
+
+
+def test_product_vec_grading_check_trips_on_a_corrupted_product(monkeypatch):
+    # an extra sigma_id term has degree 0, not l(u) + l(v)
+    n = 4
+    u, v = (1, 0, 2, 3), (0, 2, 1, 3)
+    real = schubring.transition_product
+
+    def corrupted(ops, ol, vec):
+        out = dict(real(ops, ol, vec))
+        out[tuple(range(n))] = {(0,) * (n - 1): 1}
+        return out
+
+    monkeypatch.setattr(schubring, "transition_product", corrupted)
+    product_vec.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="grading violated at sigma_1234 "):
+            product_vec(u, v, n)
+    finally:
+        product_vec.cache_clear()

@@ -10,12 +10,13 @@ from scipy.optimize import linear_sum_assignment  # the reference for _min_cost_
 from flagmirror import verify
 from flagmirror.cli import main
 from flagmirror.combinat import (FlagShape, Permutation, build_xi_and_wJ,
-                                 grassmannian_from_first_values)
+                                 grassmannian_word)
 from flagmirror.crit import toeplitz_scaling
 from flagmirror.errors import FormulaViolation, IdentityViolation, PivotFailure, SizeCap
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
-from flagmirror.schubring import QHClass, class_product, q_table, quantum_H, xq_table
+from flagmirror.schubring import (QHClass, class_product, normal_form, product_vec, q_table,
+                                  quantum_H, sorted_perms, vec_to_class, xq_table)
 from flagmirror.verify import (
     ACCEPTANCE_SHAPES,
     G_1,
@@ -26,8 +27,10 @@ from flagmirror.verify import (
     check_mirror_spectrum,
     check_tau_symmetry,
     det_formula_class,
+    det_formula_vec,
     key_identity_instances,
     key_identity_sweep,
+    quantum_H_word,
     tau,
 )
 
@@ -71,17 +74,59 @@ def test_det_formula_small_n():
 
 
 def test_det_formula_n7():
-    # 429 permutations; about three quarters of the time goes to normal_form
-    # and a fifth to the determinants
+    # 429 permutations, 855 cycle products formed: about 0.3 s
     rep = check_det_formula(7)
     assert rep.ok and rep.checked == 429
+
+
+@pytest.mark.slow
+def test_det_formula_n8():
+    # 1430 permutations: about 3-4 s
+    rep = check_det_formula(8)
+    assert rep.ok and rep.checked == 1430
+
+
+def test_quantum_H_is_the_class_of_a_cycle_word():
+    # H_l^k = sigma of the cycle (1, ..., k-1, k+l, k, ..., k+l-1, k+l+1, ..., n)
+    # modulo the quantum ideal, 0 for l < 0 and k + l - 1 = n
+    raised = 0
+    for n in range(2, 8):
+        one = MPoly.const(q_table(n), 1)
+        for k in range(1, n + 1):
+            for l in range(-2, n - k + 3):
+                if l > 0 and k + l - 1 > n:
+                    for fn in (quantum_H_word, quantum_H):
+                        with pytest.raises(ValueError, match=f"H_{l}\\^{k} needs"):
+                            fn(l, k, n)
+                    raised += 1
+                    continue
+                word = quantum_H_word(l, k, n)
+                if l < 0 or k + l - 1 == n:
+                    assert word is None
+                want = QHClass(("complete", n), {} if word is None else {Permutation(word): one})
+                assert normal_form(quantum_H(l, k, n), n) == want, (l, k, n)
+    assert raised == sum(range(2, 8))  # l = n - k + 2 for each k
+    # 1-based (1, 4, 2, 3, 5) is H_2^2 in S_5
+    assert quantum_H_word(2, 2, 5) == (0, 3, 1, 2, 4)
+
+
+def test_operator_route_matches_det_formula_class():
+    # the Leibniz expansion over cycle words against the MPoly determinant
+    # through normal_form, on every 321-avoiding w with n <= 6
+    for n in range(2, 7):
+        count = 0
+        for w in sorted_perms(n):
+            if w.is_321_avoiding:
+                assert vec_to_class(det_formula_vec(w, n), n) == det_formula_class(w, n), w
+                count += 1
+        assert count == {2: 2, 3: 5, 4: 14, 5: 42, 6: 132}[n]
 
 
 def test_det_formula_checks_n_before_listing_permutations(monkeypatch):
     def no_listing(n):
         raise AssertionError(f"listed the {n}! permutations")
 
-    monkeypatch.setattr(verify, "_sorted_perms", no_listing)
+    monkeypatch.setattr(verify, "sorted_perms", no_listing)
     for n in (1, 9, 10):
         with pytest.raises(SizeCap, match=f"2 <= n <= 8, got {n}"):
             check_det_formula(n)
@@ -92,7 +137,8 @@ def test_det_formula_debug_lines(caplog):
         check_det_formula(4)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
     assert len(lines) == 2
-    assert re.fullmatch(r"detformula n=4: 14 permutations, \d+\.\d{3}s", lines[0])
+    assert re.fullmatch(r"detformula n=4: 14 permutations, 8 cycle products formed, 3 reused, "
+                        r"\d+\.\d{3}s", lines[0])
     assert re.fullmatch(r"monk n=4: \d+ X entries of \d+ words, \d+ terms, \d+ transitions, "
                         r"\d+ plans, \d+ apply_x calls, \d+\.\d{3}s", lines[1])
 
@@ -264,23 +310,29 @@ def test_v_entry_formula_at_generic_points():
 
 
 def _fault_in_first_product(monkeypatch):
-    """Double the first class product that verify computes; the cached
+    """Double the first class product that verify computes; the memoised
     product in schubring is left untouched.  Returns the list of factor
-    pairs that verify asks for."""
+    words that verify asks for."""
     calls = []
 
     def faulty(u, v, n):
         calls.append((u, v))
-        out = class_product(u, v, n)
-        return out.scaled(2) if len(calls) == 1 else out
+        out = product_vec(u, v, n)
+        if len(calls) > 1:
+            return out
+        return {w: {b: 2 * c for b, c in p.items()} for w, p in out.items()}
 
-    monkeypatch.setattr(verify, "class_product", faulty)
+    monkeypatch.setattr(verify, "product_vec", faulty)
     return calls
 
 
 def _fault_in_det_formula(monkeypatch):
-    real = verify.det_formula_class
-    monkeypatch.setattr(verify, "det_formula_class", lambda w, n: real(w, n).scaled(2))
+    real = verify.det_formula_vec
+
+    def doubled(w, n, products=None):
+        return {u: {b: 2 * c for b, c in p.items()} for u, p in real(w, n, products).items()}
+
+    monkeypatch.setattr(verify, "det_formula_vec", doubled)
 
 
 def test_strict_flags_raise(monkeypatch):
@@ -295,9 +347,9 @@ def test_strict_flags_raise(monkeypatch):
     J0, wJ = next((J0, wJ) for J0, wJ in build_xi_and_wJ(shape, 1, 4).items()
                   if wJ is not None)
     njd = shape.nj(1) + 4 - (shape.n - shape.nj(2))
-    G = grassmannian_from_first_values(set(range(njd)) - set(J0), shape.n)
-    assert calls[0] == (wJ, G)
-    want = class_product(wJ, G, shape.n).scaled((-1) ** sum(v + 1 for v in J0))
+    G = grassmannian_word(set(range(njd)) - set(J0), shape.n)
+    assert calls[0] == (wJ.oneline, G)
+    want = class_product(wJ, Permutation(G), shape.n).scaled((-1) ** sum(v + 1 for v in J0))
     assert rep.residual.ring == want.ring and rep.residual.terms == want.terms
 
     _fault_in_det_formula(monkeypatch)

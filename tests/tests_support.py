@@ -39,12 +39,12 @@ from flagmirror.schubring import (
     MonkOperators,
     QHClass,
     _length_jump,
-    _sorted_perms,
     divided_difference,
     q_table,
     quantum_E,
     quantum_schubert,
     schubert_poly,
+    sorted_perms,
     xq_table,
 )
 
@@ -137,7 +137,7 @@ def schubert_symmetric_decompose(p: MPoly, n: int) -> dict[Permutation, MPoly]:
     out: dict[Permutation, MPoly] = {}
     maxlen = max((_x_degree(e, n) for e in rem.terms), default=-1)
     by_len: dict[int, list[Permutation]] = {}
-    for w in _sorted_perms(n):
+    for w in sorted_perms(n):
         by_len.setdefault(w.length, []).append(w)
     for level in range(min(maxlen, n * (n - 1) // 2), -1, -1):
         if rem.is_zero():
