@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Time the exact ring layer: `class_product` on seeded random pairs of S_7
 (median milliseconds per pair), then one row for `key_identity_sweep(8)`,
-one per n for `check_det_formula(n)`, n = 2..7, and one for the benchmark's
+one per n for `check_det_formula(n)`, n = 2..7, one for the benchmark's
 `ring-identities` pass, `key_identity_sweep(8)` then `check_det_formula(n)`
-for n = 2..5 (median of REPEATS runs).
+for n = 2..5, and two for `quantum_schubert`, on every w of S_6 and on
+QS_WORDS seeded words of S_7 (median of REPEATS runs).
 
 Every memo of `flagmirror.schubring` and `flagmirror.combinat` (products as
 classes and as operator vectors, Monk operators with their X_i entries,
-transitions and plans, q-exponents, polynomials, expansion slices, minimal
-representatives) is cleared before each pair and each run, so each is timed
-as the first call of a fresh process and the median does not depend on how
-many ran before it.
+transitions and plans, q-exponents, polynomials, the divided-difference
+coefficients of the quantum Schubert polynomials, minimal representatives)
+is cleared before each pair and each run, so each is timed as the first call
+of a fresh process and the median does not depend on how many ran before
+it.
 
     PYTHONPATH=src python scripts/product_timing.py --pairs 20 --seed 0
 """
@@ -28,6 +30,7 @@ SWEEP_N = 8
 DET_NS = (2, 3, 4, 5, 6, 7)
 RING_DET_NS = (2, 3, 4, 5)
 REPEATS = 5
+QS_WORDS = 5
 
 
 def clear_memos():
@@ -60,15 +63,28 @@ def time_pairs(pairs: int, seed: int) -> list[float]:
     return out
 
 
-def layer_rows():
+def quantum_schubert_all(words, n):
+    for w in words:
+        schubring.quantum_schubert(w, n)
+
+
+def layer_rows(seed: int):
     """(label, seconds of each run) for the key identity sweep, the
-    determinantal formula per n and the ring-identities pass."""
+    determinantal formula per n, the ring-identities pass and the quantum
+    Schubert polynomials."""
     yield (f"key_identity_sweep({SWEEP_N})",
            [timed(lambda: verify.key_identity_sweep(SWEEP_N)) for _ in range(REPEATS)])
     for n in DET_NS:
         yield (f"check_det_formula({n})",
                [timed(lambda: verify.check_det_formula(n)) for _ in range(REPEATS)])
     yield "ring-identities", [timed(ring_identities) for _ in range(REPEATS)]
+    s6 = schubring.sorted_perms(6)
+    yield (f"quantum_schubert S_6 ({len(s6)} words)",
+           [timed(lambda: quantum_schubert_all(s6, 6)) for _ in range(REPEATS)])
+    rng = random.Random(seed)
+    s7 = [Permutation(tuple(rng.sample(range(N), N))) for _ in range(QS_WORDS)]
+    yield (f"quantum_schubert S_{N} ({QS_WORDS} words, seed {seed})",
+           [timed(lambda: quantum_schubert_all(s7, N)) for _ in range(REPEATS)])
 
 
 if __name__ == "__main__":
@@ -80,7 +96,7 @@ if __name__ == "__main__":
     print(f"class_product S_{N}: {len(ms)} pairs (seed {args.seed}), "
           f"median {statistics.median(ms):.1f} ms/pair "
           f"(min {min(ms):.1f}, max {max(ms):.1f})")
-    for label, runs in layer_rows():
+    for label, runs in layer_rows(args.seed):
         ms = [1e3 * t for t in runs]
         print(f"{label}: median {statistics.median(ms):.1f} ms of {len(ms)} runs "
               f"(min {min(ms):.1f}, max {max(ms):.1f})")

@@ -339,11 +339,12 @@ def grassmannian_word(values: frozenset[int] | set[int], n: int) -> tuple[int, .
     return (*sorted(values), *(v for v in range(n) if v not in values))
 
 
-def build_xi_and_wJ(shape: FlagShape, j: int, i: int) -> dict[tuple[int, ...], Permutation | None]:
+def build_xi_and_wJ(shape: FlagShape, j: int, i: int) -> dict[tuple[int, ...], tuple[int, ...] | None]:
     """The index set Xi and elements w_J for the middle range n-n_{j+1} < i < n-n_j.
 
-    Keys are the subsets J (0-based value tuples); a value of None records the
-    case in which w_J is undefined and its Schubert class contributes zero.
+    Keys are the subsets J (0-based value tuples) and values the one-line
+    words of w_J; a value of None records the case in which w_J is undefined
+    and its Schubert class contributes zero.
     """
     n, r, bounds = shape.n, shape.r, shape._bounds
     if not (1 <= j <= r - 1):
@@ -355,7 +356,7 @@ def build_xi_and_wJ(shape: FlagShape, j: int, i: int) -> dict[tuple[int, ...], P
     a = nj2 - nj1
 
     # the words are built 0-based: J a subset of [0, i) avoiding [n_j + d, n)
-    out: dict[tuple[int, ...], Permutation | None] = {}
+    out: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for J in itertools.combinations(range(min(i, nj + d)), d):
         xs = tuple(x for x in range(i) if x not in J)
         if nj >= d:
@@ -366,10 +367,10 @@ def build_xi_and_wJ(shape: FlagShape, j: int, i: int) -> dict[tuple[int, ...], P
             out[J] = None
             continue
         oneline = head + xs[1:a] + (n - 1,) + xs[a:]  # head: the first two blocks
-        w = Permutation(oneline)
         if not _ascends_in_blocks(oneline, bounds):
-            raise NotMinimalRep(f"w_J = {w} escaped W^P for J={tuple(v + 1 for v in J)}")
-        out[J] = w
+            raise NotMinimalRep(f"w_J = {Permutation(oneline)} escaped W^P "
+                                f"for J={tuple(v + 1 for v in J)}")
+        out[J] = oneline
     return out
 
 

@@ -41,11 +41,6 @@ class NonIntegralCoefficient(FlagMirrorError):
     """A Schubert-basis coefficient came out non-integral (implementation bug)."""
 
 
-class ExpansionFailure(FlagMirrorError):
-    """An integer e-expansion slice found no unit pivot or failed its
-    multiply-back check."""
-
-
 class TransitionFailure(FlagMirrorError):
     """X_r sigma_{u t_rs} did not hold sigma_u with coefficient 1 plus classes
     below u, as the quantum transition requires (implementation bug)."""

@@ -13,9 +13,10 @@ X_r sigma_{u t_rs} minus classes below u, along a plan memoised per u
 memoises sigma_u * sigma_v as such a vector and signed_sum adds vectors, so
 the identity checks build no QHClass unless a residue is nonzero.  The class
 of a polynomial p modulo the quantum ideal I_n^q (normal_form) is p evaluated
-in the X_i on sigma_id.  Quantum Schubert polynomials come from the standard
-elementary-monomial expansion, a Z-basis, computed by exact integer
-elimination and checked by multiplying back; they serve the public API.
+in the X_i on sigma_id.  Quantum Schubert polynomials (public API) quantize
+the standard elementary-monomial expansion of S_w, whose coefficients are
+y-divided differences of monomials at y = 0 (one memoised integer recursion,
+sharing the monomial divided-difference rule with schubert_poly).
 """
 
 from __future__ import annotations
@@ -24,17 +25,12 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
 
-import numpy as np
-
 from .combinat import FlagShape, Permutation, word_length
-from .errors import (ExpansionFailure, NonIntegralCoefficient, NotInGroup, SizeCap,
-                     TransitionFailure)
-from .exactalg import MPoly, VarTable, _quo, det
+from .errors import NonIntegralCoefficient, NotInGroup, SizeCap, TransitionFailure
+from .exactalg import MPoly, VarTable, det
 
 __all__ = [
     "xq_table",
@@ -44,7 +40,6 @@ __all__ = [
     "schubert_poly",
     "divided_difference",
     "quantum_schubert",
-    "elementary_expand",
     "MonkOperators",
     "monk_operators",
     "class_product",
@@ -59,7 +54,6 @@ __all__ = [
 
 log = logging.getLogger("flagmirror")
 _MAX_N = 8
-_INT64_LIMIT = 2 ** 63
 
 
 @lru_cache(maxsize=None)
@@ -120,19 +114,20 @@ def quantum_H(l: int, k: int, n: int) -> MPoly:
     return det(rows)
 
 
+def _dd_terms(e: tuple[int, ...], p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The terms (sign, exponent) of the divided difference
+    (z^e - s z^e) / (z_a - z_b) of one monomial, where z_a and z_b sit at
+    the 0-based positions p and p+1 and s swaps them."""
+    a, b = e[p], e[p + 1]
+    lo, hi, sgn = (b, a, 1) if a > b else (a, b, -1)
+    return [(sgn, e[:p] + (t, a + b - 1 - t) + e[p + 2:]) for t in range(lo, hi)]
+
+
 def divided_difference(f: MPoly, i: int, n: int) -> MPoly:
     """Divided difference (f - s_i f) / (x_i - x_{i+1}) on xq_table(n)."""
-    ia, ib = i - 1, i  # table positions of x_i, x_{i+1}
     out: dict = {}
     for e, c in f.terms.items():
-        a, b = e[ia], e[ib]
-        if a == b:
-            continue
-        lo, hi, sgn = (b, a, 1) if a > b else (a, b, -1)
-        for t in range(lo, hi):
-            e2 = list(e)
-            e2[ia], e2[ib] = t, a + b - 1 - t
-            key = tuple(e2)
+        for sgn, key in _dd_terms(e, i - 1):
             v = out.get(key, 0) + sgn * c
             if v:
                 out[key] = v
@@ -165,132 +160,55 @@ def sorted_perms(n: int) -> tuple[Permutation, ...]:
     return tuple(perms)
 
 
-# -- e-monomial expansion and quantization -----------------------------------
-
-
-def _emono_terms(imono: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
-    """e_{i_1}(x_1) e_{i_2}(x_1, x_2) ... e_{i_{n-1}}(x_1..x_{n-1}) as integer
-    terms {x-exponent: coefficient}."""
-    terms = {(0,) * n: 1}
-    for k, ik in enumerate(imono, start=1):
-        if not ik:
-            continue
-        nxt: dict[tuple[int, ...], int] = {}
-        for subset in itertools.combinations(range(k), ik):
-            for e, c in terms.items():
-                g = list(e)
-                for j in subset:
-                    g[j] += 1
-                g = tuple(g)
-                nxt[g] = nxt.get(g, 0) + c
-        terms = nxt
-    return terms
-
-
-def _unimodular_inverse(mat: np.ndarray) -> np.ndarray:
-    """Exact inverse of an integer matrix by Gauss-Jordan elimination on +-1
-    pivots, checked by multiplying back; raises ExpansionFailure when a column
-    has no unit pivot or the check fails."""
-    size = len(mat)
-    aug = np.concatenate([mat, np.eye(size, dtype=np.int64)], axis=1)
-    free = np.ones(size, dtype=bool)
-    pivot_row = np.empty(size, dtype=np.intp)
-    for c in range(size):
-        cand = np.flatnonzero(free & (np.abs(aug[:, c]) == 1))
-        if not cand.size:
-            raise ExpansionFailure(f"slice matrix column {c} has no unit pivot")
-        p = cand[0]
-        free[p] = False
-        pivot_row[c] = p
-        aug[p] *= aug[p, c]  # a +-1 pivot becomes 1
-        factors = aug[:, c].copy()
-        factors[p] = 0
-        rows = np.flatnonzero(factors)
-        aug[rows] -= factors[rows, None] * aug[p]
-    inv = aug[pivot_row, size:]
-    # a row sum of |mat| times max |inv| bounds every entry of mat @ inv, so
-    # below 2^63 the check is exact in int64 even if elimination overflowed
-    bound = int(np.abs(mat).sum(axis=1).max(initial=0)) * int(np.abs(inv).max(initial=0))
-    if bound >= _INT64_LIMIT:
-        raise ExpansionFailure("slice inverse too large for an exact int64 check")
-    if not np.array_equal(mat @ inv, np.eye(size, dtype=np.int64)):
-        raise ExpansionFailure("slice inverse failed the multiply-back check")
-    return inv
+# -- quantum Schubert polynomials ---------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _slice_expander(n: int, m: int):
-    """Transition data between degree-m substaircase monomials (exponents
-    a_k <= n-k) and standard elementary monomials e_{i_1..i_{n-1}}.
-
-    Returns (subst, emonos, col, inv): mat[r, col[e]] is the coefficient of
-    x^e in emonos[r], and inv is its exact inverse.  The standard elementary
-    monomials are a Z-basis of the substaircase span (Fomin-Gelfand-Postnikov),
-    so mat is unimodular; it is built in int64, inverted by integer elimination
-    on unit pivots and checked by multiplying back.
-    """
-    t0 = time.perf_counter()
-    subst = [e for e in itertools.product(*(range(n - k + 1) for k in range(1, n + 1)))
-             if sum(e) == m]
-    emonos = [i for i in itertools.product(*(range(k + 1) for k in range(1, n)))
-              if sum(i) == m]
-    assert len(subst) == len(emonos)
-    col = {e: idx for idx, e in enumerate(subst)}
-    mat = np.zeros((len(emonos), len(subst)), dtype=np.int64)
-    for r, imono in enumerate(emonos):
-        for e, c in _emono_terms(imono, n).items():
-            mat[r, col[e]] = c
-    inv = _unimodular_inverse(mat)
-    log.debug("slice n=%d m=%d: %d x %d, %.3fs", n, m, len(subst), len(subst),
-              time.perf_counter() - t0)
-    return subst, emonos, col, inv
-
-
-def elementary_expand(p: MPoly, n: int) -> dict[tuple[int, ...], int | Fraction]:
-    """Expand a q-free polynomial in standard elementary monomials
-    e_{i_1..i_{n-1}} with 0 <= i_k <= k; raises if p is outside their span.
-    A coefficient is an int when integral, else a Fraction."""
-    out: dict[tuple[int, ...], int | Fraction] = {}
-    by_deg: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        if any(e[n:]):
-            raise ValueError("elementary_expand expects a q-free polynomial")
-        by_deg.setdefault(sum(e[:n]), {})[e[:n]] = c
-    for m, terms in by_deg.items():
-        subst, emonos, col, inv = _slice_expander(n, m)
-        scale = lcm(*(c.denominator for c in terms.values()))
-        vec = [0] * len(subst)
-        for e, c in terms.items():
-            if e not in col:
-                raise ValueError(f"monomial {e} outside the substaircase span")
-            vec[col[e]] = c.numerator * (scale // c.denominator)
-        # p = sum_i c_i emono_i means vec = mat^T c, so c = inv^T vec; Python
-        # integers take over where int64 could overflow
-        exact = sum(map(abs, vec)) * int(np.abs(inv).max(initial=0)) < _INT64_LIMIT
-        coeffs = inv.T @ np.array(vec, dtype=np.int64 if exact else object)
-        for imono, c in zip(emonos, coeffs.tolist()):
-            if c:
-                out[imono] = _quo(c, scale)
-    return out
+def _kappa(v: tuple[int, ...], c: tuple[int, ...]) -> int:
+    """[d^y_v y^c] at y = 0 for the one-line word v: with i the last descent
+    of v, d_v = d_{v s_i} d_i, so the terms s y^c' of d_i y^c give
+    sum s kappa(v s_i, c')."""
+    i = next((p for p in range(len(v) - 2, -1, -1) if v[p] > v[p + 1]), None)
+    if i is None:
+        return int(not any(c))
+    vs = v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+    return sum(s * _kappa(vs, c2) for s, c2 in _dd_terms(c, i))
 
 
 @lru_cache(maxsize=None)
 def quantum_schubert(w: Permutation, n: int) -> MPoly:
-    """Quantum Schubert polynomial: re-express the elementary-monomial
-    expansion of the classical S_w with quantum elementary polynomials."""
+    """Quantum Schubert polynomial S^q_w: the standard elementary-monomial
+    expansion of S_w with each e_i(x_1..x_k) replaced by E_i^k
+    (Fomin-Gelfand-Postnikov, JAMS 10, 1997).  Expanding
+    S_{w0}(x; y) = prod_{i+j<=n} (x_i - y_j) once in standard monomials and
+    once by the Cauchy identity gives the coefficient of
+    e_{i_1}^{(1)}...e_{i_{n-1}}^{(n-1)} in S_w as [d^y_{w w0} y^b]_{y=0},
+    b_{n-k} = k - i_k (Kirillov-Maeno, Discrete Math. 217, 2000, for the
+    quantum double form).  One DEBUG line per polynomial gives the standard
+    monomials with a nonzero coefficient, its terms and its seconds."""
     if w.n != n:
         raise NotInGroup(f"{w} is not in S_{n}")
-    coeffs = elementary_expand(schubert_poly(w, n), n)
+    t0 = time.perf_counter()
+    v = w.oneline[::-1]  # w w0
+    length = n * (n - 1) // 2 - w.length
     tab = xq_table(n)
     out = MPoly.zero(tab)
-    for imono, c in coeffs.items():
-        if type(c) is not int:
-            raise NonIntegralCoefficient(f"e-expansion of {w}: {c}")
+    monos = 0
+    for b in itertools.product(*(range(n - j + 1) for j in range(1, n + 1))):
+        if sum(b) != length:
+            continue
+        c = _kappa(v, b)
+        if not c:
+            continue
+        monos += 1
         prod = MPoly.const(tab, c)
-        for k, ik in enumerate(imono, start=1):
+        for k in range(1, n):
+            ik = k - b[n - k - 1]
             if ik:
                 prod = prod * quantum_E(ik, k, n)
         out = out + prod
+    log.debug("qschubert n=%d w=%s: %d standard monomials, %d terms, %.3fs", n, w, monos,
+              len(out.terms), time.perf_counter() - t0)
     return out
 
 

@@ -130,7 +130,7 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
             continue
         sgn = (-1) ** sum(v + 1 for v in J0)
         G = grassmannian_word(set(range(njd)) - set(J0), n)
-        pairs.append((sgn, product_vec(wJ.oneline, G, n)))
+        pairs.append((sgn, product_vec(wJ, G, n)))
     terms = len(pairs)
     residue = signed_sum(pairs)
     ok = not residue

@@ -82,6 +82,7 @@ def test_quantum_term_matches_wJ_remark():
         if wJ is None:
             assert not quantum
         else:
+            wJ = Permutation(wJ)
             assert set(quantum) == {wJ}
             assert quantum[wJ] == qvar(shape, j + 1)
 

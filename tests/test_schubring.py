@@ -4,14 +4,12 @@ import random
 import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from tests_support import (
     MonkColumnOperators,
     _elementary,
-    fraction_inverse,
     monk_apply,
     monk_column,
     omega_involution,
@@ -20,16 +18,13 @@ from tests_support import (
 
 from flagmirror import schubring, verify
 from flagmirror.combinat import Permutation
-from flagmirror.errors import ExpansionFailure, NotInGroup, SizeCap, TransitionFailure
+from flagmirror.errors import NotInGroup, SizeCap, TransitionFailure
 from flagmirror.exactalg import MPoly, VarTable, det
 from flagmirror.schubring import (
     MonkOperators,
     QHClass,
-    _slice_expander,
-    _unimodular_inverse,
     apply_polynomial,
     class_product,
-    elementary_expand,
     monk_operators,
     normal_form,
     product_vec,
@@ -149,6 +144,41 @@ def test_quantum_schubert_examples():
             assert quantum_schubert(w, n) == quantum_E(1, k, n)
     n = 3
     assert quantum_schubert(P("321"), n) == quantum_E(1, 1, n) * quantum_E(2, 2, n)
+    n = 4
+    assert quantum_schubert(P("1423"), n) == (quantum_E(1, 2, n) * quantum_E(1, 3, n)
+                                              - quantum_E(2, 3, n))
+
+
+def _check_quantum_schubert(w, n):
+    """The three properties that fix S^q_w, since the standard monomials
+    (x_k exponent at most n - k) are a Z[q]-basis of QH*(Fl_n): it is
+    standard, its q = 0 part is S_w, and its class is sigma_w."""
+    got = quantum_schubert(w, n)
+    assert all(e[k] <= n - 1 - k for e in got.terms for k in range(n)), w
+    classical = {e: c for e, c in got.terms.items() if not any(e[n:])}
+    assert classical == schubert_poly(w, n).terms, w
+    assert normal_form(got, n) == one_class(w, n), w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quantum_schubert_characterized(n):
+    for w in sorted_perms(n):
+        _check_quantum_schubert(w, n)
+
+
+@pytest.mark.slow
+def test_quantum_schubert_characterized_s6():
+    for w in sorted_perms(6):
+        _check_quantum_schubert(w, 6)
+
+
+@pytest.mark.slow
+def test_quantum_schubert_characterized_s8_word():
+    rng = random.Random(8)
+    w = Permutation(tuple(rng.sample(range(8), 8)))
+    while w.length != 12:
+        w = Permutation(tuple(rng.sample(range(8), 8)))
+    _check_quantum_schubert(w, 8)
 
 
 def test_monk_examples_small():
@@ -280,8 +310,6 @@ def test_omega_preserves_ideal(n):
 
 def test_normal_form_examples():
     n = 3
-    for w in sorted_perms(n):
-        assert normal_form(quantum_schubert(w, n), n) == one_class(w, n)
     assert normal_form(quantum_E(1, n, n), n).is_zero()
     got = normal_form(x(2, 1) * x(2, 1), 2)
     assert got == QHClass(("complete", 2), {P("12"): MPoly.var(q_table(2), "q1")})
@@ -349,46 +377,6 @@ def test_normal_form_matches_straighten(monkeypatch):
     assert len(seen) == 42
     for p in seen:
         assert normal_form(p, 5) == straighten(p, 5)
-
-
-def _slice_matrix_slow(n, m):
-    """The degree-m slice matrix from Fraction products of the _elementary
-    polynomials (the route the integer expander replaced)."""
-    subst, emonos, col, _ = _slice_expander(n, m)
-    mat = [[Fraction(0)] * len(subst) for _ in emonos]
-    for r, imono in enumerate(emonos):
-        prod = MPoly.const(xq_table(n), 1)
-        for k, ik in enumerate(imono, start=1):
-            prod = prod * _elementary(ik, k, n)
-        for e, c in prod.terms.items():
-            mat[r][col[e[:n]]] += c
-    return mat
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_slice_inverse_matches_fraction_inverse(n):
-    for m in range(n * (n - 1) // 2 + 1):
-        inv = _slice_expander(n, m)[3]
-        assert inv.dtype == np.int64
-        assert inv.tolist() == fraction_inverse(_slice_matrix_slow(n, m))
-
-
-def test_unimodular_inverse_rejects_non_unit_pivots():
-    with pytest.raises(ExpansionFailure, match="no unit pivot"):
-        _unimodular_inverse(np.array([[2, 0], [0, 1]], dtype=np.int64))
-    with pytest.raises(ExpansionFailure, match="no unit pivot"):
-        _unimodular_inverse(np.array([[1, 1], [1, 1]], dtype=np.int64))
-
-
-def test_elementary_expand_rational_and_out_of_span():
-    n = 3
-    p = schubert_poly(P("312"), n) * Fraction(1, 2)
-    want = {k: Fraction(v, 2) for k, v in elementary_expand(schubert_poly(P("312"), n), n).items()}
-    assert elementary_expand(p, n) == want
-    big = 2 ** 70  # past int64: the mat-vec runs on Python integers
-    assert elementary_expand(p * big, n) == {k: v * big for k, v in want.items()}
-    with pytest.raises(ValueError, match="outside the substaircase span"):
-        elementary_expand(x(n, 3), n)
 
 
 def _monk_reference(ol):
@@ -528,12 +516,13 @@ def test_monk_operators_touch_no_disk(tmp_path, monkeypatch):
 def test_debug_log_lines(caplog):
     monk_operators.cache_clear()
     product_vec.cache_clear()
-    _slice_expander.cache_clear()
+    quantum_schubert.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="flagmirror"):
         key_identity_sweep(5)
-        # the products run through the Monk operators alone: no e-expansion
-        assert _slice_expander.cache_info().currsize == 0
-        _slice_expander(5, 3)
+        # the products run through the Monk operators alone: no quantum
+        # Schubert polynomial
+        assert quantum_schubert.cache_info().currsize == 0
+        quantum_schubert(P("1423"), 4)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
     # one line per n of the sweep: n = 4 expands only the identity, n = 5
     # four words through three transitions
@@ -549,8 +538,12 @@ def test_debug_log_lines(caplog):
     assert sweep == ["keyidentity n=4: 1 instances, 2 products asked, 2 formed",
                      "keyidentity n=5: 6 instances, 12 products asked, 8 formed"]
     assert lines.index(sweep[1]) == lines.index(monk[1]) - 1
-    slices = [line for line in lines if line.startswith("slice")]
-    assert len(slices) == 1 and slices[0].startswith("slice n=5 m=3: 15 x 15, ")
+    # one line per computed polynomial: S^q_{1423} = E_1^2 E_1^3 - E_2^3 =
+    # x1^2 + x1x2 + x2^2 - q1 - q2, two standard monomials and five terms
+    qs = [line for line in lines if line.startswith("qschubert")]
+    assert len(qs) == 1
+    assert re.fullmatch(r"qschubert n=4 w=1423: 2 standard monomials, 5 terms, \d+\.\d{3}s",
+                        qs[0])
 
 
 def _polynomial_route(u, v, n):

@@ -348,8 +348,8 @@ def test_strict_flags_raise(monkeypatch):
                   if wJ is not None)
     njd = shape.nj(1) + 4 - (shape.n - shape.nj(2))
     G = grassmannian_word(set(range(njd)) - set(J0), shape.n)
-    assert calls[0] == (wJ.oneline, G)
-    want = class_product(wJ, Permutation(G), shape.n).scaled((-1) ** sum(v + 1 for v in J0))
+    assert calls[0] == (wJ, G)
+    want = class_product(Permutation(wJ), Permutation(G), shape.n).scaled((-1) ** sum(v + 1 for v in J0))
     assert rep.residual.ring == want.ring and rep.residual.terms == want.terms
 
     _fault_in_det_formula(monkeypatch)

@@ -336,7 +336,7 @@ class MonkColumnOperators(MonkOperators):
 
 def build_xi_and_wJ_reference(shape, j: int, i: int):
     """`build_xi_and_wJ` as the 1-based block lists of its defining formula,
-    each w_J checked by `is_minimal_rep`."""
+    each w_J checked by `is_minimal_rep` and returned as its one-line word."""
     n, r = shape.n, shape.r
     if not (1 <= j <= r - 1):
         raise InvalidRange(f"need 1 <= j <= r-1 = {r - 1}, got j={j}")
@@ -364,7 +364,7 @@ def build_xi_and_wJ_reference(shape, j: int, i: int):
         w = Permutation(tuple(v - 1 for v in b1 + b2 + b3 + b4))
         if not is_minimal_rep(w, shape):
             raise NotMinimalRep(f"w_J = {w} escaped W^P for J={J1}")
-        out[tuple(v - 1 for v in J1)] = w
+        out[tuple(v - 1 for v in J1)] = w.oneline
     return out
 
 
