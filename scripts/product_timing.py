@@ -7,8 +7,8 @@ for n = 2..5, and two for `quantum_schubert`, on every w of S_6 and on
 QS_WORDS seeded words of S_7 (median of REPEATS runs).
 
 Every memo of `flagmirror.schubring` and `flagmirror.combinat` (products as
-classes and as operator vectors, Monk operators with their X_i entries,
-transitions and plans, q-exponents, polynomials, the divided-difference
+classes and as operator vectors, Monk operators with their X_i entries and
+transitions, q-exponents, polynomials, the divided-difference
 coefficients of the quantum Schubert polynomials, minimal representatives)
 is cleared before each pair and each run, so each is timed as the first call
 of a fresh process and the median does not depend on how many ran before

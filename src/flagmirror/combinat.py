@@ -19,6 +19,7 @@ __all__ = [
     "FlagShape",
     "Permutation",
     "word_length",
+    "avoids_321",
     "Partition",
     "SkewShape",
     "code",
@@ -151,7 +152,7 @@ class Permutation:
 
     @cached_property
     def is_321_avoiding(self) -> bool:
-        return not _has_321(self.oneline)
+        return avoids_321(self.oneline)
 
     def times_transposition(self, a: int, b: int) -> "Permutation":
         """Right multiplication by t_{ab}: swap the entries in positions a, b (0-based)."""
@@ -200,13 +201,18 @@ def word_length(ol: tuple[int, ...]) -> int:
     return count
 
 
-def _has_321(w: tuple[int, ...]) -> bool:
-    n = len(w)
-    for j in range(1, n - 1):
-        if max(w[:j], default=-1) > w[j]:
-            if min(w[j + 1:], default=n) < w[j]:
-                return True
-    return False
+def avoids_321(ol: tuple[int, ...]) -> bool:
+    """True iff the one-line word ol has no entries a > b > c in this order,
+    that is iff its entries that are not left-to-right maxima increase."""
+    top = low = -1
+    for v in ol:
+        if v > top:
+            top = v
+        elif v > low:
+            low = v
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

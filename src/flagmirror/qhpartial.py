@@ -22,7 +22,7 @@ import numpy as np
 from .combinat import FlagShape, Permutation, is_minimal_rep, minimal_reps
 from .errors import InvalidRange, NotMinimalRep
 from .exactalg import MPoly, VarTable, complex_to_json, eigenvalues
-from .schubring import QHClass, _length_jump
+from .schubring import QHClass
 
 __all__ = [
     "partial_q_table",
@@ -43,6 +43,14 @@ def partial_q_table(shape: FlagShape) -> VarTable:
     return VarTable.make([
         (f"q{shape.nj(j)}", "q", shape.qdegs[j - 1]) for j in range(1, shape.r + 1)
     ])
+
+
+def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
+    """l(w t_{ab}) - l(w) for 0-based positions a < b."""
+    va, vb = ol[a], ol[b]
+    lo, hi = (va, vb) if va < vb else (vb, va)
+    between = sum(1 for c in range(a + 1, b) if lo < ol[c] < hi)
+    return (1 + 2 * between) * (1 if va < vb else -1)
 
 
 def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) -> dict:

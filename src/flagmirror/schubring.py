@@ -7,16 +7,17 @@ that M_i and M_{i-1} share cancel, so X_i sigma_w is a signed sum over the
 transpositions with a = i - 1 (sign +) and with b = i - 1 (sign -).  Those
 entries are computed on first use and memoised per (word, i), in memory (no
 n!-sized build, no disk cache).  A general class sigma_u acts on an operator
-vector ({word: {q-exponent: int}}) by the quantum transition, sigma_u =
-X_r sigma_{u t_rs} minus classes below u, along a plan memoised per u
+vector ({word: {q-exponent: int}}) by the quantum transition, sigma_u = X_r
+sigma_{u t_rs} minus classes below u, recursing into the classes it reaches
 (transition_product), so a product needs X_i entries only.  product_vec
-memoises sigma_u * sigma_v as such a vector and signed_sum adds vectors, so
-the identity checks build no QHClass unless a residue is nonzero.  The class
-of a polynomial p modulo the quantum ideal I_n^q (normal_form) is p evaluated
-in the X_i on sigma_id.  Quantum Schubert polynomials (public API) quantize
-the standard elementary-monomial expansion of S_w, whose coefficients are
-y-divided differences of monomials at y = 0 (one memoised integer recursion,
-sharing the monomial divided-difference rule with schubert_poly).
+memoises a product of any number of classes as such a vector and signed_sum
+adds vectors, so the identity checks build no QHClass unless a residue is
+nonzero.  The class of a polynomial p modulo the quantum ideal I_n^q
+(normal_form) is p evaluated in the X_i on sigma_id.  Quantum Schubert
+polynomials (public API) quantize the standard elementary-monomial expansion
+of S_w, whose coefficients are y-divided differences of monomials at y = 0
+(one memoised integer recursion, sharing the monomial divided-difference rule
+with schubert_poly).
 """
 
 from __future__ import annotations
@@ -239,20 +240,18 @@ class MonkOperators:
     basis of QH*(Fl_n), on sparse vectors keyed by one-line word, with M_k
     multiplication by sigma_{s_k}.  M_k sigma_w sums over the transpositions
     t_ab, a < k <= b (quantum Monk rule), so X_i sigma_w keeps those with
-    a = i - 1, with sign +, and those with b = i - 1, with sign -.  The
-    signed entries are memoised per (word, i); word lengths, transitions and
-    product plans per word."""
+    a = i - 1, with sign +, and those with b = i - 1, with sign -.  Entries
+    are memoised per (word, i), word lengths and transitions per word."""
 
     n: int
     # word -> [i-1] -> entries (sign, word of the image, q-exponent or None)
     x_entries: dict[tuple, list] = field(default_factory=dict, repr=False)
     # word of u -> (r, word of u t_rs, rest of X_r sigma_{u t_rs})
     transitions: dict[tuple, tuple] = field(default_factory=dict, repr=False)
-    # word of u -> the steps that expand sigma_u, in evaluation order
-    plans: dict[tuple, list] = field(default_factory=dict, repr=False)
     lengths: dict[tuple, int] = field(default_factory=dict, repr=False)
     build_s: float = 0.0  # seconds spent computing X entries
     x_calls: int = 0  # calls of apply_x
+    products: int = 0  # products formed by product_vec
 
     def length(self, ol: tuple[int, ...]) -> int:
         """l(w) for the one-line word ol of w, memoised per word."""
@@ -342,48 +341,14 @@ class MonkOperators:
         self.transitions[ol] = got = (r + 1, v, rest)
         return got
 
-    def plan(self, ol: tuple[int, ...]) -> list[tuple]:
-        """The classes the transition recursion of sigma_u reaches, u with
-        one-line word ol, as (word, transition or None for the identity),
-        shortest first and, within a length, lexicographically greatest
-        first, so that every class a transition subtracts comes before its
-        use.  Memoised per word."""
-        got = self.plans.get(ol)
-        if got is not None:
-            return got
-        steps: dict[tuple, tuple | None] = {}
-        todo = [ol]
-        while todo:
-            w = todo.pop()
-            if w in steps:
-                continue
-            if self.length(w):
-                steps[w] = step = self.transition(w)
-                todo.append(step[1])
-                todo.extend(step[2])
-            else:
-                steps[w] = None
-        order = sorted(steps, reverse=True)
-        order.sort(key=self.length)  # stable: lexicographically greatest first per length
-        self.plans[ol] = got = [(w, steps[w]) for w in order]
-        return got
-
-
-def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
-    """l(w t_{ab}) - l(w) for 0-based positions a < b."""
-    va, vb = ol[a], ol[b]
-    lo, hi = (va, vb) if va < vb else (vb, va)
-    between = sum(1 for c in range(a + 1, b) if lo < ol[c] < hi)
-    return (1 + 2 * between) * (1 if va < vb else -1)
-
 
 @lru_cache(maxsize=None)
 def monk_operators(n: int) -> MonkOperators:
     """The Monk operators of QH*(Fl_n), 2 <= n <= 8, one object per process.
     Creating it computes nothing: X_i entries are computed per (one-line
     word, i) on first use, so no n!-sized build runs, and nothing is read
-    from or written to disk.  key_identity_sweep logs the entries,
-    transitions and plans built and the apply_x calls per n at DEBUG."""
+    from or written to disk.  key_identity_sweep logs the entries and
+    transitions built and the apply_x calls per n at DEBUG."""
     if not (2 <= n <= _MAX_N):
         raise SizeCap(f"monk operators support 2 <= n <= {_MAX_N}, got {n}")
     return MonkOperators(n)
@@ -480,48 +445,57 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
 def transition_product(ops: MonkOperators, ol: tuple[int, ...],
                         vec: dict[tuple, dict]) -> dict[tuple, dict]:
     """sigma_u applied to vec, u with one-line word ol, by the quantum
-    transition along the plan of u (MonkOperators.plan)."""
-    done: dict[tuple, dict[tuple, dict]] = {}
-    for w, step in ops.plan(ol):
-        if step is None:
-            done[w] = vec
-            continue
-        r, v, rest = step
-        out = ops.apply_x(r, done[v])
+    transition sigma_u = X_r sigma_v - R (MonkOperators.transition),
+    recursing into v and the classes of R down to the identity; each class
+    reached is applied to vec once."""
+    return _transition_apply(ops, ol, {tuple(range(ops.n)): vec})
+
+
+def _transition_apply(ops: MonkOperators, w: tuple[int, ...],
+                      done: dict[tuple, dict[tuple, dict]]) -> dict[tuple, dict]:
+    """sigma_w applied to done[id], done memoising the classes applied so far
+    (a closure calling itself would leave a reference cycle per call)."""
+    got = done.get(w)
+    if got is None:
+        r, v, rest = ops.transition(w)
+        out = ops.apply_x(r, _transition_apply(ops, v, done))
         for w2, coef in rest.items():
-            for row, poly in done[w2].items():
+            for row, poly in _transition_apply(ops, w2, done).items():
                 acc = out.setdefault(row, {})
                 for b2, c2 in coef.items():
                     _accumulate(acc, poly, -c2, b2 if any(b2) else None)
-        done[w] = {row: p for row, p in out.items() if p}
-    return done[ol]
+        done[w] = got = {row: p for row, p in out.items() if p}
+    return got
 
 
-@lru_cache(maxsize=1024)
-def product_vec(u_word: tuple[int, ...], v_word: tuple[int, ...], n: int) -> dict[tuple, dict]:
-    """Quantum product sigma_u * sigma_v in QH*(Fl_n) as an operator vector,
-    u and v given by one-line words; memoised, so callers must not mutate
-    the result.
-
-    The shorter factor is expanded by the quantum transition
-    (MonkOperators.transition), sigma_u = X_r sigma_{u t_rs} minus classes
-    below u, applied to the other factor's basis vector along the plan of u
-    (MonkOperators.plan); the product needs X_i entries only, no quantum
-    Schubert polynomial.  Every term is checked against the grading.
-    """
-    if len(u_word) != n or len(v_word) != n:
-        raise NotInGroup(f"{u_word}, {v_word} must lie in S_{n}")
+@lru_cache(maxsize=16384)
+def product_vec(words: tuple[tuple[int, ...], ...], n: int) -> dict[tuple, dict]:
+    """Quantum product sigma_{w_1} ... sigma_{w_m} in QH*(Fl_n) as an
+    operator vector, the w_i given by one-line words; memoised (all 13,217
+    lookups of check_det_formula(8) fit), so callers must not mutate it.
+    Identity words drop out and the rest are looked up sorted by length,
+    ties in the order given.  The shortest is applied by the quantum
+    transition (transition_product) to the product of the rest, down to the
+    basis vector of the longest.  Each product formed is checked against
+    the grading and counted in MonkOperators.products."""
+    if any(len(w) != n for w in words):
+        raise NotInGroup(f"{words} must lie in S_{n}")
     ops = monk_operators(n)
-    lu, lv = ops.length(u_word), ops.length(v_word)
-    if lu > lv:
-        u_word, v_word = v_word, u_word
-    out = transition_product(ops, u_word, {v_word: {(0,) * (n - 1): 1}})
+    key = tuple(sorted(filter(ops.length, words), key=ops.length))
+    unit = {(0,) * (n - 1): 1}
+    if len(key) < 2:
+        return {key[0] if key else tuple(range(n)): unit}
+    if key != words:
+        return product_vec(key, n)
+    rest = product_vec(key[1:], n) if len(key) > 2 else {key[1]: unit}
+    out = transition_product(ops, key[0], rest)
+    ops.products += 1
+    degree = sum(map(ops.length, key))
     for word, poly in out.items():
-        lw = ops.length(word)
         for b in poly:
-            if lu + lv != lw + 2 * sum(b):
-                raise AssertionError(f"grading violated at sigma_{Permutation(word)} q^{b} "
-                                     f"in {Permutation(u_word)}*{Permutation(v_word)}")
+            if degree != ops.length(word) + 2 * sum(b):
+                raise AssertionError(f"grading violated at sigma_{Permutation(word)} q^{b} in "
+                                     + "*".join(str(Permutation(w)) for w in key))
     return out
 
 
@@ -531,7 +505,7 @@ def product_vec(u_word: tuple[int, ...], v_word: tuple[int, ...], n: int) -> dic
 def class_product(u: Permutation, v: Permutation, n: int) -> QHClass:
     """Quantum product sigma_u * sigma_v in QH*(Fl_n): the class of
     product_vec on the one-line words of u and v."""
-    return vec_to_class(product_vec(u.oneline, v.oneline, n), n)
+    return vec_to_class(product_vec((u.oneline, v.oneline), n), n)
 
 
 def normal_form(p: MPoly, n: int) -> QHClass:

@@ -17,6 +17,7 @@ from .combinat import (
     FlagShape,
     Permutation,
     all_shapes,
+    avoids_321,
     build_xi_and_wJ,
     grassmannian_word,
     skew_shape_321,
@@ -27,9 +28,8 @@ from .exactalg import MPoly, complex_to_json, det, lu_unipotent
 from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
 from .qhpartial import c1_spectrum
 from . import schubring
-from .schubring import (QHClass, monk_operators, normal_form, product_vec,
-                        quantum_H, signed_sum, sorted_perms, transition_product,
-                        vec_to_class, xq_table)
+from .schubring import (QHClass, monk_operators, normal_form, product_vec, quantum_H,
+                        signed_sum, vec_to_class, xq_table)
 
 __all__ = [
     "ACCEPTANCE_SHAPES",
@@ -130,7 +130,7 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
             continue
         sgn = (-1) ** sum(v + 1 for v in J0)
         G = grassmannian_word(set(range(njd)) - set(J0), n)
-        pairs.append((sgn, product_vec(wJ, G, n)))
+        pairs.append((sgn, product_vec((wJ, G), n)))
     terms = len(pairs)
     residue = signed_sum(pairs)
     ok = not residue
@@ -154,27 +154,27 @@ def key_identity_instances(max_n: int):
 
 def _log_monk(n: int) -> None:
     """DEBUG line: the (word, i) entries of the operators X_i on S_n built so
-    far and their terms, the memoised transitions and plans, the apply_x calls
-    made and the seconds spent building entries."""
+    far and their terms, the memoised transitions, the apply_x calls made and
+    the seconds spent building entries."""
     ops = monk_operators(n)
     built = [e for row in ops.x_entries.values() for e in row if e is not None]
-    log.debug("monk n=%d: %d X entries of %d words, %d terms, %d transitions, %d plans, "
+    log.debug("monk n=%d: %d X entries of %d words, %d terms, %d transitions, "
               "%d apply_x calls, %.3fs", n, len(built), len(ops.x_entries),
-              sum(map(len, built)), len(ops.transitions), len(ops.plans), ops.x_calls,
-              ops.build_s)
+              sum(map(len, built)), len(ops.transitions), ops.x_calls, ops.build_s)
 
 
 def key_identity_sweep(max_n: int, strict: bool = True):
     """Check every key identity with n <= max_n; log per n the instances,
-    the products they asked for and those formed (product_vec memo misses),
-    then the Monk line of S_n."""
+    the products they asked for, those formed by a transition and the
+    product_vec memo hits, then the Monk line of S_n."""
     reports = []
     for n, instances in itertools.groupby(key_identity_instances(max_n), lambda t: t[0].n):
-        misses = schubring.product_vec.cache_info().misses
+        ops = monk_operators(n)
+        formed, hits = ops.products, schubring.product_vec.cache_info().hits
         batch = [check_key_identity(shape, j, i, strict) for shape, j, i in instances]
-        log.debug("keyidentity n=%d: %d instances, %d products asked, %d formed", n,
-                  len(batch), sum(rep.terms for rep in batch),
-                  schubring.product_vec.cache_info().misses - misses)
+        log.debug("keyidentity n=%d: %d instances, %d products asked, %d formed, %d reused", n,
+                  len(batch), sum(rep.terms for rep in batch), ops.products - formed,
+                  schubring.product_vec.cache_info().hits - hits)
         _log_monk(n)
         reports += batch
     return reports
@@ -231,55 +231,19 @@ def quantum_H_word(l: int, k: int, n: int) -> tuple[int, ...] | None:
     return (*range(k - 1), k + l - 1, *range(k - 1, k + l - 1), *range(k + l, n))
 
 
-class _WordProducts:
-    """Products sigma_{w_1} ... sigma_{w_m} in QH*(Fl_n) as operator vectors.
-    QH* is commutative, so a product is keyed by its non-identity words
-    sorted by (length, word) and formed as sigma of the shortest applied
-    (transition_product) to the memoised product of the rest, down to the
-    basis vector of the longest.  Counts the products formed and the
-    lookups answered from the memo; a single word is its basis vector and
-    is not memoised."""
-
-    def __init__(self, n: int):
-        self.ops = monk_operators(n)
-        self.identity = tuple(range(n))
-        self.unit = {(0,) * (n - 1): 1}
-        self.memo: dict[tuple, dict] = {}
-        self.reused = 0
-
-    def __call__(self, words) -> dict[tuple, dict]:
-        key = tuple(sorted((w for w in words if w != self.identity),
-                           key=lambda w: (self.ops.length(w), w)))
-        return self._product(key) if key else {self.identity: self.unit}
-
-    def _product(self, key: tuple) -> dict[tuple, dict]:
-        if len(key) == 1:
-            return {key[0]: self.unit}
-        got = self.memo.get(key)
-        if got is not None:
-            self.reused += 1
-            return got
-        self.memo[key] = got = transition_product(self.ops, key[0], self._product(key[1:]))
-        return got
-
-
-def det_formula_vec(w: Permutation, n: int,
-                    products: _WordProducts | None = None) -> dict[tuple, dict]:
+def det_formula_vec(w: Permutation, n: int) -> dict[tuple, dict]:
     """det(H_{lambda_a - mu_b - a + b}^{phi_a}) of the 321-avoiding w as an
     operator vector: the Leibniz expansion over the nonzero entries, each
-    entry the class of its quantum_H_word, each term's product taken from
-    `products` (a fresh memo if None)."""
+    entry the class of its quantum_H_word, each term a product_vec."""
     sk = skew_shape_321(w)
     k = len(sk.flag)
-    if products is None:
-        products = _WordProducts(n)
     entries = [[quantum_H_word(sk.outer[a] - sk.inner[b] - a + b, sk.flag[a], n)
                 for b in range(k)] for a in range(k)]
     pairs = []
 
     def expand(a: int, used: tuple, sign: int, words: tuple) -> None:
         if a == k:
-            pairs.append((sign, products(words)))
+            pairs.append((sign, product_vec(words, n)))
             return
         for b, word in enumerate(entries[a]):
             if word is None or b in used:
@@ -294,28 +258,26 @@ def det_formula_vec(w: Permutation, n: int,
 
 def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     """For every 321-avoiding w in S_n the determinantal class equals sigma_w,
-    checked in the Monk operators by det_formula_vec with one product memo
-    for all w.  Logs the permutations checked, the cycle products formed and
-    reused and the seconds at DEBUG, then the Monk line of S_n.  Raises
-    SizeCap outside 2 <= n <= 8 before it builds the n! permutations."""
-    products = _WordProducts(n)  # checks n; builds nothing
+    checked in the Monk operators by det_formula_vec.  Logs the permutations
+    checked, the cycle products formed, the product_vec memo hits and the
+    seconds at DEBUG, then the Monk line of S_n.  Raises SizeCap outside
+    2 <= n <= 8 before it lists any permutation."""
+    ops = monk_operators(n)  # checks n; builds nothing
     t0 = time.perf_counter()
-    failures = []
-    checked = 0
-    for w in sorted_perms(n):
-        if not w.is_321_avoiding:
-            continue
-        checked += 1
-        if det_formula_vec(w, n, products) != {w.oneline: products.unit}:
-            failures.append(w)
+    formed, hits = ops.products, schubring.product_vec.cache_info().hits
+    unit = {(0,) * (n - 1): 1}
+    words = [ol for ol in itertools.permutations(range(n)) if avoids_321(ol)]
+    failures = [w for w in map(Permutation, words) if det_formula_vec(w, n) != {w.oneline: unit}]
+    failures.sort(key=lambda w: (w.length, w.oneline))
     ok = not failures
     elapsed = time.perf_counter() - t0
     log.debug("detformula n=%d: %d permutations, %d cycle products formed, %d reused, %.3fs",
-              n, checked, len(products.memo), products.reused, elapsed)
+              n, len(words), ops.products - formed,
+              schubring.product_vec.cache_info().hits - hits, elapsed)
     _log_monk(n)
     if strict and not ok:
         raise FormulaViolation(f"determinantal formula failed for {failures}")
-    return DetFormulaReport(n, checked, ok, failures, elapsed)
+    return DetFormulaReport(n, len(words), ok, failures, elapsed)
 
 
 # -- mirror spectrum check -------------------------------------------------------------

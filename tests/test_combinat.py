@@ -8,6 +8,7 @@ from flagmirror.combinat import (
     FlagShape,
     Permutation,
     all_shapes,
+    avoids_321,
     build_xi_and_wJ,
     code,
     columns_of_partition,
@@ -44,6 +45,15 @@ def test_skew_shape_examples():
     assert (s.outer, s.inner, s.flag) == ((3, 3, 2), (2, 0, 0), (1, 2, 4))
     s = skew_shape_321(P("3516247"))
     assert (s.outer, s.inner, s.flag) == ((3, 3, 2), (1, 0, 0), (1, 2, 4))
+
+
+def test_avoids_321_matches_the_triples():
+    # the scan against the definition: no positions i < j < k with
+    # w(i) > w(j) > w(k)
+    for n in range(1, 8):
+        for ol in itertools.permutations(range(n)):
+            want = not any(a > b > c for a, b, c in itertools.combinations(ol, 3))
+            assert avoids_321(ol) == want == Permutation(ol).is_321_avoiding, ol
 
 
 def test_skew_shape_rejects_non_avoiding():

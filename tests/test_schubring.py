@@ -458,9 +458,9 @@ def test_class_product_matches_monk_column_route_s4():
             assert class_product(u, v, 4) == want
 
 
-def test_product_plan_memo():
-    # a product gives the same class with its plan memoised and with every
-    # memo of the operators cleared
+def test_transition_product_memo():
+    # a product gives the same class with the transitions memoised and with
+    # every memo of the operators cleared
     n = 6
     rng = random.Random(6)
     unit = {(0,) * (n - 1): 1}
@@ -468,13 +468,25 @@ def test_product_plan_memo():
     for _ in range(20):
         u, v = (tuple(rng.sample(range(n), n)) for _ in range(2))
         cold = transition_product(ops, u, {v: dict(unit)})
-        plan = ops.plan(u)
+        transitions = dict(ops.transitions)
         assert transition_product(ops, u, {v: dict(unit)}) == cold
-        assert ops.plan(u) is plan
-        for memo in (ops.plans, ops.transitions, ops.x_entries, ops.lengths):
+        assert ops.transitions == transitions  # the warm product built none
+        for memo in (ops.transitions, ops.x_entries, ops.lengths):
             memo.clear()
         assert transition_product(ops, u, {v: dict(unit)}) == cold
         assert vec_to_class(cold, n) == class_product(Permutation(u), Permutation(v), n)
+
+
+def test_transition_product_of_w0_on_the_identity_s8():
+    # sigma_{w0} * sigma_id reaches every class the transitions of w0 reach,
+    # the deepest recursion at n = 8, under the default recursion limit
+    n = 8
+    unit = {(0,) * (n - 1): 1}
+    w0 = tuple(reversed(range(n)))
+    ops = MonkOperators(n)
+    assert transition_product(ops, w0, {tuple(range(n)): dict(unit)}) == {w0: unit}
+    # each class reached is applied once, after one apply_x for its transition
+    assert ops.x_calls == 2 * len(ops.transitions)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -528,15 +540,16 @@ def test_debug_log_lines(caplog):
     # four words through three transitions
     monk = [line for line in lines if line.startswith("monk")]
     assert len(monk) == 2
-    assert re.fullmatch(r"monk n=4: 0 X entries of 0 words, 0 terms, 0 transitions, 1 plans, "
+    assert re.fullmatch(r"monk n=4: 0 X entries of 0 words, 0 terms, 0 transitions, "
                         r"0 apply_x calls, 0\.000s", monk[0])
-    assert re.fullmatch(r"monk n=5: 9 X entries of 4 words, 17 terms, 3 transitions, 4 plans, "
-                        r"11 apply_x calls, \d+\.\d{3}s", monk[1])
-    # one line per n before it: the instances, the products they ask for
-    # and those product_vec formed
+    assert re.fullmatch(r"monk n=5: 9 X entries of 4 words, 17 terms, 3 transitions, "
+                        r"9 apply_x calls, \d+\.\d{3}s", monk[1])
+    # one line per n before it: the instances, the products they ask for,
+    # those product_vec formed by a transition (none at n = 4, whose
+    # products are times the identity) and its memo hits
     sweep = [line for line in lines if line.startswith("keyidentity")]
-    assert sweep == ["keyidentity n=4: 1 instances, 2 products asked, 2 formed",
-                     "keyidentity n=5: 6 instances, 12 products asked, 8 formed"]
+    assert sweep == ["keyidentity n=4: 1 instances, 2 products asked, 0 formed, 0 reused",
+                     "keyidentity n=5: 6 instances, 12 products asked, 3 formed, 5 reused"]
     assert lines.index(sweep[1]) == lines.index(monk[1]) - 1
     # one line per computed polynomial: S^q_{1423} = E_1^2 E_1^3 - E_2^3 =
     # x1^2 + x1x2 + x2^2 - q1 - q2, two standard monomials and five terms
@@ -602,8 +615,8 @@ def test_transition_rejects_a_missing_unit_term(monkeypatch):
 
 def test_signed_sum_matches_class_arithmetic():
     n = 4
-    a = product_vec(P("2143").oneline, P("1342").oneline, n)
-    b = product_vec(P("3142").oneline, P("2314").oneline, n)
+    a = product_vec((P("2143").oneline, P("1342").oneline), n)
+    b = product_vec((P("3142").oneline, P("2314").oneline), n)
     a_cls, b_cls = vec_to_class(a, n), vec_to_class(b, n)
     frozen = repr((a, b))
     assert vec_to_class(signed_sum([(2, a), (-1, b), (1, b)]), n) == a_cls.scaled(2)
@@ -619,12 +632,32 @@ def test_product_vec_matches_class_product():
         rng = random.Random(200 + n)
         for _ in range(pairs):
             u, v = (Permutation(tuple(rng.sample(range(n), n))) for _ in range(2))
-            vec = product_vec(u.oneline, v.oneline, n)
+            vec = product_vec((u.oneline, v.oneline), n)
             assert vec_to_class(vec, n) == class_product(u, v, n)
-            assert product_vec(u.oneline, v.oneline, n) is vec  # memoised
-            assert vec_to_class(product_vec(v.oneline, u.oneline, n), n) == class_product(u, v, n)
+            assert product_vec((u.oneline, v.oneline), n) is vec  # memoised
+            assert vec_to_class(product_vec((v.oneline, u.oneline), n), n) == class_product(u, v, n)
     with pytest.raises(NotInGroup):
-        product_vec((1, 0, 2), (0, 1), 3)
+        product_vec(((1, 0, 2), (0, 1)), 3)
+
+
+def test_product_vec_of_three_words_matches_class_product_twice():
+    # sigma_u sigma_v sigma_w against (sigma_u * sigma_v) * sigma_w expanded
+    # through class_product alone; identity words drop out and the order of
+    # the words does not matter
+    for n, triples in ((5, 20), (6, 10)):
+        rng = random.Random(300 + n)
+        ident = tuple(range(n))
+        for _ in range(triples):
+            u, v, w = (Permutation(tuple(rng.sample(range(n), n))) for _ in range(3))
+            want = QHClass(("complete", n), {})
+            for t, c in class_product(u, v, n).terms.items():
+                want = want + QHClass(want.ring, {s: cc * c for s, cc in
+                                                  class_product(t, w, n).terms.items()})
+            words = (u.oneline, v.oneline, w.oneline)
+            assert vec_to_class(product_vec(words, n), n) == want, (u, v, w)
+            assert vec_to_class(product_vec((w.oneline, ident, u.oneline, v.oneline), n),
+                                n) == want
+    assert product_vec((), 4) == product_vec(((0, 1, 2, 3),), 4) == {(0, 1, 2, 3): {(0, 0, 0): 1}}
 
 
 def test_product_vec_grading_check_trips_on_a_corrupted_product(monkeypatch):
@@ -642,6 +675,31 @@ def test_product_vec_grading_check_trips_on_a_corrupted_product(monkeypatch):
     product_vec.cache_clear()
     try:
         with pytest.raises(AssertionError, match="grading violated at sigma_1234 "):
-            product_vec(u, v, n)
+            product_vec((u, v), n)
+    finally:
+        product_vec.cache_clear()
+
+
+def test_product_vec_grading_check_trips_on_a_corrupted_three_word_product(monkeypatch):
+    # the product of the two longer words is sound; the last transition,
+    # which applies the shortest word, adds a term of the wrong degree
+    n = 5
+    words = ((0, 2, 1, 3, 4), (2, 0, 1, 4, 3), (1, 0, 4, 3, 2))
+    real = schubring.transition_product
+
+    def corrupted(ops, ol, vec):
+        out = dict(real(ops, ol, vec))
+        if ol == words[0]:
+            out[(1, 0, 2, 3, 4)] = {(0,) * (n - 1): 1}
+        return out
+
+    monkeypatch.setattr(schubring, "transition_product", corrupted)
+    product_vec.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"grading violated at sigma_21345 "
+                                                 r"q\^\(0, 0, 0, 0\) in 13245\*31254\*21543$"):
+            product_vec(words, n)
+        # the sound sub-product was formed and memoised before the check tripped
+        assert product_vec.cache_info().currsize == 1
     finally:
         product_vec.cache_clear()

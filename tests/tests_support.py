@@ -35,10 +35,10 @@ from flagmirror.mirror import (
     z_from_vector,
     zchart,
 )
+from flagmirror.qhpartial import _length_jump
 from flagmirror.schubring import (
     MonkOperators,
     QHClass,
-    _length_jump,
     divided_difference,
     q_table,
     quantum_E,
