@@ -24,7 +24,6 @@ from .exactalg import (
 )
 from .mirror import (
     SuperpotentialTerm,
-    ZChart,
     divisor_equations,
     f_minus_eval,
     f_minus_grad,
@@ -56,7 +55,7 @@ __all__ = [
     "build_xi_and_wJ", "code", "minimal_reps", "skew_shape_321", "CritConfig",
     "CritPoint", "find_critical_points", "toeplitz_residual", "MPoly",
     "VarTable", "det", "eigenvalues", "lu_unipotent", "minor",
-    "SuperpotentialTerm", "ZChart", "divisor_equations", "f_minus_eval",
+    "SuperpotentialTerm", "divisor_equations", "f_minus_eval",
     "f_minus_grad", "pluecker", "superpotential", "uv_from_z", "young_view",
     "PartialRing", "c1_class", "c1_spectrum", "chevalley_multiply",
     "partial_ring", "MonkOperators", "QHClass", "class_product",

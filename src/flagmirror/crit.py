@@ -38,7 +38,6 @@ __all__ = [
 NEWTON_MAX_ITER = 100  # damped Newton steps per polish, down to |grad F| < NEWTON_TOL
 NEWTON_TOL = 1e-12
 DEDUPE_RADIUS = 1e-6  # polished points this close (relative) are merged
-POLE_GUARD = 1e-10  # denominators below this (relative) count as poles
 LIFT_TOL = 1e-5  # a lift is off the stratum where U or z misses its pattern by more (relative)
 # seed of the divisor combination whose eigenvectors are the characters (the
 # points found do not depend on it); eigenvalues of that combination closer
@@ -88,13 +87,14 @@ def _norm(v: np.ndarray) -> float:
 
 def _newton_polish(fm, z0, q, g=None):
     """Damped Newton on the exact symbolic gradient (halving on residual
-    increase), used to polish candidate points in chart coordinates; g is
-    grad F(z0) when the caller has it.  Returns z and the |grad F(z)| <
-    NEWTON_TOL it stopped at, or None."""
+    increase, or where the chart evaluator raises NearPole at a denominator
+    within mirror.POLE_GUARD of a pole), used to polish candidate points in
+    chart coordinates; g is grad F(z0) when the caller has it.  Returns z
+    and the |grad F(z)| < NEWTON_TOL it stopped at, or None."""
     z = np.array(z0, dtype=complex)
     if g is None:
         try:
-            g = fm.gradient(z, q, POLE_GUARD)
+            g = fm.gradient(z, q)
         except NearPole:
             return None
     gn = _norm(g)
@@ -102,7 +102,7 @@ def _newton_polish(fm, z0, q, g=None):
         if gn < NEWTON_TOL:
             return z, gn
         try:
-            H = fm.hessian(z, q, POLE_GUARD)
+            H = fm.hessian(z, q)
             step = np.linalg.solve(H, -g)
         except (NearPole, np.linalg.LinAlgError):
             return None
@@ -110,7 +110,7 @@ def _newton_polish(fm, z0, q, g=None):
         for _ in range(20):
             znew = z + t * step
             try:
-                gnew = fm.gradient(znew, q, POLE_GUARD)
+                gnew = fm.gradient(znew, q)
             except NearPole:
                 t *= 0.5
                 continue
@@ -380,7 +380,7 @@ class _Search:
             # a Toeplitz solution of another q-fiber or stratum lifts to a point
             # where the gradient is of order one; polishing it only fails slowly
             try:
-                g = self.fm.gradient(vec, self.q, POLE_GUARD)
+                g = self.fm.gradient(vec, self.q)
             except NearPole:
                 g = None
             if g is None or _norm(g) > 1e-6 * (1 + _norm(vec)):
@@ -440,7 +440,7 @@ class _Search:
                 polished = _newton_polish(fm, vec, q, g)
                 if polished is not None:
                     z, gn = polished
-                    self.found.append((fm.value(z, q, POLE_GUARD), z, gn))
+                    self.found.append((fm.value(z, q), z, gn))
         self.polished = len(self.lifts)
         self.stats["polishes_failed"] = len(self.lifts) - len(self.found)
         t1 = time.perf_counter()
@@ -458,7 +458,7 @@ class _Search:
         reps, Z = [found[i] for i in keep], Z[keep]
         deg = np.zeros(len(reps), dtype=bool)
         if self.measure:
-            H = np.reshape([fm.hessian(z, q, POLE_GUARD) for z in Z],
+            H = np.reshape([fm.hessian(z, q) for z in Z],
                            (-1, self.shape.dim, self.shape.dim))
             sv = np.linalg.svd(H, compute_uv=False)
             deg = sv[:, -1] < 1e-6 * np.maximum(1.0, sv[:, 0])

@@ -1,6 +1,8 @@
 """The Plucker-coordinate superpotential: chart matrices, Plucker coordinates,
 the explicit term families, anticanonical divisor equations, the Young-diagram
-rendering, and the LU/uv factorization route used as an evaluation oracle.
+rendering, the compiled chart evaluator of F_- with its gradient and Hessian
+(which raises NearPole at a denominator within POLE_GUARD of a pole), and the
+LU/uv factorization route used as an evaluation oracle.
 
 Index sets are 0-based in code; the 1-based quantities of the formulas appear
 only in comments and in printed variable names like ``p_1467``.
@@ -23,7 +25,6 @@ from .exactalg import MPoly, VarTable, leading_minors, lu_unipotent
 log = logging.getLogger("flagmirror")
 
 __all__ = [
-    "ZChart",
     "zchart",
     "chart_table",
     "symbolic_z",
@@ -44,7 +45,6 @@ __all__ = [
     "f_minus_grad",
     "FMinusChart",
     "f_minus_chart",
-    "young_table",
     "young_view",
     "index_term_to_young",
     "term_to_latex",
@@ -55,36 +55,21 @@ __all__ = [
 # -- chart ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZChart:
-    """Free coordinates of the unipotent-style chart: in block row j the
-    anti-diagonal identity block (-1)^{n_{j-1}} I_{a_j} sits in columns
-    n-n_j..n-n_{j-1}-1 and everything strictly to its left is free."""
-
-    shape: FlagShape
-    coords: tuple[tuple[int, int], ...]  # (row, col), 0-based, ordered
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
 @lru_cache(maxsize=None)
-def zchart(shape: FlagShape) -> ZChart:
-    coords = []
-    for row in range(shape.n):
-        j = shape.block_of_position(row)
-        for col in range(shape.n - shape.nj(j)):
-            coords.append((row, col))
-    chart = ZChart(shape, tuple(coords))
-    assert chart.dim == shape.dim
-    return chart
+def zchart(shape: FlagShape) -> tuple[tuple[int, int], ...]:
+    """The (row, col) of the free coordinates of the unipotent-style chart,
+    0-based and ordered: in block row j the anti-diagonal identity block
+    (-1)^{n_{j-1}} I_{a_j} sits in columns n-n_j..n-n_{j-1}-1 and everything
+    strictly to its left is free."""
+    coords = tuple((row, col) for row in range(shape.n)
+                   for col in range(shape.n - shape.nj(shape.block_of_position(row))))
+    assert len(coords) == shape.dim
+    return coords
 
 
 @lru_cache(maxsize=None)
 def chart_table(shape: FlagShape) -> VarTable:
-    coords = zchart(shape).coords
-    return VarTable.make([(f"z{r + 1}_{c + 1}", "chart", 0) for (r, c) in coords])
+    return VarTable.make([(f"z{r + 1}_{c + 1}", "chart", 0) for (r, c) in zchart(shape)])
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +87,7 @@ def symbolic_z(shape: FlagShape):
     tab = chart_table(shape)
     n = shape.n
     M = [[MPoly.zero(tab) for _ in range(n)] for _ in range(n)]
-    for idx, (r, c) in enumerate(zchart(shape).coords):
+    for idx, (r, c) in enumerate(zchart(shape)):
         e = [0] * tab.size
         e[idx] = 1
         M[r][c] = MPoly.monomial(tab, tuple(e))
@@ -116,7 +101,7 @@ def z_from_vector(shape: FlagShape, vec) -> np.ndarray:
     vectors (..., dim) gives a stack of matrices."""
     vec = np.asarray(vec, dtype=complex)
     M = np.zeros(vec.shape[:-1] + (shape.n, shape.n), dtype=complex)
-    M[(..., *zip(*zchart(shape).coords))] = vec
+    M[(..., *zip(*zchart(shape)))] = vec
     for r, c, sign in _fixed_entries(shape):
         M[..., r, c] = sign
     return M
@@ -124,7 +109,7 @@ def z_from_vector(shape: FlagShape, vec) -> np.ndarray:
 
 def chart_vector(shape: FlagShape, z) -> np.ndarray:
     """Free coordinates of a numeric chart matrix, or of a stack of them."""
-    return np.asarray(z, dtype=complex)[(..., *zip(*zchart(shape).coords))]
+    return np.asarray(z, dtype=complex)[(..., *zip(*zchart(shape)))]
 
 
 def random_z_vector(shape: FlagShape, rng, lo: float = 0.2, hi: float = 2.0) -> np.ndarray:
@@ -350,6 +335,9 @@ def f_minus_eval_uv(z, q, shape: FlagShape) -> complex:
 # -- compiled chart evaluator -----------------------------------------------------
 
 
+POLE_GUARD = 1e-10  # |D| below this times 1 + |N| is a pole of the term N/D
+
+
 def _columns_of_pname(name: str) -> list[int]:
     body = name[2:]
     return [int(c) - 1 for c in (body.split(",") if "," in body else body)]
@@ -361,7 +349,8 @@ class FMinusChart:
     straight-line Python function per shape that is generated from them (see
     `_evaluator_source`) and compiled once.  Its ``order`` argument picks how
     far the one body runs: -1 the term values, 0 the value, 1 the gradient,
-    2 the Hessian."""
+    2 the Hessian.  From the value on, a term whose denominator is within
+    POLE_GUARD of a pole raises NearPole."""
 
     def __init__(self, shape: FlagShape):
         self.shape = shape
@@ -384,16 +373,16 @@ class FMinusChart:
 
     def term_values(self, zvec):
         """(numerator, denominator) complex values per term, without q factors."""
-        return self._eval(zvec, None, None, -1)
+        return self._eval(zvec, None, -1)
 
-    def value(self, zvec, q, pole_guard: float = 1e-12) -> complex:
-        return self._eval(zvec, q, pole_guard, 0)
+    def value(self, zvec, q) -> complex:
+        return self._eval(zvec, q, 0)
 
-    def gradient(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
-        return self._eval(zvec, q, pole_guard, 1)
+    def gradient(self, zvec, q) -> np.ndarray:
+        return self._eval(zvec, q, 1)
 
-    def hessian(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
-        return self._eval(zvec, q, pole_guard, 2)
+    def hessian(self, zvec, q) -> np.ndarray:
+        return self._eval(zvec, q, 2)
 
 
 def _signed_sum(*parts) -> str:
@@ -420,12 +409,13 @@ def _poly_src(p: MPoly) -> str:
 
 
 def _evaluator_source(terms, dim: int) -> tuple[str, tuple[int, ...]]:
-    """Source of ``_eval(zvec, q, guard, order)`` for the (term, N, D) of one
+    """Source of ``_eval(zvec, q, order)`` for the (term, N, D) of one
     shape, then the gradient and Hessian term entries (emitted, in all), the
     lines and the bytes.  The one body evaluates each N and D once and returns
-    the term values when ``order < 0``; then runs the pole checks and returns
-    F at order 0; then each term's first partials, once, and the gradient at
-    order 1; then the Hessian on each term's support.  Only products with an
+    the term values when ``order < 0``; then runs the pole checks, with
+    POLE_GUARD emitted as a literal, and returns F at order 0; then each
+    term's first partials, once, and the gradient at order 1; then the
+    Hessian on each term's support.  Only products with an
     identically zero factor, the unit prefactor of non-quantum terms and,
     where D is the constant 1, the pole check and the divisions by D are left
     out, and both complex divisions per term go through numpy, so every
@@ -446,7 +436,7 @@ def _evaluator_source(terms, dim: int) -> tuple[str, tuple[int, ...]]:
             lines.append(f"    {name} = {src}")
         return src and name
 
-    lines = ["def _eval(zvec, q, guard, order):",
+    lines = ["def _eval(zvec, q, order):",
              "    " + "".join(f"z{a}, " for a in range(dim)) + "= zvec.tolist()"]
     for k, (n, d) in enumerate(nd):
         lines.append(f"    n{k} = {n}")
@@ -458,7 +448,7 @@ def _evaluator_source(terms, dim: int) -> tuple[str, tuple[int, ...]]:
               for t, _, _ in terms if t.family == "quantum"]
     for k, (t, _, _) in enumerate(terms):
         if dk[k]:
-            lines += [f"    if abs(d{k}) < guard * (1.0 + abs(n{k})):",
+            lines += [f"    if abs(d{k}) < {POLE_GUARD!r} * (1.0 + abs(n{k})):",
                       f"        raise NearPole(f'denominator {{abs(d{k}):.3e}} at the "
                       f"{t.family} term {t.index} in {{_ORDERS[order]}}')"]
     lines += ["    if order == 0:", "        return 0j + " + " + ".join(
@@ -518,15 +508,15 @@ def f_minus_chart(shape: FlagShape) -> FMinusChart:
     return fm
 
 
-def f_minus_eval(z, q, shape: FlagShape, pole_guard: float = 1e-12) -> complex:
+def f_minus_eval(z, q, shape: FlagShape) -> complex:
     """Superpotential value via the Plucker-term route, evaluated by the
     compiled chart evaluator at the free coordinates of z."""
-    return f_minus_chart(shape).value(chart_vector(shape, z), q, pole_guard)
+    return f_minus_chart(shape).value(chart_vector(shape, z), q)
 
 
-def f_minus_grad(z, q, shape: FlagShape, pole_guard: float = 1e-12) -> np.ndarray:
+def f_minus_grad(z, q, shape: FlagShape) -> np.ndarray:
     """Exact symbolic gradient over the free chart coordinates, numerically evaluated."""
-    return f_minus_chart(shape).gradient(chart_vector(shape, z), q, pole_guard)
+    return f_minus_chart(shape).gradient(chart_vector(shape, z), q)
 
 
 # -- Young diagram rendering -------------------------------------------------------

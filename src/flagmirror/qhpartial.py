@@ -149,13 +149,11 @@ def partial_ring(shape: FlagShape) -> PartialRing:
 
 
 def c1_class(shape: FlagShape) -> QHClass:
-    """First Chern class: sum_j (n_{j+1} - n_{j-1}) sigma_{s_{n_j}}."""
+    """First Chern class: sum_j (n_{j+1} - n_{j-1}) sigma_{s_{n_j}}, the
+    weights being the degrees ``shape.qdegs``."""
     qt = partial_q_table(shape)
-    terms = {}
-    for j in range(1, shape.r + 1):
-        nj = shape.nj(j)
-        w = Permutation.identity(shape.n).times_s(nj)
-        terms[w] = MPoly.const(qt, shape.nj(j + 1) - shape.nj(j - 1))
+    terms = {Permutation.identity(shape.n).times_s(shape.nj(j)): MPoly.const(qt, deg)
+             for j, deg in enumerate(shape.qdegs, 1)}
     return QHClass(shape, terms)
 
 
@@ -163,8 +161,8 @@ def c1_matrix(shape: FlagShape, q) -> np.ndarray:
     """Matrix of quantum multiplication by c_1 at numeric q on the Schubert basis."""
     ring = partial_ring(shape)
     M = np.zeros((ring.dim, ring.dim), dtype=complex)
-    for j in range(1, shape.r + 1):
-        M += (shape.nj(j + 1) - shape.nj(j - 1)) * ring.chevalley_matrix(j, q)
+    for j, deg in enumerate(shape.qdegs, 1):
+        M += deg * ring.chevalley_matrix(j, q)
     return M
 
 

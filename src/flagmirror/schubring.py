@@ -48,7 +48,6 @@ __all__ = [
     "transition_product",
     "normal_form",
     "signed_sum",
-    "sorted_perms",
     "vec_to_class",
     "QHClass",
 ]
@@ -152,13 +151,6 @@ def schubert_poly(w: Permutation, n: int) -> MPoly:
         if ol[i] < ol[i + 1]:  # ascent: w s_i is longer
             return divided_difference(schubert_poly(w.times_s(i + 1), n), i + 1, n)
     raise AssertionError("unreachable")
-
-
-@lru_cache(maxsize=None)
-def sorted_perms(n: int) -> tuple[Permutation, ...]:
-    perms = [Permutation(p) for p in itertools.permutations(range(n))]
-    perms.sort(key=lambda w: (w.length, w.oneline))
-    return tuple(perms)
 
 
 # -- quantum Schubert polynomials ---------------------------------------------

@@ -33,7 +33,6 @@ from .schubring import (QHClass, monk_operators, normal_form, product_vec, quant
 
 __all__ = [
     "ACCEPTANCE_SHAPES",
-    "G_function",
     "G_1",
     "tau",
     "KeyIdentityReport",
@@ -64,20 +63,15 @@ ACCEPTANCE_SHAPES = ("1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "2;5", "1,2
 # -- rational functions on the flag variety side ---------------------------------
 
 
-def G_function(g, rows, m: int):
-    """Minor quotient on B_- cosets: rows are 0-based, columns are the last
-    n-m ones for both numerator and denominator."""
+def G_1(g, m: int):
+    """The function G_1^m, a minor quotient on B_- cosets: both minors take
+    the last n-m columns, the numerator rows {m} u [m+2, n] and the
+    denominator rows [m+1, n] (1-based)."""
     g = np.asarray(g, dtype=complex)
     cols = range(m, g.shape[0])
-    num, den = (complex(np.linalg.det(g[np.ix_(r, cols)])) for r in (sorted(rows), cols))
+    rows = [m - 1, *range(m + 1, g.shape[0])]
+    num, den = (complex(np.linalg.det(g[np.ix_(r, cols)])) for r in (rows, cols))
     return num / den
-
-
-def G_1(g, m: int):
-    """The function G_1^m: numerator rows {m} u [m+2, n] (1-based)."""
-    n = np.asarray(g).shape[0]
-    rows = [m - 1] + list(range(m + 1, n))
-    return G_function(g, rows, m)
 
 
 def tau(g) -> np.ndarray:
@@ -99,16 +93,6 @@ class KeyIdentityReport:
     terms: int
     residual: QHClass | None = None
     elapsed: float = 0.0
-
-    def to_json(self):
-        return {
-            "shape": self.shape.to_string(),
-            "j": self.j,
-            "i": self.i,
-            "ok": self.ok,
-            "terms": self.terms,
-            "residual": self.residual.to_json() if self.residual else {},
-        }
 
 
 def check_key_identity(shape: FlagShape, j: int, i: int,
@@ -190,10 +174,6 @@ class DetFormulaReport:
     ok: bool
     failures: list = field(default_factory=list)
     elapsed: float = 0.0
-
-    def to_json(self):
-        return {"n": self.n, "checked": self.checked, "ok": self.ok,
-                "failures": [str(w) for w in self.failures]}
 
 
 def det_formula_class(w: Permutation, n: int) -> QHClass:
@@ -473,12 +453,6 @@ class EquivalenceReport:
     points: int
     max_residual: float
     ok: bool
-
-    def to_json(self):
-        return {"shape": self.shape.to_string(),
-                "q": [complex_to_json(complex(v)) for v in self.q],
-                "points": self.points, "max_residual": self.max_residual,
-                "ok": self.ok}
 
 
 def check_equivalence_route(shape: FlagShape, q) -> EquivalenceReport:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from tests_support import fraction_inverse, monk_apply, straighten
+from tests_support import fraction_inverse, monk_apply, sorted_perms, straighten
 
 from flagmirror.combinat import FlagShape, all_shapes
 from flagmirror.crit import find_critical_points
@@ -27,11 +27,7 @@ from flagmirror.mirror import (
     uv_from_z,
     z_from_vector,
 )
-from flagmirror.schubring import (
-    class_product,
-    quantum_schubert,
-    sorted_perms,
-)
+from flagmirror.schubring import class_product, quantum_schubert
 from flagmirror.verify import (
     ACCEPTANCE_SHAPES,
     check_det_formula,

@@ -13,6 +13,7 @@ from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, OffChart, PivotFailure
 from flagmirror.exactalg import MPoly, leading_minors, minor
 from flagmirror.mirror import (
+    POLE_GUARD,
     _evaluator_source,
     _poly_src,
     chart_table,
@@ -179,8 +180,7 @@ def test_pluecker_basics():
 def test_symbolic_z_and_chart():
     for n in range(2, 7):
         for shape in all_shapes(n):
-            chart = zchart(shape)
-            assert chart.dim == shape.dim
+            assert len(zchart(shape)) == shape.dim
             z = z_from_vector(shape, random_z_vector(shape, RNG))
             assert abs(np.linalg.det(z) - 1) < 1e-9
             M = symbolic_z(shape)
@@ -414,11 +414,26 @@ def test_render_smoke():
 
 
 def test_near_pole_raised():
+    # on 1;2, F = 1/z + q z: the u-step term has N = 1 and D = z, a pole
+    # when |z| < POLE_GUARD * 2, whatever the entry point
     shape = FlagShape(2, (1,))
-    z = z_from_vector(shape, [1e-15])
-    with pytest.raises(NearPole, match=r"^denominator 1\.000e-15 at the u-step term \(1,\) "
-                                       r"in value$"):
-        f_minus_eval(z, [1.0], shape)
+    fm = f_minus_chart(shape)
+    assert POLE_GUARD == 1e-10
+    for d in (1e-15, 1e-10):
+        zvec = np.array([d], dtype=complex)
+        with pytest.raises(NearPole, match=rf"^denominator {d:.3e} at the u-step term \(1,\) "
+                                           r"in value$"):
+            f_minus_eval(z_from_vector(shape, zvec), [1.0], shape)
+        for method in ("value", "gradient", "hessian"):
+            with pytest.raises(NearPole, match=rf"^denominator {d:.3e} at the u-step term "
+                                               rf"\(1,\) in {method}$"):
+                getattr(fm, method)(zvec, [1.0])
+    # ten times further from the pole every entry point evaluates
+    zvec = np.array([1e-9], dtype=complex)
+    assert f_minus_eval(z_from_vector(shape, zvec), [1.0], shape) == fm.value(zvec, [1.0])
+    assert abs(fm.value(zvec, [1.0]) - 1e9) < 1e-6
+    assert np.isfinite(fm.gradient(zvec, [1.0])).all()
+    assert np.isfinite(fm.hessian(zvec, [1.0])).all()
     # every entry point names the term and the size of its denominator; at
     # z = 1 on Gr(2,4) the second term's denominator -z2*z3 + z1*z4 vanishes
     fm = f_minus_chart(FlagShape(4, (2,)))
@@ -449,7 +464,7 @@ def test_generated_evaluator_bit_identical_to_lambdas(shape):
 @pytest.mark.parametrize("sstr, units", [("2;4", (3,)), ("1,2,3;4", (3, 4, 5))])
 def test_unit_denominators_emit_no_pole_check_or_division(sstr, units):
     # dividing by D = 1 is exact, and its pole check could only fire for
-    # |N| >= 1/guard - 1, which is not a pole: neither is emitted
+    # |N| >= 1/POLE_GUARD - 1, which is not a pole: neither is emitted
     fm = f_minus_chart(FlagShape.from_string(sstr))
     assert [k for k, (_, _, D) in enumerate(fm.terms) if D == 1] == list(units)
     src, _ = _evaluator_source(fm.terms, fm.shape.dim)

@@ -13,6 +13,7 @@ from tests_support import (
     monk_apply,
     monk_column,
     omega_involution,
+    sorted_perms,
     straighten,
 )
 
@@ -34,7 +35,6 @@ from flagmirror.schubring import (
     quantum_schubert,
     schubert_poly,
     signed_sum,
-    sorted_perms,
     transition_product,
     vec_to_class,
     xq_table,

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment  # the reference for _min_cost_assignment
+from tests_support import sorted_perms
 
 from flagmirror import verify
 from flagmirror.cli import main
@@ -16,7 +17,7 @@ from flagmirror.errors import FormulaViolation, IdentityViolation, PivotFailure,
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
 from flagmirror.schubring import (QHClass, class_product, normal_form, product_vec, q_table,
-                                  quantum_H, sorted_perms, vec_to_class, xq_table)
+                                  quantum_H, vec_to_class, xq_table)
 from flagmirror.verify import (
     ACCEPTANCE_SHAPES,
     G_1,

@@ -27,6 +27,7 @@ from flagmirror.errors import (InvalidRange, NearPole, NonIntegralCoefficient, N
                                PivotFailure, SizeCap)
 from flagmirror.exactalg import MPoly, leading_minors
 from flagmirror.mirror import (
+    POLE_GUARD,
     _columns_of_pname,
     _fixed_entries,
     pluecker_table,
@@ -44,7 +45,6 @@ from flagmirror.schubring import (
     quantum_E,
     quantum_schubert,
     schubert_poly,
-    sorted_perms,
     xq_table,
 )
 
@@ -82,6 +82,14 @@ def fraction_inverse(A):
 
 
 # -- straightening of symmetric polynomials and Schubert decomposition -------
+
+
+@lru_cache(maxsize=None)
+def sorted_perms(n: int) -> tuple[Permutation, ...]:
+    """Every permutation of S_n, by length and then one-line word."""
+    perms = [Permutation(p) for p in itertools.permutations(range(n))]
+    perms.sort(key=lambda w: (w.length, w.oneline))
+    return tuple(perms)
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:
@@ -456,40 +464,40 @@ class LambdaChart:
             pref[j] = complex(q[j - 1])
         return pref
 
-    def _nd(self, t, zvec, pole_guard):
+    def _nd(self, t, zvec):
         nv, dv = t["N"](zvec), t["D"](zvec)
-        if abs(dv) < pole_guard * (1.0 + abs(nv)):
+        if abs(dv) < POLE_GUARD * (1.0 + abs(nv)):
             raise NearPole(f"denominator {abs(dv):.3e}")
         return nv, dv
 
     def term_values(self, zvec):
         return [(t["N"](zvec), t["D"](zvec)) for t in self.terms]
 
-    def value(self, zvec, q, pole_guard: float = 1e-12) -> complex:
+    def value(self, zvec, q) -> complex:
         pref = self._prefactors(q)
         total = 0j
         for t in self.terms:
-            nv, dv = self._nd(t, zvec, pole_guard)
+            nv, dv = self._nd(t, zvec)
             total += pref[t["qj"]] * nv / dv
         return total
 
-    def gradient(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
+    def gradient(self, zvec, q) -> np.ndarray:
         pref = self._prefactors(q)
         g = np.zeros(self.dim, dtype=complex)
         for t in self.terms:
-            nv, dv = self._nd(t, zvec, pole_guard)
+            nv, dv = self._nd(t, zvec)
             c = pref[t["qj"]]
             inv2 = 1.0 / (dv * dv)
             for a in range(self.dim):
                 g[a] += c * (t["Na"][a](zvec) * dv - nv * t["Da"][a](zvec)) * inv2
         return g
 
-    def hessian(self, zvec, q, pole_guard: float = 1e-12) -> np.ndarray:
+    def hessian(self, zvec, q) -> np.ndarray:
         pref = self._prefactors(q)
         dim = self.dim
         H = np.zeros((dim, dim), dtype=complex)
         for t in self.terms:
-            nv, dv = self._nd(t, zvec, pole_guard)
+            nv, dv = self._nd(t, zvec)
             c = pref[t["qj"]]
             na = [t["Na"][a](zvec) for a in range(dim)]
             da = [t["Da"][a](zvec) for a in range(dim)]
@@ -543,7 +551,7 @@ def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
         z = b @ np.linalg.inv(U)
     except np.linalg.LinAlgError:  # singular U
         return None
-    coords = zchart(shape).coords
+    coords = zchart(shape)
     vec = np.array([z[r, c] for r, c in coords])
     rebuilt = np.zeros((n, n), dtype=complex)
     for k, (r, c) in enumerate(coords):
