@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  None guards integrality: an
+`exactalg.MPoly` coefficient is an int by construction."""
 
 
 class FlagMirrorError(Exception):
@@ -30,15 +31,11 @@ class PivotFailure(FlagMirrorError):
 
 
 class ConvergenceFailure(FlagMirrorError):
-    """Eigenvalue iteration did not converge."""
+    """Eigenvalue iteration did not converge, or the matrix is not finite."""
 
 
 class SizeCap(FlagMirrorError):
     """Requested ring size exceeds the supported cap."""
-
-
-class NonIntegralCoefficient(FlagMirrorError):
-    """A Schubert-basis coefficient came out non-integral (implementation bug)."""
 
 
 class TransitionFailure(FlagMirrorError):

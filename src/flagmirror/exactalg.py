@@ -1,20 +1,18 @@
 """Exact sparse polynomial arithmetic and the dense linear algebra kernel.
 
-An exact coefficient is a Python ``int`` when it is integral and a
-``fractions.Fraction`` only when it is a true fraction; no float enters the
-symbolic path, and every division on it is exact.  `det` and `minor` are
-one division-free Laplace expansion, `leading_minors`, for entries of any
-ring; the chart's Plucker coordinates come from it too.  The numeric path
-(eigenvalues, and the unipotent LU of one complex matrix or a stack of
-them) uses complex double precision, and numeric callers take their
-determinants from LAPACK.
+Every polynomial the paper's checks build has integer coefficients, so an
+`MPoly` coefficient is a Python ``int`` and nothing else: the symbolic path
+has no float and no division.  `det` and `minor` are one division-free
+Laplace expansion, `leading_minors`, for entries of any ring; the chart's
+Plucker coordinates come from it too.  The numeric path (eigenvalues, and
+the unipotent LU of one complex matrix or a stack of them) uses complex
+double precision, and numeric callers take their determinants from LAPACK.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 import numpy as np
@@ -81,27 +79,12 @@ def _aszero(table: VarTable) -> Exp:
     return (0,) * table.size
 
 
-def _exact(c):
-    """c as an exact coefficient: an int when integral, else a Fraction;
-    raises TypeError on a float."""
-    if type(c) is not Fraction:
-        if isinstance(c, float):
-            raise TypeError(f"inexact coefficient {c!r}")
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _quo(a, b):
-    """The exact quotient a / b of exact scalars, by the rule of ``_exact``."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return q if not r else Fraction(a, b)
-    return _exact(Fraction(a) / b)
+def _not_int(c):
+    raise TypeError(f"MPoly coefficient {c!r} is not an int")
 
 
 class MPoly:
-    """Sparse multivariate polynomial with exact coefficients: an int when
-    integral, a Fraction only for a true fraction.
+    """Sparse multivariate polynomial with int coefficients.
 
     Treated as immutable: no method mutates ``terms`` after construction.
     """
@@ -110,7 +93,7 @@ class MPoly:
 
     def __init__(self, table: VarTable, terms: dict | None = None):
         self.table = table
-        self.terms = {e: c if type(c) is int else _exact(c)
+        self.terms = {e: c if type(c) is int else _not_int(c)
                       for e, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------------
@@ -149,13 +132,13 @@ class MPoly:
         """Exponent vectors in canonical (descending) order."""
         return sorted(self.terms, key=self._order_key, reverse=True)
 
-    def leading(self) -> tuple[Exp, int | Fraction]:
+    def leading(self) -> tuple[Exp, int]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=self._order_key)
         return e, self.terms[e]
 
-    def constant(self) -> int | Fraction:
+    def constant(self) -> int:
         return self.terms.get(_aszero(self.table), 0)
 
     # -- arithmetic ---------------------------------------------------------
@@ -165,7 +148,7 @@ class MPoly:
             raise ValueError("mixed variable tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MPoly.const(self.table, other)
         self._check(other)
         out = dict(self.terms)
@@ -183,7 +166,7 @@ class MPoly:
         return MPoly(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MPoly.const(self.table, other)
         return self + (-other)
 
@@ -191,7 +174,7 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return MPoly(self.table, {e: other * v for e, v in self.terms.items()})
         self._check(other)
         out: dict = {}
@@ -207,12 +190,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, c):
-        """Exact division by a nonzero int or Fraction."""
-        if not isinstance(c, (int, Fraction)):
-            return NotImplemented
-        return MPoly(self.table, {e: _quo(v, c) for e, v in self.terms.items()})
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
@@ -226,7 +203,7 @@ class MPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MPoly.const(self.table, other)
         return isinstance(other, MPoly) and self.table == other.table and self.terms == other.terms
 
@@ -249,7 +226,7 @@ class MPoly:
         return MPoly(self.table, out)
 
     def substitute(self, values):
-        """Full substitution; values[i] may be numbers, Fractions or MPolys."""
+        """Full substitution; values[i] may be numbers or MPolys."""
         total = None
         for e, c in self.terms.items():
             term = None
@@ -261,7 +238,7 @@ class MPoly:
             total = term if total is None else total + term
         return 0 if total is None else total
 
-    def map_vars(self, target: dict[int, tuple[int, int | Fraction]],
+    def map_vars(self, target: dict[int, tuple[int, int]],
                  table: VarTable | None = None) -> "MPoly":
         """Rename variables: idx -> (new idx, scale); used for involutions."""
         table = table or self.table
@@ -348,7 +325,7 @@ def leading_minors(M, kmax: int) -> dict:
 
 def det(M):
     """Determinant: the full minor of `leading_minors`, for entries of any
-    ring (ints, Fractions, MPolys, complex numbers).  It forms the 2^n minors
+    ring (ints, rationals, MPolys, complex numbers).  It forms the 2^n minors
     of the leading columns, which suits the ring's small matrices (n <= 8);
     numeric code calls LAPACK (np.linalg.det) itself."""
     rows = _as_rows(M)

@@ -2,7 +2,9 @@
 the explicit term families, anticanonical divisor equations, the Young-diagram
 rendering, the compiled chart evaluator of F_- with its gradient and Hessian
 (which raises NearPole at a denominator within POLE_GUARD of a pole), and the
-LU/uv factorization route used as an evaluation oracle.
+LU/uv factorization route used as an evaluation oracle.  Each term
+denominator and divisor equation has leading coefficient +-1 and is made
+monic by multiplying by it, so all of them stay over the integers.
 
 Index sets are 0-based in code; the 1-based quantities of the formulas appear
 only in comments and in printed variable names like ``p_1467``.
@@ -187,13 +189,24 @@ class SuperpotentialTerm:
     denominator: MPoly
     divisor_k: int
 
-    def normalized(self) -> "SuperpotentialTerm":
-        _, lc = self.denominator.leading()
+    def normalized(self, shape: FlagShape) -> "SuperpotentialTerm":
+        """The term over a denominator of leading coefficient 1."""
+        lc = _unit_leading(self.denominator, shape, self.divisor_k)
         if lc == 1:
             return self
         return SuperpotentialTerm(self.family, self.index,
-                                  self.numerator / lc, self.denominator / lc,
+                                  self.numerator * lc, self.denominator * lc,
                                   self.divisor_k)
+
+
+def _unit_leading(poly: MPoly, shape: FlagShape, k: int) -> int:
+    """The leading coefficient of poly, the equation of the divisor D_k of
+    shape or a term's denominator on it.  It is a unit on every shape, so
+    multiplying by it makes the polynomial monic over the integers."""
+    _, lc = poly.leading()
+    if lc not in (1, -1):
+        raise AssertionError(f"leading coefficient {lc} at D_{k} of {shape} is not a unit")
+    return lc
 
 
 def _rng(a: int, b: int) -> set[int]:
@@ -266,7 +279,7 @@ def superpotential(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
         den = _pvar(shape, _rng(n - nj + 1, n))
         terms.append(SuperpotentialTerm("quantum", (j,), num, den, n - 1 + j))
 
-    terms = [t.normalized() for t in terms]
+    terms = [t.normalized(shape) for t in terms]
     terms.sort(key=lambda t: t.divisor_k)
     return tuple(terms)
 
@@ -294,11 +307,7 @@ def divisor_equations(shape: FlagShape) -> dict[int, MPoly]:
     for k in range(n, n + r):
         nj = shape.nj(k - n + 1)
         out[k] = _pvar(shape, _rng(n - nj + 1, n))
-    for k, poly in out.items():
-        _, lc = poly.leading()
-        if lc != 1:
-            out[k] = poly / lc
-    return out
+    return {k: poly * _unit_leading(poly, shape, k) for k, poly in out.items()}
 
 
 # -- uv factorization route ------------------------------------------------------
@@ -397,14 +406,13 @@ def _signed_sum(*parts) -> str:
 def _poly_src(p: MPoly) -> str:
     """p in the locals z0, z1, ...: its monomials in ``terms`` order summed
     from the left, each the coefficient times the variables from the left;
-    unit coefficients and the signs of integer ones change no bit."""
+    unit coefficients and the signs change no bit."""
     parts = []
     for e, c in p.terms.items():
         mono = ["(" + "*".join([f"z{i}"] * k) + ")" if k > 1 else f"z{i}"
                 for i, k in enumerate(e) if k]
-        whole = c.denominator == 1
-        coef = [repr(complex(c))] if not whole else [] if abs(c) == 1 and mono else [str(abs(c))]
-        parts.append(("-" if whole and c < 0 else "+", "*".join(coef + mono)))
+        coef = [] if abs(c) == 1 and mono else [str(abs(c))]
+        parts.append(("-" if c < 0 else "+", "*".join(coef + mono)))
     return _signed_sum(*parts)
 
 
@@ -552,7 +560,7 @@ def index_term_to_young(term: SuperpotentialTerm, shape: FlagShape) -> Superpote
             mapping[idx] = (ytab.index(young_name(len(cols), lam.parts)), 1)
     num = term.numerator.map_vars(mapping, ytab)
     den = term.denominator.map_vars(mapping, ytab)
-    return SuperpotentialTerm(term.family, term.index, num, den, term.divisor_k).normalized()
+    return SuperpotentialTerm(term.family, term.index, num, den, term.divisor_k).normalized(shape)
 
 
 def _yvar(shape: FlagShape, k: int, parts) -> MPoly:
@@ -643,7 +651,7 @@ def young_view(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
         m = i - shape.nj(j)
         num = _L_numerator(shape, j, m)
         den = _L_denominator(shape, j, m)
-        out.append(SuperpotentialTerm("u-mid", (i, j), num, den, term.divisor_k).normalized())
+        out.append(SuperpotentialTerm("u-mid", (i, j), num, den, term.divisor_k).normalized(shape))
     return tuple(out)
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import add
 
 from .combinat import FlagShape, Permutation, word_length
-from .errors import NonIntegralCoefficient, NotInGroup, SizeCap, TransitionFailure
+from .errors import NotInGroup, SizeCap, TransitionFailure
 from .exactalg import MPoly, VarTable, det
 
 __all__ = [
@@ -426,8 +426,6 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
 
     total: dict[tuple, dict] = {}
     for e, c in poly.terms.items():
-        if type(c) is not int:  # a true fraction: MPoly keeps integral ones as int
-            raise NonIntegralCoefficient(str(c))
         xexp, qexp = e[:n], e[n:]
         for r, p in power_vec(xexp).items():
             _accumulate(total.setdefault(r, {}), p, c, qexp if any(qexp) else None)

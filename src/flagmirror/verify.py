@@ -149,16 +149,18 @@ def _log_monk(n: int) -> None:
 
 def key_identity_sweep(max_n: int, strict: bool = True):
     """Check every key identity with n <= max_n; log per n the instances,
-    the products they asked for, those formed by a transition and the
-    product_vec memo hits, then the Monk line of S_n."""
+    the products they asked for, those formed by a transition, the
+    product_vec memo hits and the entries the memo holds, then the Monk line
+    of S_n."""
     reports = []
     for n, instances in itertools.groupby(key_identity_instances(max_n), lambda t: t[0].n):
         ops = monk_operators(n)
         formed, hits = ops.products, schubring.product_vec.cache_info().hits
         batch = [check_key_identity(shape, j, i, strict) for shape, j, i in instances]
-        log.debug("keyidentity n=%d: %d instances, %d products asked, %d formed, %d reused", n,
-                  len(batch), sum(rep.terms for rep in batch), ops.products - formed,
-                  schubring.product_vec.cache_info().hits - hits)
+        memo = schubring.product_vec.cache_info()
+        log.debug("keyidentity n=%d: %d instances, %d products asked, %d formed, %d reused, "
+                  "%d held", n, len(batch), sum(rep.terms for rep in batch),
+                  ops.products - formed, memo.hits - hits, memo.currsize)
         _log_monk(n)
         reports += batch
     return reports
@@ -239,9 +241,10 @@ def det_formula_vec(w: Permutation, n: int) -> dict[tuple, dict]:
 def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     """For every 321-avoiding w in S_n the determinantal class equals sigma_w,
     checked in the Monk operators by det_formula_vec.  Logs the permutations
-    checked, the cycle products formed, the product_vec memo hits and the
-    seconds at DEBUG, then the Monk line of S_n.  Raises SizeCap outside
-    2 <= n <= 8 before it lists any permutation."""
+    checked, the cycle products formed, the product_vec memo hits, the
+    entries the memo holds and the seconds at DEBUG, then the Monk line of
+    S_n.  Raises SizeCap outside 2 <= n <= 8 before it lists any
+    permutation."""
     ops = monk_operators(n)  # checks n; builds nothing
     t0 = time.perf_counter()
     formed, hits = ops.products, schubring.product_vec.cache_info().hits
@@ -251,9 +254,10 @@ def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     failures.sort(key=lambda w: (w.length, w.oneline))
     ok = not failures
     elapsed = time.perf_counter() - t0
-    log.debug("detformula n=%d: %d permutations, %d cycle products formed, %d reused, %.3fs",
-              n, len(words), ops.products - formed,
-              schubring.product_vec.cache_info().hits - hits, elapsed)
+    memo = schubring.product_vec.cache_info()
+    log.debug("detformula n=%d: %d permutations, %d cycle products formed, %d reused, "
+              "%d held, %.3fs", n, len(words), ops.products - formed, memo.hits - hits,
+              memo.currsize, elapsed)
     _log_monk(n)
     if strict and not ok:
         raise FormulaViolation(f"determinantal formula failed for {failures}")
@@ -381,19 +385,6 @@ class TauSymmetryReport:
                 and self.max_superdiagonal_residual < 1e-9
                 and self.max_G_residual < 1e-9
                 and self.G_checked > 0)
-
-    def to_json(self):
-        return {
-            "shape": self.shape.to_string(),
-            "complementary_steps": list(self.complementary_steps),
-            "samples": self.samples,
-            "max_involution_residual": self.max_involution_residual,
-            "max_unipotent_residual": self.max_unipotent_residual,
-            "max_superdiagonal_residual": self.max_superdiagonal_residual,
-            "max_G_residual": self.max_G_residual,
-            "G_checked": self.G_checked,
-            "ok": self.ok,
-        }
 
 
 def check_tau_symmetry(shape: FlagShape, samples: int = 50, seed: int = 0) -> TauSymmetryReport:

@@ -1,6 +1,6 @@
 import itertools
-import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tests_support import as_pyfunc, fraction_inverse, laplace_det, reference_lu
 
-from flagmirror.combinat import Permutation, all_shapes
-from flagmirror.errors import DimensionMismatch, PivotFailure
+from flagmirror.combinat import FlagShape, Permutation, all_shapes
+from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure
 from flagmirror.exactalg import (
     MPoly,
     VarTable,
@@ -32,8 +32,7 @@ def _vars():
 
 coeffs = st.integers(min_value=-5, max_value=5)
 exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
-polys = st.dictionaries(exps, coeffs, max_size=6).map(
-    lambda d: MPoly(TAB, {e: Fraction(c) for e, c in d.items()}))
+polys = st.dictionaries(exps, coeffs, max_size=6).map(lambda d: MPoly(TAB, d))
 
 
 @given(polys, polys, polys)
@@ -133,38 +132,40 @@ def test_jacobi_identity_200_random():
         done += 1
 
 
-def _assert_exact_coefficients(p: MPoly):
+def _assert_int_coefficients(p: MPoly):
     for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (p, c)
+        assert type(c) is int, (p, c)
 
 
-def test_coefficients_are_int_or_true_fraction():
-    # an integral coefficient is an int, a true fraction a Fraction, and no
-    # float ever enters: on the superpotential, the quantum Schubert
-    # polynomials, determinants and division by a scalar
+def test_coefficients_are_ints():
+    # every coefficient is an int, and no float or fraction ever enters: on
+    # the superpotential, the quantum Schubert polynomials and determinants
     for n in range(2, 6):
         for shape in all_shapes(n):
             for t in superpotential(shape):
-                _assert_exact_coefficients(t.numerator)
-                _assert_exact_coefficients(t.denominator)
+                _assert_int_coefficients(t.numerator)
+                _assert_int_coefficients(t.denominator)
     for ol in itertools.permutations(range(4)):
-        _assert_exact_coefficients(quantum_schubert(Permutation(ol), 4))
+        _assert_int_coefficients(quantum_schubert(Permutation(ol), 4))
     quantum_H.cache_clear()  # a determinant of quantum elementary polynomials
-    _assert_exact_coefficients(quantum_H(3, 2, 5))
+    _assert_int_coefficients(quantum_H(3, 2, 5))
     x1, x2, q1 = _vars()
-    half = Fraction(1, 2)
-    M = [[x1 * half, q1, 1], [x2, x1 * x2, half], [3, x2 * 2, x1 + q1]]
+    M = [[x1 * 3, q1, 1], [x2, x1 * x2, -2], [3, x2 * 2, x1 + q1]]
     d = det(M)
-    _assert_exact_coefficients(d)
+    _assert_int_coefficients(d)
     assert d == laplace_det(M)
-    twice = MPoly(TAB, {(1, 0, 0): Fraction(4, 2), (0, 0, 0): Fraction(-1, 2)})
-    _assert_exact_coefficients(twice)
-    _assert_exact_coefficients(twice / 2)
-    _assert_exact_coefficients(twice * Fraction(2))
-    assert twice.to_json() == {"x1": "2", "1": "-1/2"}
-    assert json.loads(json.dumps({"p": twice.to_json()})) == {"p": {"x1": "2", "1": "-1/2"}}
+    # any other coefficient is refused, an integral Fraction too, and a
+    # polynomial has no division
+    for c in (Fraction(4, 2), Fraction(-1, 2), 0.5, 2.0):
+        with pytest.raises(TypeError):
+            MPoly.const(TAB, c)
     with pytest.raises(TypeError):
-        MPoly.const(TAB, 0.5)
+        x1 / 2
+    # a denominator whose leading coefficient is not a unit does not normalise
+    shape = FlagShape.from_string("2;4")
+    t = superpotential(shape)[0]
+    with pytest.raises(AssertionError, match=rf"coefficient 2 at D_{t.divisor_k} of 2;4 "):
+        replace(t, denominator=2 * t.denominator).normalized(shape)
 
 
 def test_lu_unipotent_examples():
@@ -223,6 +224,9 @@ def test_eigenvalues_examples():
     assert np.allclose(vals, [1, 2, 3])
     comp = np.array([[0, 1], [1, 0]], dtype=complex)  # companion of t^2 - 1
     assert np.allclose(sorted(eigenvalues(comp).real), [-1, 1])
+    # LAPACK refuses a non-finite matrix; that is a ConvergenceFailure too
+    with pytest.raises(ConvergenceFailure):
+        eigenvalues(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
 
 def test_eigenvalues_gr24_c1_matrix():

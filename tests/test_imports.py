@@ -1,6 +1,7 @@
 """Import hygiene, checked with ``ast`` and a fresh interpreter: no unused
-imports (no linter runs on this repository), no scipy at run time, and every
-name the benchmark in ``perfbench/`` imports or patches still exists."""
+imports (no linter runs on this repository), no scipy, fractions or decimal
+at run time, and every name the benchmark in ``perfbench/`` imports or
+patches still exists."""
 
 import ast
 import os
@@ -69,9 +70,12 @@ def test_src_does_not_import_scipy():
 
 def test_runtime_loads_no_scipy():
     """The package and its command line run on numpy alone; scipy is a test
-    dependency, and importing scipy.optimize would cost about half a second."""
+    dependency, and importing scipy.optimize would cost about half a second.
+    The exact algebra is over the ints, so neither fractions nor decimal
+    loads either."""
     code = ("import sys, flagmirror, flagmirror.verify, flagmirror.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
     paths = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

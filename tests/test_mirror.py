@@ -1,7 +1,6 @@
 import logging
 import random
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -474,17 +473,20 @@ def test_unit_denominators_emit_no_pole_check_or_division(sstr, units):
 
 
 def test_poly_source_matches_numpy_scalar_arithmetic():
-    # no N or D up to n = 6 has a square or a non-integer coefficient, so the
-    # expression generator is checked on such polynomials here
+    # no N or D up to n = 6 has a square, so the expression generator is
+    # checked here on polynomials with squares and non-unit, negative
+    # coefficients
     shape = FlagShape(4, (2,))
     rng = random.Random(2)
+    coeffs = set()
     for _ in range(100):
         p = MPoly(chart_table(shape), {tuple(rng.randint(0, 3) for _ in range(4)):
-                                       Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
-                                       for _ in range(6)})
+                                       rng.randint(-5, 5) for _ in range(6)})
+        coeffs.update(p.terms.values())
         zv = random_z_vector(shape, rng)
         got = eval(_poly_src(p) or "0.0", {}, {f"z{i}": v for i, v in enumerate(zv.tolist())})
         assert np.array_equal(got, as_pyfunc(p)(zv))
+    assert coeffs == set(range(-5, 6)) - {0}
 
 
 def test_chart_debug_line(caplog):

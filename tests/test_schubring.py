@@ -2,7 +2,6 @@ import itertools
 import logging
 import random
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -72,7 +71,7 @@ def _E_via_det(i, k, n):
     tab = VarTable.make(spec)
     lift = {}
     for idx in range(base.size):
-        lift[idx] = (idx, Fraction(1))
+        lift[idx] = (idx, 1)
 
     def var(name):
         return MPoly.var(tab, name)
@@ -546,10 +545,12 @@ def test_debug_log_lines(caplog):
                         r"9 apply_x calls, \d+\.\d{3}s", monk[1])
     # one line per n before it: the instances, the products they ask for,
     # those product_vec formed by a transition (none at n = 4, whose
-    # products are times the identity) and its memo hits
+    # products are times the identity), its memo hits and the entries the
+    # memo holds
     sweep = [line for line in lines if line.startswith("keyidentity")]
-    assert sweep == ["keyidentity n=4: 1 instances, 2 products asked, 0 formed, 0 reused",
-                     "keyidentity n=5: 6 instances, 12 products asked, 3 formed, 5 reused"]
+    assert sweep == ["keyidentity n=4: 1 instances, 2 products asked, 0 formed, 0 reused, 2 held",
+                     "keyidentity n=5: 6 instances, 12 products asked, 3 formed, 5 reused, "
+                     "11 held"]
     assert lines.index(sweep[1]) == lines.index(monk[1]) - 1
     # one line per computed polynomial: S^q_{1423} = E_1^2 E_1^3 - E_2^3 =
     # x1^2 + x1x2 + x2^2 - q1 - q2, two standard monomials and five terms

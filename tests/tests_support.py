@@ -23,8 +23,7 @@ import numpy as np
 
 from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
-from flagmirror.errors import (InvalidRange, NearPole, NonIntegralCoefficient, NotMinimalRep,
-                               PivotFailure, SizeCap)
+from flagmirror.errors import InvalidRange, NearPole, NotMinimalRep, PivotFailure, SizeCap
 from flagmirror.exactalg import MPoly, leading_minors
 from flagmirror.mirror import (
     POLE_GUARD,
@@ -194,9 +193,9 @@ def omega_involution(p: MPoly, n: int) -> MPoly:
         raise ValueError("expected a polynomial over xq_table(n)")
     target = {}
     for k in range(1, n + 1):
-        target[k - 1] = (n - k, Fraction(-1))
+        target[k - 1] = (n - k, -1)
     for k in range(1, n):
-        target[n + k - 1] = (n + (n - k) - 1, Fraction(1))
+        target[n + k - 1] = (n + (n - k) - 1, 1)
     return p.map_vars(target)
 
 
@@ -250,15 +249,9 @@ def straighten(p: MPoly, n: int) -> QHClass:
                                            * quantum_E(i0 + 1, n, n))
         work = work - subtract
     terms: dict[Permutation, MPoly] = {}
-    for v, poly in acc.items():
-        coeffs = {}
-        for b, c in poly.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if c.denominator != 1:
-                raise NonIntegralCoefficient(f"straighten coefficient {c} at {v}")
-            coeffs[b] = c
+    for v, coeffs in acc.items():
+        if any(type(c) is not int for c in coeffs.values()):
+            raise AssertionError(f"straighten coefficient not an int at {v}: {coeffs}")
         if coeffs:
             terms[v] = MPoly(qt, coeffs)
     return QHClass(("complete", n), terms)
@@ -412,7 +405,7 @@ def as_pyfunc(p: MPoly):
         return lambda z: 0.0
     parts = []
     for e, c in p.terms.items():
-        factors = [repr(complex(c)) if c.denominator != 1 else repr(int(c))]
+        factors = [repr(c)]
         for i, k in enumerate(e):
             if k == 1:
                 factors.append(f"z[{i}]")
