@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Time the exact ring layer: `class_product` on seeded random pairs of S_7
-(median milliseconds per pair), then one row for `key_identity_sweep(8)`,
-one per n for `check_det_formula(n)`, n = 2..7, one for the benchmark's
+(median milliseconds per pair), then two rows for `key_identity_sweep(8)`,
+cold and with the Monk operators and `product_vec` left warm (the sweep's
+own share: minimal representatives, Grassmannian words, signed sums), one
+per n for `check_det_formula(n)`, n = 2..7, one for the benchmark's
 `ring-identities` pass, `key_identity_sweep(8)` then `check_det_formula(n)`
 for n = 2..5, and two for `quantum_schubert`, on every w of S_6 and on
 QS_WORDS seeded words of S_7 (median of REPEATS runs).
 
 Every memo of `flagmirror.schubring` and `flagmirror.combinat` (products as
 classes and as operator vectors, Monk operators with their X_i entries and
-transitions, q-exponents, polynomials, the divided-difference
-coefficients of the quantum Schubert polynomials, minimal representatives)
-is cleared before each pair and each run, so each is timed as the first call
-of a fresh process and the median does not depend on how many ran before
-it.
+transitions, polynomials, the divided-difference coefficients of the quantum
+Schubert polynomials, minimal representatives) is cleared before each pair
+and each run, so each is timed as the first call of a fresh process and the
+median does not depend on how many ran before it; the warm sweep row keeps
+those two memos of one untimed sweep.
 
     PYTHONPATH=src python scripts/product_timing.py --pairs 20 --seed 0
 """
@@ -34,10 +36,10 @@ REPEATS = 5
 QS_WORDS = 5
 
 
-def clear_memos():
+def clear_memos(keep=()):
     for module in (schubring, combinat):
         for obj in vars(module).values():
-            if callable(getattr(obj, "cache_clear", None)):
+            if callable(getattr(obj, "cache_clear", None)) and obj not in keep:
                 obj.cache_clear()
 
 
@@ -47,12 +49,20 @@ def ring_identities():
         verify.check_det_formula(n)
 
 
-def timed(fn) -> float:
-    """Seconds of one call of fn after clearing every memo."""
-    clear_memos()
+def timed(fn, keep=()) -> float:
+    """Seconds of one call of fn after clearing every memo but keep."""
+    clear_memos(keep)
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def warm_sweep() -> float:
+    """Seconds of key_identity_sweep(SWEEP_N) after an untimed one, with
+    only the Monk operators and product_vec kept."""
+    timed(lambda: verify.key_identity_sweep(SWEEP_N))
+    return timed(lambda: verify.key_identity_sweep(SWEEP_N),
+                 keep=(schubring.monk_operators, schubring.product_vec))
 
 
 def time_pairs(pairs: int, seed: int) -> list[float]:
@@ -70,11 +80,13 @@ def quantum_schubert_all(words, n):
 
 
 def layer_rows(seed: int):
-    """(label, seconds of each run) for the key identity sweep, the
-    determinantal formula per n, the ring-identities pass and the quantum
-    Schubert polynomials."""
+    """(label, seconds of each run) for the key identity sweep, cold and
+    warm, the determinantal formula per n, the ring-identities pass and the
+    quantum Schubert polynomials."""
     yield (f"key_identity_sweep({SWEEP_N})",
            [timed(lambda: verify.key_identity_sweep(SWEEP_N)) for _ in range(REPEATS)])
+    yield (f"key_identity_sweep({SWEEP_N}), Monk operators and product_vec warm",
+           [warm_sweep() for _ in range(REPEATS)])
     for n in DET_NS:
         yield (f"check_det_formula({n})",
                [timed(lambda: verify.check_det_formula(n)) for _ in range(REPEATS)])

@@ -25,6 +25,7 @@ from .schubring import class_product
 from .verify import (
     ACCEPTANCE_SHAPES,
     check_det_formula,
+    check_equivalence_route,
     check_key_identity,
     check_mirror_spectrum,
     check_tau_symmetry,
@@ -186,6 +187,12 @@ def cmd_report_all(args) -> int:
         ok &= rep.passed
         print(f"  {'PASS' if rep.passed else 'FAIL'} {s} q=1: "
               f"max distance {rep.max_distance:.2e}")
+    print("== critical-point equivalence ==")
+    for s, q in (("1,3;4", "1,1"), ("2,4;5", "1.1,0.9")):
+        rep = check_equivalence_route(FlagShape.from_string(s), _parse_q(q))
+        ok &= rep.ok
+        print(f"  {'PASS' if rep.ok else 'FAIL'} {s} q={q}: {rep.points} points, "
+              f"max residual {rep.max_residual:.2e}")
     print("== overall:", "PASS" if ok else "FAIL", "==")
     return 0 if ok else 1
 

@@ -150,6 +150,8 @@ class MPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = MPoly.const(self.table, other)
+        elif not isinstance(other, MPoly):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -176,6 +178,8 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return MPoly(self.table, {e: other * v for e, v in self.terms.items()})
+        if not isinstance(other, MPoly):
+            return NotImplemented
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():

@@ -6,18 +6,20 @@ divisor class sigma_{s_k} (quantum Monk rule).  The pairs of positions a < b
 that M_i and M_{i-1} share cancel, so X_i sigma_w is a signed sum over the
 transpositions with a = i - 1 (sign +) and with b = i - 1 (sign -).  Those
 entries are computed on first use and memoised per (word, i), in memory (no
-n!-sized build, no disk cache).  A general class sigma_u acts on an operator
-vector ({word: {q-exponent: int}}) by the quantum transition, sigma_u = X_r
-sigma_{u t_rs} minus classes below u, recursing into the classes it reaches
-(transition_product), so a product needs X_i entries only.  product_vec
-memoises a product of any number of classes as such a vector and signed_sum
-adds vectors, so the identity checks build no QHClass unless a residue is
-nonzero.  The class of a polynomial p modulo the quantum ideal I_n^q
-(normal_form) is p evaluated in the X_i on sigma_id.  Quantum Schubert
-polynomials (public API) quantize the standard elementary-monomial expansion
-of S_w, whose coefficients are y-divided differences of monomials at y = 0
-(one memoised integer recursion, sharing the monomial divided-difference rule
-with schubert_poly).
+n!-sized build, no disk cache).  An operator vector is one flat dict
+{(one-line word, q): int}, q the q-exponent packed 8 bits per q_k (q_1
+lowest) into one int, far below 256 for n <= 8; vec_to_class unpacks it.  A
+general class sigma_u acts on an operator vector by the quantum transition,
+sigma_u = X_r sigma_{u t_rs} minus classes below u, recursing into the
+classes it reaches (transition_product), so a product needs X_i entries
+only.  product_vec memoises a product of any number of classes as such a
+vector and signed_sum adds vectors, so the identity checks build no QHClass
+unless a residue is nonzero.  The class of a polynomial p modulo the quantum
+ideal I_n^q (normal_form) is p evaluated in the X_i on sigma_id.  Quantum
+Schubert polynomials (public API) quantize the standard elementary-monomial
+expansion of S_w, whose coefficients are y-divided differences of monomials
+at y = 0 (one memoised integer recursion, sharing the monomial
+divided-difference rule with schubert_poly).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
 
 from .combinat import FlagShape, Permutation, word_length
 from .errors import NotInGroup, SizeCap, TransitionFailure
@@ -208,35 +209,23 @@ def quantum_schubert(w: Permutation, n: int) -> MPoly:
 # -- Monk operators and products ----------------------------------------------
 
 
-def _accumulate(acc: dict, poly: dict, c: int, qexp: tuple | None) -> None:
-    """acc += c q^qexp poly on q-polynomials {q-exponent: int}, dropping the
-    terms that cancel; qexp None stands for q^0."""
-    for b, v in poly.items():
-        key = tuple(map(add, b, qexp)) if qexp else b
-        s = acc.get(key, 0) + c * v
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
-@lru_cache(maxsize=None)
-def _q_exponent(n: int, a: int, b: int) -> tuple[int, ...]:
-    """The exponent of q_{a+1}..q_b, for 0-based positions a < b."""
-    return tuple(int(a <= k < b) for k in range(n - 1))
+def _q_exponent(a: int, b: int) -> int:
+    """q_{a+1}..q_b, for 0-based positions a < b, as a packed q-exponent:
+    8 bits per q_k, the exponent of q_{k+1} in bits 8k..8k+7."""
+    return sum(1 << 8 * k for k in range(a, b))
 
 
 @dataclass
 class MonkOperators:
-    """The operators X_i = M_i - M_{i-1} (M_0 = M_n = 0) on the Schubert
-    basis of QH*(Fl_n), on sparse vectors keyed by one-line word, with M_k
-    multiplication by sigma_{s_k}.  M_k sigma_w sums over the transpositions
-    t_ab, a < k <= b (quantum Monk rule), so X_i sigma_w keeps those with
-    a = i - 1, with sign +, and those with b = i - 1, with sign -.  Entries
-    are memoised per (word, i), word lengths and transitions per word."""
+    """The operators X_i = M_i - M_{i-1} (M_0 = M_n = 0) on operator vectors
+    over the Schubert basis of QH*(Fl_n), with M_k multiplication by
+    sigma_{s_k}.  M_k sigma_w sums over the transpositions t_ab, a < k <= b
+    (quantum Monk rule), so X_i sigma_w keeps those with a = i - 1, with
+    sign +, and those with b = i - 1, with sign -.  Entries are memoised per
+    (word, i), word lengths and transitions per word."""
 
     n: int
-    # word -> [i-1] -> entries (sign, word of the image, q-exponent or None)
+    # word -> [i-1] -> entries (sign, word of the image, packed q-exponent)
     x_entries: dict[tuple, list] = field(default_factory=dict, repr=False)
     # word of u -> (r, word of u t_rs, rest of X_r sigma_{u t_rs})
     transitions: dict[tuple, tuple] = field(default_factory=dict, repr=False)
@@ -253,11 +242,11 @@ class MonkOperators:
         return got
 
     def x_entry(self, ol: tuple[int, ...], i: int) -> list[tuple]:
-        """The terms (sign, image word, q-exponent or None) of X_i sigma_w,
-        w with one-line word ol.  The positions a < b give sigma_{w t_ab}
-        when l(w t_ab) = l(w) + 1 (no value between positions a and b lies
-        between w(a) < w(b)), and q_{a+1}..q_b sigma_{w t_ab} when
-        l(w t_ab) = l(w) + 1 - 2(b - a) (every value between them lies
+        """The terms (sign, image word, packed q-exponent, 0 for no q) of
+        X_i sigma_w, w with one-line word ol.  The positions a < b give
+        sigma_{w t_ab} when l(w t_ab) = l(w) + 1 (no value between positions
+        a and b lies between w(a) < w(b)), and q_{a+1}..q_b sigma_{w t_ab}
+        when l(w t_ab) = l(w) + 1 - 2(b - a) (every value between them lies
         between w(b) < w(a)).  Each side of position p = i - 1 is one scan;
         the side b = p is the side a = p with positions reversed and values
         complemented."""
@@ -280,9 +269,9 @@ class MonkOperators:
                     lo = -1
                     if vb >= hi:
                         continue
-                    hi, qexp = vb, None
+                    hi, qexp = vb, 0
                 elif vb < lo:
-                    lo, qexp = vb, _q_exponent(n, min(p, b), max(p, b))
+                    lo, qexp = vb, _q_exponent(min(p, b), max(p, b))
                 else:
                     continue
                 swapped = list(ol)
@@ -292,16 +281,17 @@ class MonkOperators:
         self.build_s += time.perf_counter() - t0
         return got
 
-    def apply_x(self, i: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
-        """Apply X_i (i in 1..n) to a sparse vector of q-polynomials."""
+    def apply_x(self, i: int, vec: dict[tuple, int]) -> dict[tuple, int]:
+        """Apply X_i (i in 1..n) to an operator vector, dropping what cancels."""
         self.x_calls += 1
-        out: dict[tuple, dict] = {}
-        for word, poly in vec.items():
+        out: dict[tuple, int] = {}
+        for (word, b), c in vec.items():
             for sgn, row, qexp in self.x_entry(word, i):
-                _accumulate(out.setdefault(row, {}), poly, sgn, qexp)
-        return {r: p for r, p in out.items() if p}
+                key = (row, b + qexp)
+                out[key] = out.get(key, 0) + sgn * c
+        return {key: c for key, c in out.items() if c}
 
-    def transition(self, ol: tuple[int, ...]) -> tuple[int, tuple, dict[tuple, dict]]:
+    def transition(self, ol: tuple[int, ...]) -> tuple[int, tuple, dict[tuple, int]]:
         """Quantum transition at sigma_u, u != id with one-line word ol.
 
         With r the last descent of u (1-based), s the last position after r
@@ -321,11 +311,11 @@ class MonkOperators:
         v = list(ol)
         v[r], v[s] = ol[s], ol[r]
         v = tuple(v)
-        rest = self.apply_x(r + 1, {v: {(0,) * (n - 1): 1}})
-        if rest.pop(ol, None) != {(0,) * (n - 1): 1}:
+        rest = self.apply_x(r + 1, {(v, 0): 1})
+        if rest.pop((ol, 0), None) != 1:
             raise TransitionFailure(f"sigma_{ol} is not a unit term of X_{r + 1} sigma_{v}")
         lu = self.length(ol)
-        for w in rest:
+        for w, _ in rest:
             lw = self.length(w)
             if not (lw < lu or (lw == lu and w > ol)):
                 raise TransitionFailure(f"X_{r + 1} sigma_{v} holds sigma_{w}, not below "
@@ -392,30 +382,36 @@ class QHClass:
                 sorted(self.terms.items(), key=lambda t: (t[0].length, t[0].oneline))}
 
 
-def vec_to_class(vec: dict[tuple, dict], n: int) -> QHClass:
-    """The class of an operator vector, whose coefficients are ints."""
+def vec_to_class(vec: dict[tuple, int], n: int) -> QHClass:
+    """The class of an operator vector {(one-line word, packed q-exponent):
+    int}, each exponent unpacked into a monomial in q_1..q_{n-1}."""
+    polys: dict[tuple, dict] = {}
+    for (word, b), c in vec.items():
+        polys.setdefault(word, {})[tuple(b.to_bytes(n - 1, "little"))] = c
     qt = q_table(n)
     return QHClass(("complete", n), {Permutation(word): MPoly(qt, poly)
-                                     for word, poly in vec.items()})
+                                     for word, poly in polys.items()})
 
 
-def signed_sum(pairs) -> dict[tuple, dict]:
+def signed_sum(pairs) -> dict[tuple, int]:
     """sum of c * vec over (c, vec) pairs, c an int and vec an operator
     vector, as one new operator vector without the terms that cancel; the
     inputs are left untouched."""
-    acc: dict[tuple, dict] = {}
+    acc: dict[tuple, int] = {}
     for sgn, vec in pairs:
-        for word, poly in vec.items():
-            _accumulate(acc.setdefault(word, {}), poly, sgn, None)
-    return {word: p for word, p in acc.items() if p}
+        for key, c in vec.items():
+            acc[key] = acc.get(key, 0) + sgn * c
+    return {key: c for key, c in acc.items() if c}
 
 
-def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) -> dict[tuple, dict]:
-    """Evaluate an element of Z[q][x] in the operators X_i, applied to vec."""
+def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, int]) -> dict[tuple, int]:
+    """Evaluate an element of Z[q][x] in the operators X_i, applied to vec.
+    A term x^a q^c reaches q-degree at most (|a| + 2|c|) / 2, so SizeCap is
+    raised above weighted degree 511, where an exponent could pass 255."""
     n = ops.n
-    memo: dict[tuple, dict[tuple, dict]] = {(0,) * n: vec}
+    memo: dict[tuple, dict[tuple, int]] = {(0,) * n: vec}
 
-    def power_vec(xexp: tuple) -> dict[tuple, dict]:
+    def power_vec(xexp: tuple) -> dict[tuple, int]:
         if xexp in memo:
             return memo[xexp]
         i = max(idx for idx, e in enumerate(xexp) if e)
@@ -424,16 +420,20 @@ def apply_polynomial(ops: MonkOperators, poly: MPoly, vec: dict[tuple, dict]) ->
         memo[xexp] = out
         return out
 
-    total: dict[tuple, dict] = {}
+    total: dict[tuple, int] = {}
     for e, c in poly.terms.items():
         xexp, qexp = e[:n], e[n:]
-        for r, p in power_vec(xexp).items():
-            _accumulate(total.setdefault(r, {}), p, c, qexp if any(qexp) else None)
-    return {r: p for r, p in total.items() if p}
+        if sum(xexp) + 2 * sum(qexp) > 511:
+            raise SizeCap(f"x^{xexp} q^{qexp} has weighted degree above 511")
+        qe = int.from_bytes(bytes(qexp), "little")
+        for (r, b), v in power_vec(xexp).items():
+            key = (r, b + qe)
+            total[key] = total.get(key, 0) + c * v
+    return {key: c for key, c in total.items() if c}
 
 
 def transition_product(ops: MonkOperators, ol: tuple[int, ...],
-                        vec: dict[tuple, dict]) -> dict[tuple, dict]:
+                       vec: dict[tuple, int]) -> dict[tuple, int]:
     """sigma_u applied to vec, u with one-line word ol, by the quantum
     transition sigma_u = X_r sigma_v - R (MonkOperators.transition),
     recursing into v and the classes of R down to the identity; each class
@@ -442,50 +442,49 @@ def transition_product(ops: MonkOperators, ol: tuple[int, ...],
 
 
 def _transition_apply(ops: MonkOperators, w: tuple[int, ...],
-                      done: dict[tuple, dict[tuple, dict]]) -> dict[tuple, dict]:
+                      done: dict[tuple, dict[tuple, int]]) -> dict[tuple, int]:
     """sigma_w applied to done[id], done memoising the classes applied so far
     (a closure calling itself would leave a reference cycle per call)."""
     got = done.get(w)
     if got is None:
         r, v, rest = ops.transition(w)
         out = ops.apply_x(r, _transition_apply(ops, v, done))
-        for w2, coef in rest.items():
-            for row, poly in _transition_apply(ops, w2, done).items():
-                acc = out.setdefault(row, {})
-                for b2, c2 in coef.items():
-                    _accumulate(acc, poly, -c2, b2 if any(b2) else None)
-        done[w] = got = {row: p for row, p in out.items() if p}
+        for (w2, b2), c2 in rest.items():
+            for (row, b), c in _transition_apply(ops, w2, done).items():
+                key = (row, b + b2)
+                out[key] = out.get(key, 0) - c2 * c
+        done[w] = got = {key: c for key, c in out.items() if c}
     return got
 
 
 @lru_cache(maxsize=16384)
-def product_vec(words: tuple[tuple[int, ...], ...], n: int) -> dict[tuple, dict]:
+def product_vec(words: tuple[tuple[int, ...], ...], n: int) -> dict[tuple, int]:
     """Quantum product sigma_{w_1} ... sigma_{w_m} in QH*(Fl_n) as an
-    operator vector, the w_i given by one-line words; memoised (all 13,217
-    lookups of check_det_formula(8) fit), so callers must not mutate it.
+    operator vector, the w_i given by one-line words; memoised (the 14,619
+    products check_det_formula(8) looks up fit), so callers must not mutate it.
     Identity words drop out and the rest are looked up sorted by length,
     ties in the order given.  The shortest is applied by the quantum
     transition (transition_product) to the product of the rest, down to the
     basis vector of the longest.  Each product formed is checked against
-    the grading and counted in MonkOperators.products."""
+    the grading (q-degree the digit sum of the packed exponent, so a carry
+    trips it) and counted in MonkOperators.products."""
     if any(len(w) != n for w in words):
         raise NotInGroup(f"{words} must lie in S_{n}")
     ops = monk_operators(n)
     key = tuple(sorted(filter(ops.length, words), key=ops.length))
-    unit = {(0,) * (n - 1): 1}
     if len(key) < 2:
-        return {key[0] if key else tuple(range(n)): unit}
+        return {(key[0] if key else tuple(range(n)), 0): 1}
     if key != words:
         return product_vec(key, n)
-    rest = product_vec(key[1:], n) if len(key) > 2 else {key[1]: unit}
+    rest = product_vec(key[1:], n) if len(key) > 2 else {(key[1], 0): 1}
     out = transition_product(ops, key[0], rest)
     ops.products += 1
     degree = sum(map(ops.length, key))
-    for word, poly in out.items():
-        for b in poly:
-            if degree != ops.length(word) + 2 * sum(b):
-                raise AssertionError(f"grading violated at sigma_{Permutation(word)} q^{b} in "
-                                     + "*".join(str(Permutation(w)) for w in key))
+    for word, b in out:
+        digits = b.to_bytes(n - 1, "little")
+        if degree != ops.length(word) + 2 * sum(digits):
+            raise AssertionError(f"grading violated at sigma_{Permutation(word)} q^{tuple(digits)} "
+                                 "in " + "*".join(str(Permutation(w)) for w in key))
     return out
 
 
@@ -506,4 +505,4 @@ def normal_form(p: MPoly, n: int) -> QHClass:
     if p.table != xq_table(n):
         raise ValueError("expected a polynomial over xq_table(n)")
     ops = monk_operators(n)
-    return vec_to_class(apply_polynomial(ops, p, {tuple(range(n)): {(0,) * (n - 1): 1}}), n)
+    return vec_to_class(apply_polynomial(ops, p, {(tuple(range(n)), 0): 1}), n)

@@ -213,7 +213,7 @@ def quantum_H_word(l: int, k: int, n: int) -> tuple[int, ...] | None:
     return (*range(k - 1), k + l - 1, *range(k - 1, k + l - 1), *range(k + l, n))
 
 
-def det_formula_vec(w: Permutation, n: int) -> dict[tuple, dict]:
+def det_formula_vec(w: Permutation, n: int) -> dict[tuple, int]:
     """det(H_{lambda_a - mu_b - a + b}^{phi_a}) of the 321-avoiding w as an
     operator vector: the Leibniz expansion over the nonzero entries, each
     entry the class of its quantum_H_word, each term a product_vec."""
@@ -248,9 +248,9 @@ def check_det_formula(n: int, strict: bool = True) -> DetFormulaReport:
     ops = monk_operators(n)  # checks n; builds nothing
     t0 = time.perf_counter()
     formed, hits = ops.products, schubring.product_vec.cache_info().hits
-    unit = {(0,) * (n - 1): 1}
     words = [ol for ol in itertools.permutations(range(n)) if avoids_321(ol)]
-    failures = [w for w in map(Permutation, words) if det_formula_vec(w, n) != {w.oneline: unit}]
+    failures = [w for w in map(Permutation, words)
+                if det_formula_vec(w, n) != product_vec((w.oneline,), n)]
     failures.sort(key=lambda w: (w.length, w.oneline))
     ok = not failures
     elapsed = time.perf_counter() - t0

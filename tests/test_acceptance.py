@@ -247,8 +247,7 @@ def test_criterion_8_ring_engine_soundness():
     # Monk operators (the oracle's columns) commute pairwise for n <= 5
     for n in range(2, 6):
         words = list(itertools.permutations(range(n)))
-        unit = (0,) * (n - 1)
-        cols = [[monk_apply(k, {w: {unit: 1}}) for w in words]
+        cols = [[monk_apply(k, {(w, 0): 1}) for w in words]
                 for k in range(1, n)]
         for a in range(1, n):
             for b in range(a + 1, n):

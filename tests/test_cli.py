@@ -1,4 +1,5 @@
 import json
+import re
 
 from flagmirror.cli import main
 from flagmirror.verify import ACCEPTANCE_SHAPES
@@ -134,3 +135,5 @@ def test_report_all_quick(capsys):
     for s in ACCEPTANCE_SHAPES[:4]:
         assert f"  PASS {s} q=1:" in out
     assert f"{ACCEPTANCE_SHAPES[4]} q=1" not in out
+    assert re.search(r"^  PASS 1,3;4 q=1,1: 10 points, max residual \d\.\d\de-\d\d$", out, re.M)
+    assert re.search(r"^  PASS 2,4;5 q=1\.1,0\.9: 30 points, max residual \d\.\d\de-\d\d$", out, re.M)

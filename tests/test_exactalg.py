@@ -161,6 +161,12 @@ def test_coefficients_are_ints():
             MPoly.const(TAB, c)
     with pytest.raises(TypeError):
         x1 / 2
+    # arithmetic with a scalar that is neither an int nor an MPoly is refused
+    # as unsupported, not failed inside the table check
+    for expr in (lambda: x1 * 0.5, lambda: x1 + 0.5, lambda: 0.5 * x1,
+                 lambda: x1 - Fraction(1, 2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            expr()
     # a denominator whose leading coefficient is not a unit does not normalise
     shape = FlagShape.from_string("2;4")
     t = superpotential(shape)[0]

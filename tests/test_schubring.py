@@ -195,8 +195,7 @@ def test_monk_operators_commute():
     # the Monk-rule columns of the oracle
     for n in range(2, 5):
         words = list(itertools.permutations(range(n)))
-        unit = {(0,) * (n - 1): 1}
-        cols = [[monk_apply(k, {w: dict(unit)}) for w in words]
+        cols = [[monk_apply(k, {(w, 0): 1}) for w in words]
                 for k in range(1, n)]
         for a in range(1, n):
             for b in range(a + 1, n):
@@ -209,9 +208,8 @@ def test_x_operators_commute():
     # X_a X_b = X_b X_a on the signed entries, every word of S_n, n <= 4
     for n in range(2, 5):
         ops = monk_operators(n)
-        unit = {(0,) * (n - 1): 1}
         for w in itertools.permutations(range(n)):
-            images = [ops.apply_x(i, {w: dict(unit)}) for i in range(1, n + 1)]
+            images = [ops.apply_x(i, {(w, 0): 1}) for i in range(1, n + 1)]
             for a in range(1, n + 1):
                 for b in range(a + 1, n + 1):
                     assert ops.apply_x(b, images[a - 1]) == ops.apply_x(a, images[b - 1])
@@ -318,11 +316,9 @@ def test_normal_form_examples():
 def test_x_n_is_minus_m_n_minus_1(n):
     # M_n = 0, so X_n = -M_{n-1}; E_1^n = x_1 + ... + x_n lies in the ideal
     ops = monk_operators(n)
-    unit = {(0,) * (n - 1): 1}
     for ol in itertools.permutations(range(n)):
-        minus = {w: {b: -c for b, c in p.items()}
-                 for w, p in monk_apply(n - 1, {ol: dict(unit)}).items()}
-        assert ops.apply_x(n, {ol: dict(unit)}) == minus
+        minus = {key: -c for key, c in monk_apply(n - 1, {(ol, 0): 1}).items()}
+        assert ops.apply_x(n, {(ol, 0): 1}) == minus
     assert normal_form(quantum_E(1, n, n), n).is_zero()
 
 
@@ -419,7 +415,7 @@ def _check_x_entries(ops, ol):
     columns = _monk_reference(ol)
     for i in range(1, n + 1):
         entry = ops.x_entry(ol, i)
-        got = {row: (sgn, qexp or (0,) * (n - 1)) for sgn, row, qexp in entry}
+        got = {row: (sgn, tuple(qexp.to_bytes(n - 1, "little"))) for sgn, row, qexp in entry}
         assert len(got) == len(entry)
         assert got == _x_reference(columns, i), (ol, i)
         assert ops.x_entry(ol, i) is entry
@@ -449,12 +445,40 @@ def test_monk_columns_match_reference_random_words(n):
 def test_class_product_matches_monk_column_route_s4():
     # the same transitions run on the oracle's X_i = M_i - M_{i-1}
     oracle = MonkColumnOperators(4)
-    unit = (0,) * 3
     perms = sorted_perms(4)
     for u in perms:
         for v in perms:
-            want = vec_to_class(transition_product(oracle, u.oneline, {v.oneline: {unit: 1}}), 4)
+            want = vec_to_class(transition_product(oracle, u.oneline, {(v.oneline, 0): 1}), 4)
             assert class_product(u, v, 4) == want
+
+
+@pytest.mark.parametrize("n, pairs", [(7, 6), (8, 3)])
+def test_product_vec_matches_monk_column_route_packed(n, pairs):
+    # seeded pairs against the oracle's X_i = M_i - M_{i-1}, which packs its
+    # own q-exponents, as exact dict equality; some product carries a q_k
+    # squared or higher, so one byte holds more than a single 1
+    rng = random.Random(400 + n)
+    oracle = MonkColumnOperators(n)
+    top = 0
+    for _ in range(pairs):
+        u, v = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        vec = product_vec((u, v), n)
+        assert vec == transition_product(oracle, u, {(v, 0): 1}), (u, v)
+        top = max([top] + [max(b.to_bytes(n - 1, "little")) for _, b in vec])
+    assert top >= 2
+
+
+def test_packed_exponent_at_n2():
+    # one q and one byte: sigma_{s_1}^2 = q_1 (its class is checked in
+    # test_monk_examples_small)
+    assert product_vec(((1, 0), (1, 0)), 2) == {((0, 1), 1): 1}
+    s1 = P("21")
+    # x_1^511 = q_1^255 sigma_{s_1} fills the byte; one degree more is refused
+    x1 = MPoly.var(xq_table(2), "x1")
+    assert normal_form(x1 ** 511, 2) == QHClass(("complete", 2),
+                                                {s1: MPoly.var(q_table(2), "q1") ** 255})
+    with pytest.raises(SizeCap, match="above 511"):
+        normal_form(x1 ** 512, 2)
 
 
 def test_transition_product_memo():
@@ -462,17 +486,16 @@ def test_transition_product_memo():
     # every memo of the operators cleared
     n = 6
     rng = random.Random(6)
-    unit = {(0,) * (n - 1): 1}
     ops = MonkOperators(n)
     for _ in range(20):
         u, v = (tuple(rng.sample(range(n), n)) for _ in range(2))
-        cold = transition_product(ops, u, {v: dict(unit)})
+        cold = transition_product(ops, u, {(v, 0): 1})
         transitions = dict(ops.transitions)
-        assert transition_product(ops, u, {v: dict(unit)}) == cold
+        assert transition_product(ops, u, {(v, 0): 1}) == cold
         assert ops.transitions == transitions  # the warm product built none
         for memo in (ops.transitions, ops.x_entries, ops.lengths):
             memo.clear()
-        assert transition_product(ops, u, {v: dict(unit)}) == cold
+        assert transition_product(ops, u, {(v, 0): 1}) == cold
         assert vec_to_class(cold, n) == class_product(Permutation(u), Permutation(v), n)
 
 
@@ -480,10 +503,9 @@ def test_transition_product_of_w0_on_the_identity_s8():
     # sigma_{w0} * sigma_id reaches every class the transitions of w0 reach,
     # the deepest recursion at n = 8, under the default recursion limit
     n = 8
-    unit = {(0,) * (n - 1): 1}
     w0 = tuple(reversed(range(n)))
     ops = MonkOperators(n)
-    assert transition_product(ops, w0, {tuple(range(n)): dict(unit)}) == {w0: unit}
+    assert transition_product(ops, w0, {(tuple(range(n)), 0): 1}) == {(w0, 0): 1}
     # each class reached is applied once, after one apply_x for its transition
     assert ops.x_calls == 2 * len(ops.transitions)
 
@@ -563,7 +585,7 @@ def test_debug_log_lines(caplog):
 def _polynomial_route(u, v, n):
     """sigma_u * sigma_v by evaluating u's quantum Schubert polynomial in the
     operators X_i on sigma_v (the route the quantum transition replaced)."""
-    vec = {v.oneline: {(0,) * (n - 1): 1}}
+    vec = {(v.oneline, 0): 1}
     return vec_to_class(apply_polynomial(monk_operators(n), quantum_schubert(u, n), vec), n)
 
 
@@ -590,16 +612,15 @@ def test_transition_rest_lies_below(n):
     # X_r sigma_{u t_rs} is sigma_u plus classes shorter than u, or of the same
     # length and lexicographically greater
     ops = monk_operators(n)
-    unit = {(0,) * (n - 1): 1}
     for u in sorted_perms(n)[1:]:
         ol = u.oneline
         r = max(i for i in range(n - 1) if ol[i] > ol[i + 1])
         s = max(j for j in range(r + 1, n) if ol[j] < ol[r])
         v = u.times_transposition(r, s)
         assert v.length == u.length - 1
-        image = ops.apply_x(r + 1, {v.oneline: dict(unit)})
-        assert image.pop(ol) == unit
-        for w in map(Permutation, image):
+        image = ops.apply_x(r + 1, {(v.oneline, 0): 1})
+        assert image.pop((ol, 0)) == 1
+        for w in (Permutation(word) for word, _ in image):
             assert w.length < u.length or (w.length == u.length and w.oneline > ol)
         assert ops.transition(ol) == (r + 1, v.oneline, image)
 
@@ -608,9 +629,14 @@ def test_transition_rejects_a_missing_unit_term(monkeypatch):
     ops = MonkOperators(3)
     real = MonkOperators.apply_x
     monkeypatch.setattr(MonkOperators, "apply_x",
-                        lambda self, i, vec: {w: p for w, p in real(self, i, vec).items()
-                                              if w != (2, 1, 0)})
+                        lambda self, i, vec: {key: c for key, c in real(self, i, vec).items()
+                                              if key[0] != (2, 1, 0)})
     with pytest.raises(TransitionFailure, match="not a unit term"):
+        ops.transition((2, 1, 0))
+    # a q-term at u beside the unit term is not below u
+    monkeypatch.setattr(MonkOperators, "apply_x",
+                        lambda self, i, vec: {**real(self, i, vec), ((2, 1, 0), 1): 1})
+    with pytest.raises(TransitionFailure, match=r"holds sigma_\(2, 1, 0\), not below"):
         ops.transition((2, 1, 0))
 
 
@@ -658,49 +684,70 @@ def test_product_vec_of_three_words_matches_class_product_twice():
             assert vec_to_class(product_vec(words, n), n) == want, (u, v, w)
             assert vec_to_class(product_vec((w.oneline, ident, u.oneline, v.oneline), n),
                                 n) == want
-    assert product_vec((), 4) == product_vec(((0, 1, 2, 3),), 4) == {(0, 1, 2, 3): {(0, 0, 0): 1}}
+    assert product_vec((), 4) == product_vec(((0, 1, 2, 3),), 4) == {((0, 1, 2, 3), 0): 1}
+
+
+def _bump_least_key(out):
+    """Raise the packed q-exponent of the least key of out by one, q_1 up."""
+    word, b = min(out)
+    out[word, b + 1] = out.pop((word, b))
 
 
 def test_product_vec_grading_check_trips_on_a_corrupted_product(monkeypatch):
-    # an extra sigma_id term has degree 0, not l(u) + l(v)
+    # an extra sigma_id term has degree 0, not l(u) + l(v); a q_1 added to a
+    # term raises its degree by 2
     n = 4
     u, v = (1, 0, 2, 3), (0, 2, 1, 3)
     real = schubring.transition_product
 
-    def corrupted(ops, ol, vec):
-        out = dict(real(ops, ol, vec))
-        out[tuple(range(n))] = {(0,) * (n - 1): 1}
-        return out
+    def extra_term(out):
+        out[tuple(range(n)), 0] = 1
 
-    monkeypatch.setattr(schubring, "transition_product", corrupted)
-    product_vec.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="grading violated at sigma_1234 "):
-            product_vec((u, v), n)
-    finally:
+    for corrupt, message in ((extra_term, "grading violated at sigma_1234 "),
+                             (_bump_least_key, r"grading violated at sigma_2314 "
+                                               r"q\^\(1, 0, 0\) in 2134\*1324$")):
+        def corrupted(ops, ol, vec):
+            out = dict(real(ops, ol, vec))
+            corrupt(out)
+            return out
+
+        monkeypatch.setattr(schubring, "transition_product", corrupted)
         product_vec.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=message):
+                product_vec((u, v), n)
+        finally:
+            product_vec.cache_clear()
 
 
 def test_product_vec_grading_check_trips_on_a_corrupted_three_word_product(monkeypatch):
     # the product of the two longer words is sound; the last transition,
-    # which applies the shortest word, adds a term of the wrong degree
+    # which applies the shortest word, adds a term of the wrong degree, or
+    # raises a term's q-exponent by q_1
     n = 5
     words = ((0, 2, 1, 3, 4), (2, 0, 1, 4, 3), (1, 0, 4, 3, 2))
     real = schubring.transition_product
 
-    def corrupted(ops, ol, vec):
-        out = dict(real(ops, ol, vec))
-        if ol == words[0]:
-            out[(1, 0, 2, 3, 4)] = {(0,) * (n - 1): 1}
-        return out
+    def extra_term(out):
+        out[(1, 0, 2, 3, 4), 0] = 1
 
-    monkeypatch.setattr(schubring, "transition_product", corrupted)
-    product_vec.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match=r"grading violated at sigma_21345 "
-                                                 r"q\^\(0, 0, 0, 0\) in 13245\*31254\*21543$"):
-            product_vec(words, n)
-        # the sound sub-product was formed and memoised before the check tripped
-        assert product_vec.cache_info().currsize == 1
-    finally:
+    for corrupt, message in ((extra_term, r"grading violated at sigma_21345 "
+                                          r"q\^\(0, 0, 0, 0\) in 13245\*31254\*21543$"),
+                             (_bump_least_key, r"grading violated at sigma_12345 "
+                                               r"q\^\(2, 1, 1, 1\) in 13245\*31254\*21543$")):
+        def corrupted(ops, ol, vec):
+            out = dict(real(ops, ol, vec))
+            if ol == words[0]:
+                corrupt(out)
+            return out
+
+        monkeypatch.setattr(schubring, "transition_product", corrupted)
         product_vec.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=message):
+                product_vec(words, n)
+            # the sound sub-product was formed and memoised before the check
+            # tripped
+            assert product_vec.cache_info().currsize == 1
+        finally:
+            product_vec.cache_clear()

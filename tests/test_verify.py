@@ -139,9 +139,10 @@ def test_det_formula_debug_lines(caplog):
         check_det_formula(4)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
     assert len(lines) == 2
-    # the memo holds the 8 products formed and the lookups that formed none
-    assert re.fullmatch(r"detformula n=4: 14 permutations, 8 cycle products formed, 4 reused, "
-                        r"23 held, \d+\.\d{3}s", lines[0])
+    # the memo holds the 8 products formed and the lookups that formed none,
+    # the basis vector of each permutation among them
+    assert re.fullmatch(r"detformula n=4: 14 permutations, 8 cycle products formed, 10 reused, "
+                        r"31 held, \d+\.\d{3}s", lines[0])
     assert re.fullmatch(r"monk n=4: \d+ X entries of \d+ words, \d+ terms, \d+ transitions, "
                         r"\d+ apply_x calls, \d+\.\d{3}s", lines[1])
 
@@ -322,7 +323,7 @@ def _fault_in_first_product(monkeypatch):
         out = product_vec(words, n)
         if len(calls) > 1:
             return out
-        return {w: {b: 2 * c for b, c in p.items()} for w, p in out.items()}
+        return {key: 2 * c for key, c in out.items()}
 
     monkeypatch.setattr(verify, "product_vec", faulty)
     return calls
@@ -332,7 +333,7 @@ def _fault_in_det_formula(monkeypatch):
     real = verify.det_formula_vec
 
     def doubled(w, n):
-        return {u: {b: 2 * c for b, c in p.items()} for u, p in real(w, n).items()}
+        return {key: 2 * c for key, c in real(w, n).items()}
 
     monkeypatch.setattr(verify, "det_formula_vec", doubled)
 

@@ -17,7 +17,6 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 import numpy as np
 
@@ -296,20 +295,19 @@ def monk_column(ol: tuple[int, ...]) -> list[list[tuple]]:
     return cols
 
 
-def monk_apply(k: int, vec: dict[tuple, dict]) -> dict[tuple, dict]:
-    """Apply M_k (k in 1..n-1) to a sparse vector of q-polynomials."""
-    out: dict[tuple, dict] = {}
-    for word, poly in vec.items():
+def monk_apply(k: int, vec: dict[tuple, int]) -> dict[tuple, int]:
+    """Apply M_k (k in 1..n-1) to an operator vector {(word, packed
+    q-exponent): int}, the exponent of q_{j+1} in byte j."""
+    out: dict[tuple, int] = {}
+    for (word, b), c in vec.items():
         for row, qexp in monk_column(word)[k - 1]:
-            acc = out.setdefault(row, {})
-            for b, c in poly.items():
-                key = tuple(map(add, b, qexp))
-                v = acc.get(key, 0) + c
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
-    return {r: p for r, p in out.items() if p}
+            key = (row, b + int.from_bytes(bytes(qexp), "little"))
+            v = out.get(key, 0) + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
 
 
 class MonkColumnOperators(MonkOperators):
@@ -321,15 +319,13 @@ class MonkColumnOperators(MonkOperators):
         self.x_calls += 1
         out = monk_apply(i, vec) if 1 <= i < self.n else {}
         if i >= 2:
-            for r, poly in monk_apply(i - 1, vec).items():
-                acc = out.setdefault(r, {})
-                for b, c in poly.items():
-                    v = acc.get(b, 0) - c
-                    if v:
-                        acc[b] = v
-                    else:
-                        del acc[b]
-        return {r: p for r, p in out.items() if p}
+            for key, c in monk_apply(i - 1, vec).items():
+                v = out.get(key, 0) - c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return out
 
 
 # -- the w_J of the key identity, built on 1-based values ----------------------
