@@ -4,10 +4,11 @@ at the fiber q_j = 0.9 + 0.13ij.
 
 Each check prints one line on stdout: the verdict, the shape, the fiber,
 the number of critical points, their total multiplicity, `max_distance`,
-and a hash of every point's exact value, chart coordinates and
-multiplicity, in the order `find_critical_points` returns them.  The
-seconds of each check go to stderr, so that the stdout of two trees can be
-diffed directly:
+a hash of every point's exact value, chart coordinates and multiplicity,
+in the order `find_critical_points` returns them (the mirror side), and a
+hash of the c_1 eigenvalues, in the order `check_mirror_spectrum` returns
+them (the quantum cohomology side).  The seconds of each check go to
+stderr, so that the stdout of two trees can be diffed directly:
 
     diff <(PYTHONHASHSEED=0 PYTHONPATH=old/src python scripts/spectrum_sweep.py 2>/dev/null) \\
          <(PYTHONHASHSEED=0 PYTHONPATH=src python scripts/spectrum_sweep.py 2>/dev/null)
@@ -40,6 +41,11 @@ def points_hash(points) -> str:
     return h.hexdigest()[:16]
 
 
+def eigenvalues_hash(eig) -> str:
+    """sha256 prefix of the c_1 eigenvalues."""
+    return hashlib.sha256(np.asarray(eig, dtype=np.complex128).tobytes()).hexdigest()[:16]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("shapes", nargs="*", help="shape strings such as '1,5;6' (default: all)")
@@ -61,7 +67,8 @@ def main():
             ok &= rep.passed
             print(f"{'PASS' if rep.passed else 'FAIL'} {shape.to_string():<12} q={label} "
                   f"points={len(rep.points)} multiplicity={len(rep.critical_values)} "
-                  f"max_distance={rep.max_distance:.3e} hash={points_hash(rep.points)}",
+                  f"max_distance={rep.max_distance:.3e} hash={points_hash(rep.points)} "
+                  f"eig={eigenvalues_hash(rep.eigenvalues)}",
                   flush=True)
             print(f"{shape.to_string()} q={label}: {time.perf_counter() - t0:.2f}s",
                   file=sys.stderr, flush=True)

@@ -32,7 +32,7 @@ from .mirror import (
     uv_from_z,
     young_view,
 )
-from .qhpartial import PartialRing, c1_class, c1_spectrum, chevalley_multiply, partial_ring
+from .qhpartial import PartialRing, c1_spectrum, partial_ring
 from .schubring import (
     MonkOperators,
     QHClass,
@@ -57,10 +57,9 @@ __all__ = [
     "VarTable", "det", "eigenvalues", "lu_unipotent", "minor",
     "SuperpotentialTerm", "divisor_equations", "f_minus_eval",
     "f_minus_grad", "pluecker", "superpotential", "uv_from_z", "young_view",
-    "PartialRing", "c1_class", "c1_spectrum", "chevalley_multiply",
-    "partial_ring", "MonkOperators", "QHClass", "class_product",
-    "monk_operators", "normal_form", "quantum_E", "quantum_H",
-    "quantum_schubert", "check_det_formula", "check_key_identity",
+    "PartialRing", "c1_spectrum", "partial_ring", "MonkOperators",
+    "QHClass", "class_product", "monk_operators", "normal_form", "quantum_E",
+    "quantum_H", "quantum_schubert", "check_det_formula", "check_key_identity",
     "check_mirror_spectrum", "check_tau_symmetry",
 ]
 

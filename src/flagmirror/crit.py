@@ -289,8 +289,8 @@ def _characters(shape: FlagShape, q):
     """
     ring = partial_ring(shape)
     rng = random.Random(CHARACTER_SEED)
-    M = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * ring.chevalley_matrix(j, q)
-            for j in range(1, shape.r + 1))
+    M = ring.divisor_combination(
+        [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(shape.r)], q)
     lam, V = np.linalg.eig(M.T)
     one = ring.index(Permutation.identity(shape.n))
     keep = np.abs(V[one]) > 1e-12 * np.abs(V).max(axis=0)

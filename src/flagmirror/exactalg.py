@@ -170,9 +170,13 @@ class MPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = MPoly.const(self.table, other)
+        elif not isinstance(other, MPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):

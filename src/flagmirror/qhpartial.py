@@ -7,9 +7,12 @@ The general (non-Grassmannian) quantum Chevalley rule used here: for each
 transposition t_{ab} with a <= n_j < b, the quantum part contributes
 q^{d(a,b)} sigma_{w'} where d(a,b)_m = 1 iff a <= n_m < b and w' is the
 minimal representative of w t_{ab} W_P, subject to
-l(w') = l(w) + 1 - sum_m d_m (n_{m+1} - n_{m-1}).  It is cross-checked
-against the Grassmannian quantum Pieri rule, the classical limit and the
-mirror spectrum tests.
+l(w') = l(w) + 1 - sum_m d_m (n_{m+1} - n_{m-1}).  The rule is stated once,
+as the integer table ``PartialRing.chevalley_cols``, and every numeric
+divisor operator is built from it by ``PartialRing.divisor_combination``.
+The cross-checks run on that table: the Grassmannian quantum Pieri rule,
+the classical limit, the complete-flag quantum Monk rule, the rule applied
+one transposition at a time, and the mirror spectrum tests.
 """
 
 from __future__ import annotations
@@ -19,30 +22,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinat import FlagShape, Permutation, is_minimal_rep, minimal_reps
-from .errors import InvalidRange, NotMinimalRep
-from .exactalg import MPoly, VarTable, complex_to_json, eigenvalues
-from .schubring import QHClass
+from .combinat import FlagShape, Permutation, minimal_reps
+from .errors import InvalidRange
+from .exactalg import complex_to_json, eigenvalues
 
 __all__ = [
-    "partial_q_table",
     "PartialRing",
     "partial_ring",
-    "chevalley_multiply",
-    "c1_class",
     "c1_matrix",
     "c1_spectrum",
     "spectrum_report",
     "validate_q",
 ]
-
-
-@lru_cache(maxsize=None)
-def partial_q_table(shape: FlagShape) -> VarTable:
-    """q_{n_1}..q_{n_r}, with weights the Fano degrees n_{j+1} - n_{j-1}."""
-    return VarTable.make([
-        (f"q{shape.nj(j)}", "q", shape.qdegs[j - 1]) for j in range(1, shape.r + 1)
-    ])
 
 
 def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
@@ -96,21 +87,6 @@ def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) ->
     return cols
 
 
-def chevalley_multiply(w: Permutation, j: int, shape: FlagShape) -> QHClass:
-    """sigma_{s_{n_j}} * sigma_w in QH*(Fl(n_bullet)) for w in W^P."""
-    if not is_minimal_rep(w, shape):
-        raise NotMinimalRep(f"{w} is not a minimal representative for {shape}")
-    if not 1 <= j <= shape.r:
-        raise InvalidRange(f"divisor index j={j} outside 1..{shape.r} for {shape}")
-    ring = partial_ring(shape)
-    qt = partial_q_table(shape)
-    terms: dict[Permutation, MPoly] = {}
-    for row, d in ring.chevalley_cols[j - 1][ring.index(w)]:
-        wt = ring.basis[row]
-        terms[wt] = terms.get(wt, MPoly.zero(qt)) + MPoly.monomial(qt, d)
-    return QHClass(shape, terms)
-
-
 @dataclass(frozen=True)
 class PartialRing:
     """Schubert basis and divisor multiplication matrices for one shape."""
@@ -127,8 +103,13 @@ class PartialRing:
         return self.basis.index(w)
 
     def chevalley_matrix(self, j: int, q) -> np.ndarray:
-        """Numeric matrix of multiplication by sigma_{s_{n_j}} at the given q."""
+        """Numeric matrix of multiplication by sigma_{s_{n_j}} at the given q,
+        one value per step; q = 0 is allowed, the classical limit."""
+        if not 1 <= j <= self.shape.r:
+            raise InvalidRange(f"divisor index j={j} outside 1..{self.shape.r} "
+                               f"for {self.shape.to_string()}")
         q = [complex(v) for v in q]
+        _check_per_step(self.shape, q, "quantum parameter")
         dim = self.dim
         M = np.zeros((dim, dim), dtype=complex)
         for col, entries in self.chevalley_cols[j - 1].items():
@@ -140,6 +121,15 @@ class PartialRing:
                 M[row, col] += val
         return M
 
+    def divisor_combination(self, weights, q) -> np.ndarray:
+        """Numeric matrix of sum_j weights[j-1] sigma_{s_{n_j}} * at q, summed
+        from a zero matrix in j order."""
+        _check_per_step(self.shape, weights, "weight")
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        for j, w in enumerate(weights, 1):
+            M += w * self.chevalley_matrix(j, q)
+        return M
+
 
 @lru_cache(maxsize=None)
 def partial_ring(shape: FlagShape) -> PartialRing:
@@ -148,31 +138,24 @@ def partial_ring(shape: FlagShape) -> PartialRing:
     return PartialRing(shape=shape, basis=basis, chevalley_cols=cols)
 
 
-def c1_class(shape: FlagShape) -> QHClass:
-    """First Chern class: sum_j (n_{j+1} - n_{j-1}) sigma_{s_{n_j}}, the
-    weights being the degrees ``shape.qdegs``."""
-    qt = partial_q_table(shape)
-    terms = {Permutation.identity(shape.n).times_s(shape.nj(j)): MPoly.const(qt, deg)
-             for j, deg in enumerate(shape.qdegs, 1)}
-    return QHClass(shape, terms)
-
-
 def c1_matrix(shape: FlagShape, q) -> np.ndarray:
-    """Matrix of quantum multiplication by c_1 at numeric q on the Schubert basis."""
-    ring = partial_ring(shape)
-    M = np.zeros((ring.dim, ring.dim), dtype=complex)
-    for j, deg in enumerate(shape.qdegs, 1):
-        M += deg * ring.chevalley_matrix(j, q)
-    return M
+    """Matrix of quantum multiplication by c_1 = sum_j (n_{j+1} - n_{j-1})
+    sigma_{s_{n_j}} at numeric q on the Schubert basis, the weights being the
+    degrees ``shape.qdegs``."""
+    return partial_ring(shape).divisor_combination(shape.qdegs, q)
+
+
+def _check_per_step(shape: FlagShape, values, what: str) -> None:
+    if len(values) != shape.r:
+        raise ValueError(f"{shape.to_string()} takes one {what} per step "
+                         f"({shape.r}), got {len(values)}")
 
 
 def validate_q(shape: FlagShape, q) -> list[complex]:
     """q as a list of complex numbers, one nonzero q_{n_j} per step n_j of
     shape; raises ValueError otherwise."""
     q = [complex(v) for v in q]
-    if len(q) != shape.r:
-        raise ValueError(f"{shape.to_string()} takes one quantum parameter per step "
-                         f"({shape.r}), got {len(q)}")
+    _check_per_step(shape, q, "quantum parameter")
     if not all(q):
         raise ValueError("all quantum parameters must be nonzero")
     return q

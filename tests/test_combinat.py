@@ -201,7 +201,11 @@ def test_partition_bijection():
 def test_flagshape_derived_data():
     s = FlagShape.from_string("2,4;7")
     assert s.block_sizes == (2, 2, 3)
+    # the degrees n_{j+1} - n_{j-1} of the q_{n_j}, which are also the
+    # weights of c_1 = sum_j qdegs[j-1] sigma_{s_{n_j}}
     assert s.qdegs == (4, 5)
+    assert FlagShape.from_string("2;5").qdegs == (5,)
+    assert FlagShape.from_string("1,2;3").qdegs == (2, 2)
     assert s.dim == 2 * 2 + 2 * 3 + 2 * 3
     assert s.basis_size == 210
     assert s.to_string() == "2,4;7"

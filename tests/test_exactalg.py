@@ -163,10 +163,15 @@ def test_coefficients_are_ints():
         x1 / 2
     # arithmetic with a scalar that is neither an int nor an MPoly is refused
     # as unsupported, not failed inside the table check
-    for expr in (lambda: x1 * 0.5, lambda: x1 + 0.5, lambda: 0.5 * x1,
-                 lambda: x1 - Fraction(1, 2)):
+    for expr in (lambda: x1 * 0.5, lambda: x1 + 0.5, lambda: 0.5 * x1):
         with pytest.raises(TypeError, match="unsupported operand"):
             expr()
+    # and a subtraction is reported as one, not as the addition it becomes
+    for expr in (lambda: x1 - Fraction(1, 2), lambda: x1 - 0.5, lambda: 0.5 - x1,
+                 lambda: Fraction(1, 2) - x1):
+        with pytest.raises(TypeError, match="unsupported operand type.s. for -:"):
+            expr()
+    assert 3 - x1 == -(x1 - 3)
     # a denominator whose leading coefficient is not a unit does not normalise
     shape = FlagShape.from_string("2;4")
     t = superpotential(shape)[0]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,57 +15,71 @@ from flagmirror.combinat import (
     min_rep_of,
     minimal_reps,
 )
-from flagmirror.errors import InvalidRange, NotMinimalRep
-from flagmirror.exactalg import MPoly
+from flagmirror.errors import InvalidRange
 from flagmirror.qhpartial import (
-    c1_class,
     c1_matrix,
     c1_spectrum,
-    chevalley_multiply,
-    partial_q_table,
     partial_ring,
     spectrum_report,
+    validate_q,
 )
-from flagmirror.schubring import QHClass, class_product
+from flagmirror.schubring import class_product
 
 
 def P(s):
     return Permutation.from_string(s)
 
 
-def qvar(shape, j):
-    return MPoly.var(partial_q_table(shape), f"q{shape.nj(j)}")
-
-
-def one(shape, w, coeff=1):
-    return QHClass(shape, {w: MPoly.const(partial_q_table(shape), coeff)})
+def table_terms(shape, w, j):
+    """The entries of sigma_{s_{n_j}} * sigma_w in the table of
+    ``partial_ring(shape)``: (target, q-exponent vector) -> multiplicity."""
+    ring = partial_ring(shape)
+    return Counter((ring.basis[row], d)
+                   for row, d in ring.chevalley_cols[j - 1][ring.index(w)])
 
 
 def test_chevalley_gr24_example():
     shape = FlagShape(4, (2,))
-    got = chevalley_multiply(P("2413"), 1, shape)
-    want = one(shape, P("3412")) + QHClass(shape, {P("1234"): qvar(shape, 1)})
-    assert got == want
+    got = table_terms(shape, P("2413"), 1)
+    assert got == {(P("3412"), (0,)): 1, (P("1234"), (1,)): 1}
 
 
 def test_chevalley_identity():
     shape = FlagShape(7, (2, 4))
     for j in (1, 2):
-        got = chevalley_multiply(Permutation.identity(7), j, shape)
+        got = table_terms(shape, Permutation.identity(7), j)
         s = Permutation.identity(7).times_s(shape.nj(j))
-        assert got == one(shape, s)
+        assert got == {(s, (0, 0)): 1}
 
 
-def test_chevalley_rejects_non_reps():
-    with pytest.raises(NotMinimalRep):
-        chevalley_multiply(P("2143"), 1, FlagShape(4, (2,)))
+def test_chevalley_matrix_rejects_bad_divisor_index():
+    ring = partial_ring(FlagShape(4, (1, 2)))
+    for j in (0, 3, -1):
+        with pytest.raises(InvalidRange, match=f"j={j} outside 1..2"):
+            ring.chevalley_matrix(j, [1.0, 1.0])
 
 
-def test_chevalley_rejects_bad_divisor_index():
+def test_numeric_operators_reject_a_wrong_number_of_values():
+    # a missing q_j is not read as 1 and an extra one is not ignored; the
+    # message is the one validate_q gives
     shape = FlagShape(4, (1, 2))
-    for j in (0, 3):
-        with pytest.raises(InvalidRange):
-            chevalley_multiply(P("2134"), j, shape)
+    ring = partial_ring(shape)
+    for q in ([2.0], [2.0, 1.0, 3.0], []):
+        with pytest.raises(ValueError) as want:
+            validate_q(shape, q)
+        assert str(want.value) == f"1,2;4 takes one quantum parameter per step (2), got {len(q)}"
+        for call in (lambda: ring.chevalley_matrix(1, q), lambda: c1_matrix(shape, q),
+                     lambda: ring.divisor_combination([1, 1], q)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+    for weights in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match=rf"takes one weight per step \(2\), got {len(weights)}"):
+            ring.divisor_combination(weights, [1.0, 1.0])
+    # q = 0 is the classical limit, not an error
+    M = c1_matrix(shape, [0, 0])
+    assert np.array_equal(M, ring.divisor_combination(shape.qdegs, [0.0, 0.0]))
+    assert not np.linalg.matrix_power(M, ring.dim).any()  # nilpotent
 
 
 def test_quantum_term_matches_wJ_remark():
@@ -76,15 +91,13 @@ def test_quantum_term_matches_wJ_remark():
         first = set(J0) | set(range(i, shape.n))
         w = Permutation(grassmannian_word(first, shape.n))
         w = min_rep_of(w, shape)
-        out = chevalley_multiply(w, j + 1, shape)
-        quantum = {t: c for t, c in out.terms.items()
-                   if any(any(e) for e in c.terms)}
+        out = table_terms(shape, w, j + 1)
+        quantum = {(t, d): c for (t, d), c in out.items() if any(d)}
         if wJ is None:
             assert not quantum
         else:
-            wJ = Permutation(wJ)
-            assert set(quantum) == {wJ}
-            assert quantum[wJ] == qvar(shape, j + 1)
+            d = tuple(int(m == j + 1) for m in range(1, shape.r + 1))
+            assert quantum == {(Permutation(wJ), d): 1}
 
 
 def _monkrule_oracle(w, j, shape):
@@ -123,21 +136,15 @@ def test_grassmannian_case_reproduces_quantum_pieri():
                                        for a in range(n - 1) if a + 1 != nj)
                     if not grassmannian:
                         continue
-                    got = chevalley_multiply(w, j, shape)
+                    got = table_terms(shape, w, j)
                     classical, quantum = _monkrule_oracle(w, j, shape)
-                    want = {}
-                    for t, c in classical.items():
-                        want[t] = MPoly.const(partial_q_table(shape), c)
-                    qterms = {t: c for t, c in got.terms.items()
-                              if any(any(e) for e in c.terms)}
-                    cterms = {t: c for t, c in got.terms.items()
-                              if not any(any(e) for e in c.terms)}
-                    assert cterms == want
+                    cterms = {t: c for (t, d), c in got.items() if not any(d)}
+                    qterms = {(t, d): c for (t, d), c in got.items() if any(d)}
+                    assert cterms == classical
                     assert len(qterms) <= 1  # at most one quantum term
                     if quantum is not None:
                         d = tuple(1 if m == j else 0 for m in range(1, shape.r + 1))
-                        assert qterms == {quantum: MPoly.monomial(
-                            partial_q_table(shape), d)}
+                        assert qterms == {(quantum, d): 1}
                     else:
                         assert not qterms
 
@@ -179,9 +186,7 @@ def test_classical_limit_vs_complete_flag_monk():
             reps = set(minimal_reps(shape))
             for w in minimal_reps(shape)[:6]:
                 for j in range(1, shape.r + 1):
-                    got = chevalley_multiply(w, j, shape)
-                    classical = {t for t, c in got.terms.items()
-                                 if not any(any(e) for e in c.terms)}
+                    classical = {t for t, d in table_terms(shape, w, j) if not any(d)}
                     s = Permutation.identity(n).times_s(shape.nj(j))
                     full = class_product(s, w, n)
                     want = set()
@@ -220,18 +225,40 @@ def test_chevalley_tables_match_per_pair_rule(n):
             assert ring.chevalley_cols[j - 1] == want, (shape, j)
 
 
-def test_c1_class_examples():
-    shape = FlagShape(7, (2, 4))
-    got = c1_class(shape)
-    s2 = Permutation.identity(7).times_s(2)
-    s4 = Permutation.identity(7).times_s(4)
-    assert got.terms[s2].constant() == 4
-    assert got.terms[s4].constant() == 5
-    shape = FlagShape(5, (2,))
-    assert c1_class(shape).terms[Permutation.identity(5).times_s(2)].constant() == 5
-    shape = FlagShape(3, (1, 2))
-    vals = sorted(c.constant() for c in c1_class(shape).terms.values())
-    assert vals == [2, 2]
+def _per_pair_combination(shape, weights, q):
+    """sum_j weights[j-1] C_j(q), each C_j assembled from ``chevalley_terms``
+    in its entry order, the same floating-point operations as the table's."""
+    basis = minimal_reps(shape)
+    index = {w: i for i, w in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for j, weight in enumerate(weights, 1):
+        C = np.zeros_like(M)
+        for ci, w in enumerate(basis):
+            for t, d in chevalley_terms(w, j, shape):
+                val = 1.0 + 0j
+                for dm, qv in zip(d, q):
+                    if dm:
+                        val *= qv ** dm
+                C[index[t], ci] += val
+        M += weight * C
+    return M
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_divisor_combination_matches_per_pair_rule(n):
+    # the numeric operators at q = 1 and at a complex multi-parameter fiber,
+    # for the weights of c_1 and for seeded complex ones, byte for byte
+    rng = random.Random(11)
+    for shape in all_shapes(n):
+        ring = partial_ring(shape)
+        for q in ([1.0] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
+            q = [complex(v) for v in q]
+            weights = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(shape.r)]
+            for w in (shape.qdegs, weights):
+                got = ring.divisor_combination(w, q)
+                assert got.tobytes() == _per_pair_combination(shape, w, q).tobytes(), (shape, q, w)
+            assert c1_matrix(shape, q).tobytes() == \
+                ring.divisor_combination(shape.qdegs, q).tobytes()
 
 
 def test_c1_spectrum_examples():
