@@ -261,6 +261,21 @@ def test_divisor_combination_matches_per_pair_rule(n):
                 ring.divisor_combination(shape.qdegs, q).tobytes()
 
 
+def test_c1_class_examples():
+    # c_1 = c_1 * sigma_id read off the identity column of c1_matrix at q = 0
+    def c1_class(shape):
+        ring = partial_ring(shape)
+        col = c1_matrix(shape, [0] * shape.r)[:, ring.index(Permutation.identity(shape.n))]
+        return {ring.basis[i]: col[i] for i in np.flatnonzero(col)}
+
+    got = c1_class(FlagShape(7, (2, 4)))
+    s2 = Permutation.identity(7).times_s(2)
+    s4 = Permutation.identity(7).times_s(4)
+    assert got == {s2: 4, s4: 5}
+    assert c1_class(FlagShape(5, (2,))) == {Permutation.identity(5).times_s(2): 5}
+    assert sorted(c1_class(FlagShape(3, (1, 2))).values()) == [2, 2]
+
+
 def test_c1_spectrum_examples():
     got = sorted(np.round(c1_spectrum(FlagShape(4, (2,)), [1.0]), 8),
                  key=lambda z: (z.real, z.imag))
