@@ -36,10 +36,11 @@ __all__ = ["main"]
 
 
 def _parse_q(text: str) -> list[complex]:
+    """Comma-separated complex values; a trailing i is the imaginary unit."""
     out = []
     for piece in text.split(","):
-        piece = piece.strip().replace("i", "j")
-        out.append(complex(piece))
+        piece = piece.strip()
+        out.append(complex(piece[:-1] + "j" if piece.endswith("i") else piece))
     return out
 
 

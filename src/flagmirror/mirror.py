@@ -1,10 +1,12 @@
 """The Plucker-coordinate superpotential: chart matrices, Plucker coordinates,
 the explicit term families, anticanonical divisor equations, the Young-diagram
-rendering, the compiled chart evaluator of F_- with its gradient and Hessian
-(which raises NearPole at a denominator within POLE_GUARD of a pole), and the
-LU/uv factorization route used as an evaluation oracle.  Each term
-denominator and divisor equation has leading coefficient +-1 and is made
-monic by multiplying by it, so all of them stay over the integers.
+rendering (the same terms re-indexed through J <-> lambda(J); the tests
+rebuild its middle terms from the L-operator sums as an oracle), the compiled
+chart evaluator of F_- with its gradient and Hessian (which raises NearPole
+at a denominator within POLE_GUARD of a pole), and the LU/uv factorization
+route used as an evaluation oracle.  Each term denominator and divisor
+equation has leading coefficient +-1 and is made monic by multiplying by it,
+so all of them stay over the integers.
 
 Index sets are 0-based in code; the 1-based quantities of the formulas appear
 only in comments and in printed variable names like ``p_1467``.
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinat import FlagShape, Partition, partition_of_columns
+from .combinat import FlagShape, partition_of_columns
 from .errors import BadSubsetSize, NearPole, OffChart
 from .exactalg import MPoly, VarTable, leading_minors, lu_unipotent
 
@@ -563,96 +565,10 @@ def index_term_to_young(term: SuperpotentialTerm, shape: FlagShape) -> Superpote
     return SuperpotentialTerm(term.family, term.index, num, den, term.divisor_k).normalized(shape)
 
 
-def _yvar(shape: FlagShape, k: int, parts) -> MPoly:
-    return MPoly.var(young_table(shape), young_name(k, parts))
-
-
-def _yvar_or_zero(shape: FlagShape, k: int, parts) -> MPoly:
-    parts = list(parts)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    if len(parts) > k or (parts and parts[0] > shape.n - k):
-        return MPoly.zero(young_table(shape))
-    return _yvar(shape, k, parts)
-
-
-def _partitions_in_box(rows: int, cols: int):
-    """All partitions with at most `rows` parts, each at most `cols`."""
-    def rec(remaining_rows, maxpart):
-        if remaining_rows == 0:
-            yield ()
-            return
-        for first in range(maxpart, -1, -1):
-            for rest in rec(remaining_rows - 1, first):
-                yield (first,) + rest
-    yield from rec(rows, cols)
-
-
-def _join_rect_above(shape: FlagShape, l: int, rect_rows: int, nu) -> MPoly:
-    """p^{(l)} of the vertical join ((n-l)^{rect_rows}, nu), or zero if it is
-    not a partition inside the l x (n-l) box."""
-    n = shape.n
-    nu = [p for p in nu if p > 0]
-    if nu and nu[0] > n - l:
-        return MPoly.zero(young_table(shape))
-    if rect_rows + len(nu) > l:
-        return MPoly.zero(young_table(shape))
-    return _yvar_or_zero(shape, l, [n - l] * rect_rows + nu)
-
-
-def _L_denominator(shape: FlagShape, j: int, m: int) -> MPoly:
-    """L(p^(k)_{k x m rect} . p^(l)_{(l-m) x (n-l) rect})."""
-    k, l = shape.nj(j), shape.nj(j + 1)
-    out = MPoly.zero(young_table(shape))
-    for mu in _partitions_in_box(k, m):
-        sgn = (-1) ** (sum(mu) + k * m)
-        tail = tuple(m - mu[k - 1 - t] for t in range(k))  # (m-mu_k, ..., m-mu_1)
-        nu = Partition(tail).conjugate().parts
-        joined = _join_rect_above(shape, l, l - m, list(nu))
-        if joined.is_zero():
-            continue
-        out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined
-    return out
-
-
-def _L_numerator(shape: FlagShape, j: int, m: int) -> MPoly:
-    """L(p^(k)_{k x m rect plus box} . p^(l)_{(l-m) x (n-l) rect}):
-    mu runs over partitions below (m+1, m^{k-1}) with mu_1 != m."""
-    k, l = shape.nj(j), shape.nj(j + 1)
-    out = MPoly.zero(young_table(shape))
-    lamp = (m + 1,) + (m,) * (k - 1)
-    for mu in _partitions_in_box(k, m + 1):
-        if any(a > b for a, b in zip(mu, lamp)) or mu[0] == m:
-            continue
-        if mu[0] == m + 1:
-            tail = tuple(m - mu[k - 1 - t] for t in range(k - 1)) + (0,)
-            sgn = (-1) ** (sum(mu) + k * m + 1)  # extra box flips the sign
-        else:
-            tail = tuple(m - mu[k - 1 - t] for t in range(k)) + (1,)
-            sgn = (-1) ** (sum(mu) + k * m)
-        joined = _join_rect_above(shape, l, l - m, list(Partition(tail).conjugate().parts))
-        if joined.is_zero():
-            continue
-        out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined
-    return out
-
-
-@lru_cache(maxsize=None)
 def young_view(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
-    """The superpotential over partition-indexed Plucker symbols: all plain
-    term families re-indexed through lambda(J), the middle terms rebuilt from
-    the L-operator sums."""
-    out = []
-    for term in superpotential(shape):
-        if term.family != "u-mid":
-            out.append(index_term_to_young(term, shape))
-            continue
-        i, j = term.index
-        m = i - shape.nj(j)
-        num = _L_numerator(shape, j, m)
-        den = _L_denominator(shape, j, m)
-        out.append(SuperpotentialTerm("u-mid", (i, j), num, den, term.divisor_k).normalized(shape))
-    return tuple(out)
+    """The superpotential over partition-indexed Plucker symbols: every term
+    re-indexed through lambda(J)."""
+    return tuple(index_term_to_young(t, shape) for t in superpotential(shape))
 
 
 # -- rendering --------------------------------------------------------------------

@@ -152,10 +152,12 @@ def _check_per_step(shape: FlagShape, values, what: str) -> None:
 
 
 def validate_q(shape: FlagShape, q) -> list[complex]:
-    """q as a list of complex numbers, one nonzero q_{n_j} per step n_j of
-    shape; raises ValueError otherwise."""
+    """q as a list of complex numbers, one finite nonzero q_{n_j} per step
+    n_j of shape; raises ValueError otherwise."""
     q = [complex(v) for v in q]
     _check_per_step(shape, q, "quantum parameter")
+    if not np.isfinite(q).all():
+        raise ValueError(f"quantum parameters must be finite, got {q}")
     if not all(q):
         raise ValueError("all quantum parameters must be nonzero")
     return q

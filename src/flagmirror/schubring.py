@@ -18,8 +18,10 @@ unless a residue is nonzero.  The class of a polynomial p modulo the quantum
 ideal I_n^q (normal_form) is p evaluated in the X_i on sigma_id.  Quantum
 Schubert polynomials (public API) quantize the standard elementary-monomial
 expansion of S_w, whose coefficients are y-divided differences of monomials
-at y = 0 (one memoised integer recursion, sharing the monomial
-divided-difference rule with schubert_poly).
+at y = 0 (one memoised integer recursion over the monomial
+divided-difference rule _dd_terms).  The classical Schubert polynomials
+S_w themselves are built only in the tests, as part of the straightening
+oracle.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = [
     "q_table",
     "quantum_E",
     "quantum_H",
-    "schubert_poly",
-    "divided_difference",
     "quantum_schubert",
     "MonkOperators",
     "monk_operators",
@@ -115,6 +115,9 @@ def quantum_H(l: int, k: int, n: int) -> MPoly:
     return det(rows)
 
 
+# -- quantum Schubert polynomials ---------------------------------------------
+
+
 def _dd_terms(e: tuple[int, ...], p: int) -> list[tuple[int, tuple[int, ...]]]:
     """The terms (sign, exponent) of the divided difference
     (z^e - s z^e) / (z_a - z_b) of one monomial, where z_a and z_b sit at
@@ -122,39 +125,6 @@ def _dd_terms(e: tuple[int, ...], p: int) -> list[tuple[int, tuple[int, ...]]]:
     a, b = e[p], e[p + 1]
     lo, hi, sgn = (b, a, 1) if a > b else (a, b, -1)
     return [(sgn, e[:p] + (t, a + b - 1 - t) + e[p + 2:]) for t in range(lo, hi)]
-
-
-def divided_difference(f: MPoly, i: int, n: int) -> MPoly:
-    """Divided difference (f - s_i f) / (x_i - x_{i+1}) on xq_table(n)."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        for sgn, key in _dd_terms(e, i - 1):
-            v = out.get(key, 0) + sgn * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return MPoly(f.table, out)
-
-
-@lru_cache(maxsize=None)
-def schubert_poly(w: Permutation, n: int) -> MPoly:
-    """Classical Schubert polynomial, by divided differences from x^delta."""
-    if w.n != n:
-        raise NotInGroup(f"{w} is not in S_{n}")
-    if w.length == n * (n - 1) // 2:
-        e = [0] * xq_table(n).size
-        for i in range(n - 1):
-            e[i] = n - 1 - i
-        return MPoly.monomial(xq_table(n), tuple(e))
-    ol = w.oneline
-    for i in range(n - 1):
-        if ol[i] < ol[i + 1]:  # ascent: w s_i is longer
-            return divided_difference(schubert_poly(w.times_s(i + 1), n), i + 1, n)
-    raise AssertionError("unreachable")
-
-
-# -- quantum Schubert polynomials ---------------------------------------------
 
 
 @lru_cache(maxsize=None)

@@ -105,9 +105,8 @@ def check_key_identity(shape: FlagShape, j: int, i: int,
     nonzero residue."""
     t0 = time.perf_counter()
     n = shape.n
-    d = i - (n - shape.nj(j + 1))
-    njd = shape.nj(j) + d
-    table = build_xi_and_wJ(shape, j, i)
+    table = build_xi_and_wJ(shape, j, i)  # checks j and i, so nj(j + 1) is in range
+    njd = shape.nj(j) + i - (n - shape.nj(j + 1))
     pairs = []
     for J0, wJ in table.items():
         if wJ is None:

@@ -1,7 +1,7 @@
 import json
 import re
 
-from flagmirror.cli import main
+from flagmirror.cli import _parse_q, main
 from flagmirror.verify import ACCEPTANCE_SHAPES
 
 
@@ -33,6 +33,24 @@ def test_superpotential_json(capsys):
     data = json.loads(out)
     assert len(data) == 5
     assert sorted(d["divisor_k"] for d in data) == [1, 2, 3, 4, 5]
+
+
+def test_superpotential_young(capsys):
+    # the partition-indexed rendering: every Plucker symbol re-indexed, the
+    # middle term included
+    code, out, _ = run(capsys, "superpotential", "--shape", "2,4;7", "--young")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == [f"D{k}" for k in range(1, 9)]
+    assert "p(2)(5,1)" in out and "p(4)(3,3,2)" in out and "p_" not in out
+    assert "[u-mid(3, 1)]" in out
+    code, out, _ = run(capsys, "superpotential", "--shape", "2,4;7", "--young",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert [d["divisor_k"] for d in data] == list(range(1, 9))
+    assert "p(2)(5,1)" in out and "p(4)(3,3,2)" in out and "p_" not in out
+    assert [d["family"] for d in data].count("u-mid") == 1
 
 
 def test_divisors(capsys):
@@ -75,6 +93,8 @@ def test_crit_near_degenerate_fiber(capsys):
 def test_complex_q_parsing(capsys):
     code, out, _ = run(capsys, "c1-spectrum", "--shape", "1;2", "--q", "1+0.2i")
     assert code == 0
+    # only a trailing i is the imaginary unit: inf is not read as jnf
+    assert _parse_q("1+0.2i, 0.5-i,i,inf,2") == [1 + 0.2j, 0.5 - 1j, 1j, float("inf"), 2]
 
 
 def test_verify_identity(capsys):
@@ -83,6 +103,9 @@ def test_verify_identity(capsys):
     assert code == 0 and out.startswith("PASS")
     code, out, _ = run(capsys, "verify-identity", "--sweep-max-n", "4")
     assert code == 0
+    # j = 3 is past the last step of 2,4;7: a usage error, not a FAIL
+    code, out, err = run(capsys, "verify-identity", "--shape", "2,4;7", "--j", "3", "--i", "4")
+    assert (code, out, err) == (2, "", "error: need 1 <= j <= r-1 = 1, got j=3\n")
 
 
 def test_verify_detformula(capsys):
@@ -115,15 +138,21 @@ def test_usage_errors(capsys):
 
 
 def test_wrong_number_of_quantum_parameters(capsys):
-    # one nonzero q per step, or a usage error with an error line: never a
-    # spectrum of the wrong fiber, an ignored q, or a traceback with the
-    # FAIL exit code
+    # one finite nonzero q per step, or a usage error with an error line:
+    # never a spectrum of the wrong fiber, an ignored q, or a traceback with
+    # the FAIL exit code
     per_step = "takes one quantum parameter per step"
+    finite = "quantum parameters must be finite, got"
     for cmd, shape, q, want in (
             ("c1-spectrum", "1,2;3", "1", f"1,2;3 {per_step} (2), got 1"),
             ("crit", "1;3", "1,5", f"1;3 {per_step} (1), got 2"),
             ("verify-mirror", "1,2;3", "1", f"1,2;3 {per_step} (2), got 1"),
-            ("verify-mirror", "1,2;3", "1,0", "all quantum parameters must be nonzero")):
+            ("verify-mirror", "1,2;3", "1,0", "all quantum parameters must be nonzero"),
+            ("crit", "2;4", "1e400", f"{finite} [(inf+0j)]"),
+            ("verify-mirror", "2;4", "1e400", f"{finite} [(inf+0j)]"),
+            ("c1-spectrum", "1,2;3", "1,nan", f"{finite} [(1+0j), (nan+0j)]"),
+            ("crit", "1;2", "inf", f"{finite} [(inf+0j)]"),
+            ("verify-mirror", "1;2", "1+infi", f"{finite} [(1+infj)]")):
         code, out, err = run(capsys, cmd, "--shape", shape, "--q", q)
         assert (code, out, err) == (2, "", f"error: {want}\n")
 

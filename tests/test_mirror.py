@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_support import LambdaChart, as_pyfunc, laplace_det, reduced_word
+from tests_support import LambdaChart, as_pyfunc, laplace_det, reduced_word, young_view_L
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, OffChart, PivotFailure
@@ -383,13 +383,18 @@ def test_young_bijection_names():
 
 
 def test_young_view_equals_index_view():
-    for n in range(2, 7):
+    # young_view re-indexes every Plucker term through lambda(J); the oracle
+    # rebuilds the middle terms from the appendix's L-operator sums
+    middle = 0
+    for n in range(2, 8):
         for shape in all_shapes(n):
-            yv = {t.divisor_k: t for t in young_view(shape)}
-            for t in superpotential(shape):
-                mapped = index_term_to_young(t, shape)
-                assert yv[t.divisor_k].numerator == mapped.numerator
-                assert yv[t.divisor_k].denominator == mapped.denominator
+            got, want = young_view(shape), young_view_L(shape)
+            assert ([(t.family, t.index, t.divisor_k) for t in got]
+                    == [(t.family, t.index, t.divisor_k) for t in want]), shape
+            for a, b in zip(got, want):
+                assert (a.numerator, a.denominator) == (b.numerator, b.denominator), (shape, a)
+            middle += sum(t.family == "u-mid" for t in want)
+    assert middle == 102
 
 
 def test_young_view_appendix_example():

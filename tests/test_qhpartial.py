@@ -15,6 +15,7 @@ from flagmirror.combinat import (
     min_rep_of,
     minimal_reps,
 )
+from flagmirror.crit import find_critical_points
 from flagmirror.errors import InvalidRange
 from flagmirror.qhpartial import (
     c1_matrix,
@@ -57,6 +58,21 @@ def test_chevalley_matrix_rejects_bad_divisor_index():
     for j in (0, 3, -1):
         with pytest.raises(InvalidRange, match=f"j={j} outside 1..2"):
             ring.chevalley_matrix(j, [1.0, 1.0])
+
+
+def test_non_finite_quantum_parameters_are_input_errors():
+    # nan and inf are rejected before any matrix is built: not reported as a
+    # solver failure (ConvergenceFailure) or an untyped OverflowError
+    shape = FlagShape(4, (2,))
+    nan, inf = float("nan"), float("inf")
+    for q in ([nan], [inf], [-inf], [complex(1, inf)], [complex(nan, 1)], ["1e400"]):
+        want = f"quantum parameters must be finite, got {[complex(v) for v in q]}"
+        for call in (validate_q, c1_spectrum, find_critical_points):
+            with pytest.raises(ValueError) as got:
+                call(shape, q)
+            assert str(got.value) == want
+    with pytest.raises(ValueError, match="must be finite"):
+        validate_q(FlagShape(4, (1, 2)), [1.0, nan])
 
 
 def test_numeric_operators_reject_a_wrong_number_of_values():

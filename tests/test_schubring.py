@@ -12,6 +12,7 @@ from tests_support import (
     monk_apply,
     monk_column,
     omega_involution,
+    schubert_poly,
     sorted_perms,
     straighten,
 )
@@ -32,7 +33,6 @@ from flagmirror.schubring import (
     quantum_E,
     quantum_H,
     quantum_schubert,
-    schubert_poly,
     signed_sum,
     transition_product,
     vec_to_class,

@@ -13,7 +13,8 @@ from flagmirror.cli import main
 from flagmirror.combinat import (FlagShape, Permutation, build_xi_and_wJ,
                                  grassmannian_word)
 from flagmirror.crit import toeplitz_scaling
-from flagmirror.errors import FormulaViolation, IdentityViolation, PivotFailure, SizeCap
+from flagmirror.errors import (FormulaViolation, IdentityViolation, InvalidRange, PivotFailure,
+                               SizeCap)
 from flagmirror.exactalg import MPoly, lu_unipotent
 from flagmirror.mirror import random_z_vector, w0_matrix, z_from_vector
 from flagmirror.schubring import (QHClass, class_product, normal_form, product_vec, q_table,
@@ -43,6 +44,14 @@ def P(s):
 def test_key_identity_fl247_instance():
     rep = check_key_identity(FlagShape(7, (2, 4)), 1, 4)
     assert rep.ok and rep.terms == 3
+
+
+def test_key_identity_rejects_indices_out_of_range():
+    # j = r + 1 reaches past the last step; every bad (j, i) is an InvalidRange
+    shape = FlagShape(7, (2, 4))
+    for j, i in ((3, 4), (2, 4), (0, 4), (1, 3), (1, 5)):
+        with pytest.raises(InvalidRange):
+            check_key_identity(shape, j, i)
 
 
 def test_key_identity_sweep_n5():

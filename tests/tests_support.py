@@ -1,13 +1,16 @@
 """Shared helpers for the test suite, among them the straightening oracle
-that the Monk-operator route of `flagmirror.schubring` is checked against,
-the Monk-rule columns M_k that its signed X_i entries are checked against,
+that the Monk-operator route of `flagmirror.schubring` is checked against
+(built on the classical Schubert polynomials by divided differences, which
+also check the q = 0 part of `flagmirror.schubring.quantum_schubert`), the
+Monk-rule columns M_k that its signed X_i entries are checked against,
 the 1-based construction of the w_J that `flagmirror.combinat.build_xi_and_wJ`
 is checked against, the per-pair quantum Chevalley rule that the tables of
-`flagmirror.qhpartial.partial_ring` are checked against,
-the recursive first-row Laplace determinant that `flagmirror.exactalg.det`
-and the chart minors are checked against, the per-matrix Crout loop that the
-batched `flagmirror.exactalg.lu_unipotent` is checked against,
-the lambda evaluator that the generated chart evaluator of
+`flagmirror.qhpartial.partial_ring` are checked against, the middle terms
+by the L-operator sums that `flagmirror.mirror.young_view` is checked
+against, the recursive first-row Laplace determinant that
+`flagmirror.exactalg.det` and the chart minors are checked against, the
+per-matrix Crout loop that the batched `flagmirror.exactalg.lu_unipotent` is
+checked against, the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, the per-candidate chart lift and
 per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
 checked against, and the random Toeplitz multistart that the character route
@@ -20,17 +23,28 @@ from functools import lru_cache
 
 import numpy as np
 
-from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
+from flagmirror.combinat import Partition, Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
-from flagmirror.errors import InvalidRange, NearPole, NotMinimalRep, PivotFailure, SizeCap
+from flagmirror.errors import (
+    InvalidRange,
+    NearPole,
+    NotInGroup,
+    NotMinimalRep,
+    PivotFailure,
+    SizeCap,
+)
 from flagmirror.exactalg import MPoly, leading_minors
 from flagmirror.mirror import (
     POLE_GUARD,
+    SuperpotentialTerm,
     _columns_of_pname,
     _fixed_entries,
+    index_term_to_young,
     pluecker_table,
     superpotential,
     symbolic_z,
+    young_name,
+    young_table,
     z_from_vector,
     zchart,
 )
@@ -38,11 +52,10 @@ from flagmirror.qhpartial import _length_jump
 from flagmirror.schubring import (
     MonkOperators,
     QHClass,
-    divided_difference,
+    _dd_terms,
     q_table,
     quantum_E,
     quantum_schubert,
-    schubert_poly,
     xq_table,
 )
 
@@ -107,6 +120,36 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
                 break
     word.reverse()
     return tuple(word)
+
+
+def divided_difference(f: MPoly, i: int, n: int) -> MPoly:
+    """Divided difference (f - s_i f) / (x_i - x_{i+1}) on xq_table(n)."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        for sgn, key in _dd_terms(e, i - 1):
+            v = out.get(key, 0) + sgn * c
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return MPoly(f.table, out)
+
+
+@lru_cache(maxsize=None)
+def schubert_poly(w: Permutation, n: int) -> MPoly:
+    """Classical Schubert polynomial, by divided differences from x^delta."""
+    if w.n != n:
+        raise NotInGroup(f"{w} is not in S_{n}")
+    if w.length == n * (n - 1) // 2:
+        e = [0] * xq_table(n).size
+        for i in range(n - 1):
+            e[i] = n - 1 - i
+        return MPoly.monomial(xq_table(n), tuple(e))
+    ol = w.oneline
+    for i in range(n - 1):
+        if ol[i] < ol[i + 1]:  # ascent: w s_i is longer
+            return divided_difference(schubert_poly(w.times_s(i + 1), n), i + 1, n)
+    raise AssertionError("unreachable")
 
 
 def apply_dd_word(f: MPoly, word: tuple[int, ...], n: int) -> MPoly:
@@ -390,6 +433,100 @@ def chevalley_terms(w: Permutation, j: int, shape):
             wmin = min_rep_of(w.times_transposition(a - 1, b - 1), shape)
             if wmin.length == w.length + 1 - drop:
                 yield wmin, d
+
+
+# -- the partition-indexed superpotential by the L-operator sums --------------
+
+
+def _yvar(shape, k: int, parts) -> MPoly:
+    return MPoly.var(young_table(shape), young_name(k, parts))
+
+
+def _yvar_or_zero(shape, k: int, parts) -> MPoly:
+    parts = list(parts)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    if len(parts) > k or (parts and parts[0] > shape.n - k):
+        return MPoly.zero(young_table(shape))
+    return _yvar(shape, k, parts)
+
+
+def _partitions_in_box(rows: int, cols: int):
+    """All partitions with at most `rows` parts, each at most `cols`."""
+    def rec(remaining_rows, maxpart):
+        if remaining_rows == 0:
+            yield ()
+            return
+        for first in range(maxpart, -1, -1):
+            for rest in rec(remaining_rows - 1, first):
+                yield (first,) + rest
+    yield from rec(rows, cols)
+
+
+def _join_rect_above(shape, l: int, rect_rows: int, nu) -> MPoly:
+    """p^{(l)} of the vertical join ((n-l)^{rect_rows}, nu), or zero if it is
+    not a partition inside the l x (n-l) box."""
+    n = shape.n
+    nu = [p for p in nu if p > 0]
+    if nu and nu[0] > n - l:
+        return MPoly.zero(young_table(shape))
+    if rect_rows + len(nu) > l:
+        return MPoly.zero(young_table(shape))
+    return _yvar_or_zero(shape, l, [n - l] * rect_rows + nu)
+
+
+def _L_denominator(shape, j: int, m: int) -> MPoly:
+    """L(p^(k)_{k x m rect} . p^(l)_{(l-m) x (n-l) rect})."""
+    k, l = shape.nj(j), shape.nj(j + 1)
+    out = MPoly.zero(young_table(shape))
+    for mu in _partitions_in_box(k, m):
+        sgn = (-1) ** (sum(mu) + k * m)
+        tail = tuple(m - mu[k - 1 - t] for t in range(k))  # (m-mu_k, ..., m-mu_1)
+        nu = Partition(tail).conjugate().parts
+        joined = _join_rect_above(shape, l, l - m, list(nu))
+        if joined.is_zero():
+            continue
+        out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined
+    return out
+
+
+def _L_numerator(shape, j: int, m: int) -> MPoly:
+    """L(p^(k)_{k x m rect plus box} . p^(l)_{(l-m) x (n-l) rect}):
+    mu runs over partitions below (m+1, m^{k-1}) with mu_1 != m."""
+    k, l = shape.nj(j), shape.nj(j + 1)
+    out = MPoly.zero(young_table(shape))
+    lamp = (m + 1,) + (m,) * (k - 1)
+    for mu in _partitions_in_box(k, m + 1):
+        if any(a > b for a, b in zip(mu, lamp)) or mu[0] == m:
+            continue
+        if mu[0] == m + 1:
+            tail = tuple(m - mu[k - 1 - t] for t in range(k - 1)) + (0,)
+            sgn = (-1) ** (sum(mu) + k * m + 1)  # extra box flips the sign
+        else:
+            tail = tuple(m - mu[k - 1 - t] for t in range(k)) + (1,)
+            sgn = (-1) ** (sum(mu) + k * m)
+        joined = _join_rect_above(shape, l, l - m, list(Partition(tail).conjugate().parts))
+        if joined.is_zero():
+            continue
+        out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined
+    return out
+
+
+def young_view_L(shape) -> tuple[SuperpotentialTerm, ...]:
+    """The superpotential over partition-indexed Plucker symbols as the
+    paper's appendix writes it: the plain term families re-indexed through
+    lambda(J), the middle terms S_i^(j) rebuilt from the L-operator sums."""
+    out = []
+    for term in superpotential(shape):
+        if term.family != "u-mid":
+            out.append(index_term_to_young(term, shape))
+            continue
+        i, j = term.index
+        m = i - shape.nj(j)
+        num = _L_numerator(shape, j, m)
+        den = _L_denominator(shape, j, m)
+        out.append(SuperpotentialTerm("u-mid", (i, j), num, den, term.divisor_k).normalized(shape))
+    return tuple(out)
 
 
 # -- the superpotential chart as one lambda per polynomial -------------------
