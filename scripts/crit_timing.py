@@ -7,7 +7,9 @@ The shapes are the desk shapes plus 2;5, 2,4;6 and Fl_6, each at q = 1 and
 at the fiber q_j = 0.9 + 0.13ij. Each search runs --repeats times in one
 process (the first run also builds the ring and compiles the chart
 evaluator); every column is the median over the runs. `cands` is the number
-of character candidates (roots tried), `clusters` the eigenvalue clusters
+of character candidates (roots tried), `kept` those that pass the chart
+lift's stratum test and gradient screen (one root per character on a fiber
+without clusters), `clusters` the eigenvalue clusters
 that the cluster step solved (0 when the characters sufficed) and `croots`
 the Toeplitz roots it kept. `degree` is the multiplicity stage, which
 searches the nearby fiber when the fiber has a degenerate point. `certify`
@@ -43,8 +45,11 @@ def time_search(shape: FlagShape, q, repeats: int) -> dict:
         runs.append(dict(stats, wall_s=wall, certify_s=wall - stats["search_s"]))
     out = {k: statistics.median(r[k] for r in runs)
            for k in (*STAGES, "certify_s", "wall_s") if k in runs[0]}
+    st = runs[0]
     out["cands"], out["clusters"], out["croots"] = (
-        runs[0]["roots_tried"], runs[0]["clusters_solved"], runs[0]["cluster_roots_kept"])
+        st["roots_tried"], st["clusters_solved"], st["cluster_roots_kept"])
+    out["kept"] = (st["roots_tried"] - st["character_rejected_stratum"]
+                   - st["character_rejected_gradient"])
     return out
 
 
@@ -53,7 +58,7 @@ if __name__ == "__main__":
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     cols = ("search", "polish", "merge", "degree", "residual", "certify", "wall")
-    print(f"{'shape':<13}{'q':>3}{'cands':>7}{'clusters':>9}{'croots':>7}"
+    print(f"{'shape':<13}{'q':>3}{'cands':>7}{'kept':>6}{'clusters':>9}{'croots':>7}"
           + "".join(f"{c:>10}" for c in cols))
     for sstr in SHAPES:
         shape = FlagShape.from_string(sstr)
@@ -62,5 +67,5 @@ if __name__ == "__main__":
             row = time_search(shape, q, args.repeats)
             secs = "".join(f"{row[c + '_s']:>10.4f}" if c + "_s" in row else f"{'-':>10}"
                            for c in cols)
-            print(f"{sstr:<13}{label:>3}{row['cands']:>7}{row['clusters']:>9}{row['croots']:>7}"
-                  f"{secs}", flush=True)
+            print(f"{sstr:<13}{label:>3}{row['cands']:>7}{row['kept']:>6}{row['clusters']:>9}"
+                  f"{row['croots']:>7}{secs}", flush=True)

@@ -198,6 +198,12 @@ def cmd_report_all(args) -> int:
     return 0 if ok else 1
 
 
+def _add_q(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", required=True,
+                   help="comma-separated complex values, e.g. 1,1 or 1+0.2i,0.9; "
+                        "a value that starts with a minus sign needs the form --q=-1,2")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flagmirror",
                                  description=__doc__.splitlines()[0])
@@ -224,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c1-spectrum", help="eigenvalues of quantum multiplication by c_1")
     p.add_argument("--shape", required=True)
-    p.add_argument("--q", required=True, help="comma-separated complex values, e.g. 1,1 or 1+0.2i,0.9")
+    _add_q(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_c1_spectrum)
 
     p = sub.add_parser("crit", help="critical points of the superpotential")
     p.add_argument("--shape", required=True)
-    p.add_argument("--q", required=True)
+    _add_q(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_crit)
 
@@ -248,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-mirror", help="spectrum vs critical values")
     p.add_argument("--shape", required=True)
-    p.add_argument("--q", required=True)
+    _add_q(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_mirror)
 

@@ -38,7 +38,10 @@ __all__ = [
 NEWTON_MAX_ITER = 100  # damped Newton steps per polish, down to |grad F| < NEWTON_TOL
 NEWTON_TOL = 1e-12
 DEDUPE_RADIUS = 1e-6  # polished points this close (relative) are merged
-LIFT_TOL = 1e-5  # a lift is off the stratum where U or z misses its pattern by more (relative)
+# a lift is off the stratum where U or z misses its pattern by more (relative
+# to the largest entry; absolute for diag U = 1, which keeps one root x_0 per
+# character: the roots of other fibers miss it by at least 0.2)
+LIFT_TOL = 1e-5
 # seed of the divisor combination whose eigenvectors are the characters (the
 # points found do not depend on it); eigenvalues of that combination closer
 # than CLUSTER_RADIUS (relative) are counted as one cluster
@@ -249,9 +252,11 @@ def _lift_batch(shape: FlagShape, X: np.ndarray, q):
     of T: factor t^{-1} T = V W U with V, U upper-triangular around the
     representative W of w_P^{-1} w_0, and read the chart coordinates off
     z = (t^{-1} T) U^{-1}.  Returns the mask of the rows whose T lies in the
-    chart's stratum (no vanishing pivot, U finite, upper-triangular and
-    invertible, z on the chart pattern, each to LIFT_TOL) and the chart
-    vectors of those rows."""
+    chart's stratum (no vanishing pivot, U finite and unipotent
+    upper-triangular, z on the chart pattern, each to LIFT_TOL) and the
+    chart vectors of those rows.  Of the n roots x_0 of one character only
+    the one on this fiber gives a unipotent U, so the others are dropped
+    here, before any gradient is evaluated."""
     _, W_inv, pivot_row, above = _lift_frame(shape)
     b = np.diag(1.0 / toeplitz_scaling(shape, q)) @ _toeplitz_from_diagonals(X)
     A = b.copy()
@@ -265,8 +270,8 @@ def _lift_batch(shape: FlagShape, X: np.ndarray, q):
     U = W_inv @ A
     scale = np.maximum(1.0, np.abs(U).max(axis=(1, 2)))
     ok &= ~(np.abs(np.tril(U, -1)).max(axis=(1, 2)) > LIFT_TOL * scale) & \
-        np.isfinite(U).all(axis=(1, 2))
-    ok[ok] = np.linalg.slogdet(U[ok])[0] != 0  # LU meets a zero pivot: U has no inverse
+        np.isfinite(U).all(axis=(1, 2)) & \
+        (np.abs(np.diagonal(U, axis1=1, axis2=2) - 1).max(axis=1) <= LIFT_TOL)
     keep = np.flatnonzero(ok)
     z = b[keep] @ np.linalg.inv(U[keep])
     vecs = chart_vector(shape, z)
@@ -377,8 +382,9 @@ class _Search:
         ok, vecs = _lift_batch(self.shape, X, self.q)
         self.stats[f"{stage}_rejected_stratum"] += int(len(X) - ok.sum())
         for vec in vecs:
-            # a Toeplitz solution of another q-fiber or stratum lifts to a point
-            # where the gradient is of order one; polishing it only fails slowly
+            # the stratum test already drops the roots x_0 of other fibers; an
+            # eigenvector mixed inside a cluster can still lift to a point where
+            # the gradient is of order one, and polishing it only fails slowly
             try:
                 g = self.fm.gradient(vec, self.q)
             except NearPole:
@@ -576,11 +582,15 @@ def find_critical_points(shape: FlagShape, q) -> list[CritPoint]:
     (tests/test_crit.py).
 
     The candidates are mapped back to the chart together, as one stacked
-    numpy batch; lifts off the chart's stratum, and lifts where the exact
-    symbolic gradient is not already small (other q-fibers, characters mixed
-    inside an eigenvalue cluster), are dropped, and the rest are polished by
-    damped Newton on that gradient and deduplicated.  The characters only
-    seed the points: each one is certified on F alone.
+    numpy batch, by factoring t^{-1} T = V W U.  The formula fixes x_0 only
+    up to an n-th root of unity; the stratum requires U unipotent, and of
+    the n roots only the one on this fiber passes (the others, measured on
+    every shape with n <= 6 and on 2,4;7, miss diag U = 1 by at least 0.2).
+    Lifts off the stratum, and lifts where the exact symbolic gradient is
+    not already small (characters mixed inside an eigenvalue cluster), are
+    dropped, and the rest are polished by damped Newton on that gradient and
+    deduplicated.  The characters only seed the points: each one is
+    certified on F alone.
 
     A point whose Hessian is degenerate (smallest singular value below 1e-6
     of the largest) is a multiple root of grad F; Newton stops anywhere in a

@@ -17,6 +17,7 @@ one transposition at a time, and the mirror spectrum tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,9 +147,12 @@ def c1_matrix(shape: FlagShape, q) -> np.ndarray:
 
 
 def _check_per_step(shape: FlagShape, values, what: str) -> None:
+    """Raise ValueError unless values has one finite number per step."""
     if len(values) != shape.r:
         raise ValueError(f"{shape.to_string()} takes one {what} per step "
                          f"({shape.r}), got {len(values)}")
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in map(complex, values)):
+        raise ValueError(f"{what}s must be finite, got {list(values)}")
 
 
 def validate_q(shape: FlagShape, q) -> list[complex]:
@@ -156,8 +160,6 @@ def validate_q(shape: FlagShape, q) -> list[complex]:
     n_j of shape; raises ValueError otherwise."""
     q = [complex(v) for v in q]
     _check_per_step(shape, q, "quantum parameter")
-    if not np.isfinite(q).all():
-        raise ValueError(f"quantum parameters must be finite, got {q}")
     if not all(q):
         raise ValueError("all quantum parameters must be nonzero")
     return q

@@ -97,6 +97,17 @@ def test_complex_q_parsing(capsys):
     assert _parse_q("1+0.2i, 0.5-i,i,inf,2") == [1 + 0.2j, 0.5 - 1j, 1j, float("inf"), 2]
 
 
+def test_negative_q_needs_the_equals_form(capsys):
+    # argparse reads "--q -1,2" as a missing value followed by an option
+    code, out, _ = run(capsys, "c1-spectrum", "--shape", "1,2;3", "--q=-1,2",
+                       "--format", "json")
+    assert code == 0 and len(json.loads(out)["eigenvalues"]) == 6
+    assert run(capsys, "c1-spectrum", "--shape", "1,2;3", "--q", "-1,2")[0] == 2
+    for command in ("c1-spectrum", "crit", "verify-mirror"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "needs the form --q=-1,2" in " ".join(out.split())
+
+
 def test_verify_identity(capsys):
     code, out, _ = run(capsys, "verify-identity", "--shape", "2,4;7",
                        "--j", "1", "--i", "4")

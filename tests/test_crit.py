@@ -550,8 +550,8 @@ def test_lift_batch_matches_per_candidate_lift_n6(shape):
 
 def test_singular_lift_is_rejected_as_stratum():
     # at this fiber near q = 1 some character candidates factor with an
-    # upper-triangular U that is singular in floating point; they are off the
-    # stratum, not an error
+    # upper-triangular U that is singular in floating point; U is not
+    # unipotent, so they are off the stratum, not an error
     shape = FlagShape.from_string("1,5;6")
     q = [1 + 1e-6 * (0.9 + 0.13j * j) for j in (1, 2)]
     _check_lift_batch(shape, [q])
@@ -566,7 +566,7 @@ def test_lift_batch_one_row_and_empty():
     chars = crit._characters(shape, q)[0]
     X = crit._character_diagonals(shape, q, chars[:, crit._diagonal_classes(shape)])
     ok, vecs = crit._lift_batch(shape, X, q)
-    assert ok.sum() == 12 and len(ok) == 24
+    assert ok.sum() == 8 and len(ok) == 24
     kept = iter(vecs)
     for x, keep in zip(X, ok):
         one_ok, one = crit._lift_batch(shape, x[None], q)
@@ -574,6 +574,30 @@ def test_lift_batch_one_row_and_empty():
         assert not keep or np.array_equal(one[0], next(kept))
     ok, vecs = crit._lift_batch(shape, X[:0], q)
     assert ok.shape == (0,) and vecs.shape == (0, shape.dim)
+
+
+@pytest.mark.parametrize("shape", [s for n in range(2, 6) for s in all_shapes(n)],
+                         ids=FlagShape.to_string)
+def test_lift_keeps_one_root_per_character(shape):
+    # x_0 is fixed only up to an n-th root of unity; the roots of other fibers
+    # factor with a U that is not unipotent, so the stratum test drops them and
+    # the gradient screen rejects nothing
+    for q in ([1.0] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
+        st = crit_report(shape, q)["search"]
+        assert st["character_rejected_gradient"] == 0
+        if st["clusters"] == 0:
+            assert st["roots_tried"] - st["character_rejected_stratum"] == st["characters"]
+
+
+def test_nearby_fiber_lifts_are_bounded():
+    # the nearby fiber of 1,5;6 at q = 1: the wrong roots used to lift to
+    # |vec| > 1e3, where the gradient screen, scaled by |vec|, let them through
+    # to polishes that failed
+    shape = FlagShape.from_string("1,5;6")
+    near = _Search(shape, [1 + 1e-4 * (0.9 + 0.13j * j) for j in (1, 2)], measure=False)
+    near.run()
+    assert near.stats["polishes_failed"] == 0
+    assert max(_norm(vec) for vec, _ in near.lifts) <= 1e3
 
 
 def test_batched_residuals_match_per_point_loop():

@@ -75,6 +75,26 @@ def test_non_finite_quantum_parameters_are_input_errors():
         validate_q(FlagShape(4, (1, 2)), [1.0, nan])
 
 
+def test_numeric_operators_reject_non_finite_values():
+    # the operators allow q = 0, so they do not call validate_q; a nan or inf
+    # in q or in the weights is still an input error, not a matrix of nan
+    shape = FlagShape(4, (1, 2))
+    ring = partial_ring(shape)
+    nan, inf = float("nan"), float("inf")
+    for bad in ([nan, 1.0], [1.0, inf], [complex(1, -inf), 0.0]):
+        want = f"quantum parameters must be finite, got {[complex(v) for v in bad]}"
+        for call in (lambda: ring.chevalley_matrix(2, bad), lambda: c1_matrix(shape, bad),
+                     lambda: ring.divisor_combination([1, 1], bad)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == want
+        with pytest.raises(ValueError) as got:
+            ring.divisor_combination(bad, [1.0, 1.0])
+        assert str(got.value) == f"weights must be finite, got {bad}"
+    with pytest.raises(ValueError, match="must be finite"):
+        c1_matrix(FlagShape(4, (2,)), [nan])
+
+
 def test_numeric_operators_reject_a_wrong_number_of_values():
     # a missing q_j is not read as 1 and an extra one is not ignored; the
     # message is the one validate_q gives

@@ -51,7 +51,7 @@ def test_evaluator_timing_one_point():
 @pytest.mark.slow
 def test_crit_timing_one_repeat():
     lines = run_script("crit_timing.py", "--repeats", "1", timeout=300)
-    assert lines[0].split()[:3] == ["shape", "q", "cands"]
+    assert lines[0].split()[:6] == ["shape", "q", "cands", "kept", "clusters", "croots"]
     assert [line.split()[:2] for line in lines[1:]] == [[s, q] for s in DESK for q in "1g"]
 
 

@@ -652,7 +652,8 @@ def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
     t^{-1} T = V W U with V, U upper-triangular around the representative W
     of w_P^{-1} w_0, and read the chart coordinates off z = (t^{-1} T) U^{-1}.
     Returns None when T sits in a smaller stratum (vanishing pivot,
-    non-finite or singular U, or broken chart pattern)."""
+    non-finite U, U not unipotent to an absolute tol, or broken chart
+    pattern)."""
     n = len(x)
     T = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -670,6 +671,8 @@ def chart_point_from_toeplitz(shape, x, q, tol: float = 1e-5):
     U = W_inv @ A
     scale = max(1.0, float(np.abs(U).max()))
     if float(np.abs(np.tril(U, -1)).max()) > tol * scale:
+        return None
+    if float(np.abs(np.diag(U) - 1).max()) > tol:  # U not unipotent: a wrong root x_0
         return None
     if not np.isfinite(U).all():
         return None
