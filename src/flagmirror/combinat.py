@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 
 from .errors import InvalidRange, Not321Avoiding, NotInGroup, NotMinimalRep
@@ -30,7 +30,6 @@ __all__ = [
     "build_xi_and_wJ",
     "all_shapes",
     "partition_of_columns",
-    "columns_of_partition",
 ]
 
 
@@ -90,17 +89,6 @@ class FlagShape:
         for a in self.block_sizes:
             out //= factorial(a)
         return out
-
-    @property
-    def is_complete(self) -> bool:
-        return self.steps == tuple(range(1, self.n))
-
-    def block_of_position(self, pos: int) -> int:
-        """1-based block label j such that n_{j-1} <= pos < n_j (pos 0-based)."""
-        for j in range(1, self.r + 2):
-            if pos < self.nj(j):
-                return j
-        raise IndexError(pos)
 
     @classmethod
     def from_string(cls, text: str) -> "FlagShape":
@@ -269,10 +257,6 @@ class SkewShape:
         if any(a >= b for a, b in zip(phi, phi[1:])):
             raise ValueError(f"flag not strictly increasing: {phi}")
 
-    @property
-    def row_lengths(self) -> tuple[int, ...]:
-        return tuple(l - m for l, m in zip(self.outer, self.inner))
-
 
 def code(w: Permutation) -> tuple[int, ...]:
     """Code of w: c_i = #{j > i : w(j) < w(i)}.  Sums to length(w)."""
@@ -322,7 +306,6 @@ def min_rep_of(w: Permutation, shape: FlagShape) -> Permutation:
     return Permutation(tuple(v for lo, hi in zip(b, b[1:]) for v in sorted(w.oneline[lo:hi])))
 
 
-@lru_cache(maxsize=None)
 def minimal_reps(shape: FlagShape) -> tuple[Permutation, ...]:
     """All minimal coset representatives, sorted by (length, one-line)."""
     blocks = shape.block_sizes
@@ -396,10 +379,3 @@ def partition_of_columns(cols, n: int) -> Partition:
     parts = tuple(ks[m - 1 - t] - (m - 1 - t) for t in range(m))
     return Partition(parts, rows=m, cols=n - m)
 
-
-def columns_of_partition(p: Partition, k: int, n: int) -> frozenset[int]:
-    """Inverse of partition_of_columns for partitions in the k x (n-k) box."""
-    parts = list(p.parts) + [0] * (k - len(p.parts))
-    if len(parts) != k:
-        raise ValueError(f"partition {p} has more than {k} parts")
-    return frozenset(parts[k - 1 - t] + t for t in range(k))

@@ -129,7 +129,9 @@ def _newton_polish(fm, z0, q, g=None):
 
 @lru_cache(maxsize=None)
 def _entry_diagonals(n: int) -> np.ndarray:
-    return np.subtract.outer(np.arange(n), np.arange(n))  # i - j at (i, j)
+    d = np.subtract.outer(np.arange(n), np.arange(n))  # i - j at (i, j)
+    d.flags.writeable = False  # shared by every caller
+    return d
 
 
 def _toeplitz_from_diagonals(x) -> np.ndarray:
@@ -308,11 +310,14 @@ def _characters(shape: FlagShape, q):
 @lru_cache(maxsize=None)
 def _diagonal_classes(shape: FlagShape) -> np.ndarray:
     """Indices in ``partial_ring(shape)`` of the classes sigma_{w_d},
-    1 <= d <= n_r, of the closed formula of ``find_critical_points``."""
+    1 <= d <= n_r, of the closed formula of ``find_critical_points``,
+    read-only."""
     n, ring = shape.n, partial_ring(shape)
-    return np.array([ring.index(min_rep_of(Permutation(  # 0-based word
+    idx = np.array([ring.index(min_rep_of(Permutation(  # 0-based word
         tuple(range(n - d, n)) + tuple(range(1, n - d)) + (0,)), shape))
         for d in range(1, shape.steps[-1] + 1)])
+    idx.flags.writeable = False
+    return idx
 
 
 def _character_diagonals(shape: FlagShape, q, values) -> np.ndarray:

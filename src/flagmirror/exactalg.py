@@ -2,9 +2,9 @@
 
 Every polynomial the paper's checks build has integer coefficients, so an
 `MPoly` coefficient is a Python ``int`` and nothing else: the symbolic path
-has no float and no division.  `det` and `minor` are one division-free
-Laplace expansion, `leading_minors`, for entries of any ring; the chart's
-Plucker coordinates come from it too.  The numeric path (eigenvalues, and
+has no float and no division.  `det` is one division-free Laplace
+expansion, `leading_minors`, for entries of any ring; the chart's Plucker
+coordinates come from it too.  The numeric path (eigenvalues, and
 the unipotent LU of one complex matrix or a stack of them) uses complex
 double precision, and numeric callers take their determinants from LAPACK.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "VarTable",
     "MPoly",
     "leading_minors",
-    "minor",
     "det",
     "lu_unipotent",
     "eigenvalues",
@@ -137,9 +136,6 @@ class MPoly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=self._order_key)
         return e, self.terms[e]
-
-    def constant(self) -> int:
-        return self.terms.get(_aszero(self.table), 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -344,18 +340,6 @@ def det(M):
     # quantum_H and of the determinantal formula, vanish below a staircase,
     # so most minors of their first k columns vanish
     return leading_minors(list(zip(*rows)), n)[tuple(range(n))]
-
-
-def minor(M, rows, cols):
-    """Determinant of the submatrix on the given 0-based row/column sets.
-
-    Empty index sets give 1.  Raises DimensionMismatch when |rows| != |cols|.
-    """
-    rset, cset = sorted(rows), sorted(cols)
-    if len(rset) != len(cset):
-        raise DimensionMismatch(f"|rows|={len(rset)} != |cols|={len(cset)}")
-    m = _as_rows(M)
-    return det([[m[i][j] for j in cset] for i in rset])
 
 
 PIVOT_TOL = 1e-12  # an LU pivot below this times the largest entry vanishes

@@ -46,7 +46,6 @@ __all__ = [
     "uv_from_z",
     "f_minus_eval",
     "f_minus_eval_uv",
-    "f_minus_grad",
     "FMinusChart",
     "f_minus_chart",
     "young_view",
@@ -65,13 +64,13 @@ def zchart(shape: FlagShape) -> tuple[tuple[int, int], ...]:
     0-based and ordered: in block row j the anti-diagonal identity block
     (-1)^{n_{j-1}} I_{a_j} sits in columns n-n_j..n-n_{j-1}-1 and everything
     strictly to its left is free."""
-    coords = tuple((row, col) for row in range(shape.n)
-                   for col in range(shape.n - shape.nj(shape.block_of_position(row))))
+    coords = tuple((row, col) for j in range(1, shape.r + 2)
+                   for row in range(shape.nj(j - 1), shape.nj(j))
+                   for col in range(shape.n - shape.nj(j)))
     assert len(coords) == shape.dim
     return coords
 
 
-@lru_cache(maxsize=None)
 def chart_table(shape: FlagShape) -> VarTable:
     return VarTable.make([(f"z{r + 1}_{c + 1}", "chart", 0) for (r, c) in zchart(shape)])
 
@@ -85,7 +84,6 @@ def _fixed_entries(shape: FlagShape) -> tuple[tuple[int, int, int], ...]:
                  for j in range(1, shape.r + 2) for t in range(shape.block_sizes[j - 1]))
 
 
-@lru_cache(maxsize=None)
 def symbolic_z(shape: FlagShape):
     """The chart matrix with MPoly entries over chart_table(shape)."""
     tab = chart_table(shape)
@@ -162,10 +160,14 @@ def pluecker_table(shape: FlagShape) -> VarTable:
 
 
 def pluecker(z, cols, shape: FlagShape):
-    """Minor of the first |cols| rows on the given 0-based column set."""
+    """Minor of the first |cols| rows on the given 0-based column set; raises
+    BadSubsetSize unless the columns are |cols| distinct indices in [0, n)
+    and |cols| is a step."""
     cols = sorted(cols)
     if len(cols) not in shape.steps:
         raise BadSubsetSize(f"|K| = {len(cols)} is not a step of {shape}")
+    if len(set(cols)) < len(cols) or cols[0] < 0 or cols[-1] >= shape.n:
+        raise BadSubsetSize(f"K = {cols} is not a set of columns in [0, {shape.n})")
     rows = range(len(cols))
     return complex(np.linalg.det(np.asarray(z, dtype=complex)[np.ix_(rows, cols)]))
 
@@ -286,7 +288,6 @@ def superpotential(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
 def divisor_equations(shape: FlagShape) -> dict[int, MPoly]:
     """Defining Plucker polynomial of the divisor D_k for k in 1..n-1+r.
 
@@ -522,11 +523,6 @@ def f_minus_eval(z, q, shape: FlagShape) -> complex:
     """Superpotential value via the Plucker-term route, evaluated by the
     compiled chart evaluator at the free coordinates of z."""
     return f_minus_chart(shape).value(chart_vector(shape, z), q)
-
-
-def f_minus_grad(z, q, shape: FlagShape) -> np.ndarray:
-    """Exact symbolic gradient over the free chart coordinates, numerically evaluated."""
-    return f_minus_chart(shape).gradient(chart_vector(shape, z), q)
 
 
 # -- Young diagram rendering -------------------------------------------------------

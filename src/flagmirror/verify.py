@@ -150,7 +150,10 @@ def key_identity_sweep(max_n: int, strict: bool = True):
     """Check every key identity with n <= max_n; log per n the instances,
     the products they asked for, those formed by a transition, the
     product_vec memo hits and the entries the memo holds, then the Monk line
-    of S_n."""
+    of S_n.  Raises SizeCap for max_n above the cap before it checks any
+    identity."""
+    if max_n >= 3:
+        monk_operators(max_n)  # checks max_n; builds nothing
     reports = []
     for n, instances in itertools.groupby(key_identity_instances(max_n), lambda t: t[0].n):
         ops = monk_operators(n)
@@ -282,7 +285,7 @@ class MirrorSpectrumReport:
         return {
             "shape": self.shape.to_string(),
             "q": [complex_to_json(complex(v)) for v in self.q],
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "eigenvalues": [complex_to_json(v) for v in
                             sorted(self.eigenvalues, key=lambda z: (z.real, z.imag))],
             "critical_values": [complex_to_json(complex(v)) for v in
@@ -355,7 +358,7 @@ def check_mirror_spectrum(shape: FlagShape, q, cfg: CritConfig | None = None) ->
         cost = np.abs(np.array(values)[:, None] - eig[None, :])
         rr, cc = _min_cost_assignment(cost)
         maxd = float(cost[rr, cc].max())
-        passed = maxd < tol
+        passed = bool(maxd < tol)
     else:
         maxd = float("inf")
         passed = False
@@ -379,11 +382,11 @@ class TauSymmetryReport:
 
     @property
     def ok(self) -> bool:
-        return (self.max_involution_residual < 1e-9
-                and self.max_unipotent_residual < 1e-9
-                and self.max_superdiagonal_residual < 1e-9
-                and self.max_G_residual < 1e-9
-                and self.G_checked > 0)
+        return bool(self.max_involution_residual < 1e-9
+                    and self.max_unipotent_residual < 1e-9
+                    and self.max_superdiagonal_residual < 1e-9
+                    and self.max_G_residual < 1e-9
+                    and self.G_checked > 0)
 
 
 def check_tau_symmetry(shape: FlagShape, samples: int = 50, seed: int = 0) -> TauSymmetryReport:
@@ -477,4 +480,4 @@ def check_equivalence_route(shape: FlagShape, q) -> EquivalenceReport:
         base = u[n - shape.nj(r) - 1, n - shape.nj(r)]
         for i in range(1, n - shape.nj(r)):
             worst = max(worst, abs(u[i - 1, i] - base) / (1 + abs(base)))
-    return EquivalenceReport(shape, list(q), len(points), worst, worst < 1e-7)
+    return EquivalenceReport(shape, list(q), len(points), worst, bool(worst < 1e-7))

@@ -11,12 +11,12 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from tests_support import fraction_inverse, monk_apply, sorted_perms, straighten
+from tests_support import fraction_inverse, minor, monk_apply, sorted_perms, straighten
 
 from flagmirror.combinat import FlagShape, all_shapes
 from flagmirror.crit import find_critical_points
 from flagmirror.errors import NearPole, PivotFailure
-from flagmirror.exactalg import MPoly, det, minor
+from flagmirror.exactalg import MPoly, det
 from flagmirror.mirror import (
     divisor_equations,
     f_minus_eval,

@@ -114,6 +114,9 @@ def test_verify_identity(capsys):
     assert code == 0 and out.startswith("PASS")
     code, out, _ = run(capsys, "verify-identity", "--sweep-max-n", "4")
     assert code == 0
+    # past the cap the error names the n asked for, and nothing is checked first
+    code, out, err = run(capsys, "verify-identity", "--sweep-max-n", "12")
+    assert (code, out, err) == (2, "", "error: monk operators support 2 <= n <= 8, got 12\n")
     # j = 3 is past the last step of 2,4;7: a usage error, not a FAIL
     code, out, err = run(capsys, "verify-identity", "--shape", "2,4;7", "--j", "3", "--i", "4")
     assert (code, out, err) == (2, "", "error: need 1 <= j <= r-1 = 1, got j=3\n")

@@ -11,7 +11,6 @@ from flagmirror.combinat import (
     avoids_321,
     build_xi_and_wJ,
     code,
-    columns_of_partition,
     is_minimal_rep,
     min_rep_of,
     minimal_reps,
@@ -69,7 +68,7 @@ def test_skew_row_lengths_match_code():
                 continue
             s = skew_shape_321(w)
             nonzero = tuple(c for c in code(w) if c > 0)
-            assert s.row_lengths == nonzero
+            assert tuple(a - b for a, b in zip(s.outer, s.inner)) == nonzero
 
 
 def test_permutation_validation_and_serialization():
@@ -190,12 +189,14 @@ def test_case1_with_J1_starts_at_one():
 def test_partition_bijection():
     p = partition_of_columns({0, 3, 5}, 7)
     assert p.trimmed() == (3, 2)
-    assert columns_of_partition(p, 3, 7) == frozenset({0, 3, 5})
+    # J -> lambda(J) is a bijection from the k-subsets of [0, n) onto the
+    # partitions in the k x (n-k) box, of which there are C(n, k)
     for n in range(2, 8):
         for k in range(1, n):
-            for K in itertools.combinations(range(n), k):
-                lam = partition_of_columns(K, n)
-                assert columns_of_partition(lam, k, n) == frozenset(K)
+            lams = {partition_of_columns(K, n).parts
+                    for K in itertools.combinations(range(n), k)}
+            assert len(lams) == comb(n, k)
+            assert all(len(lam) == k and lam[0] <= n - k for lam in lams)
 
 
 def test_flagshape_derived_data():

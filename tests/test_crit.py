@@ -560,6 +560,14 @@ def test_singular_lift_is_rejected_as_stratum():
     assert sum(p.multiplicity for p in points) == shape.basis_size
 
 
+def test_memoised_crit_arrays_are_read_only():
+    # every caller shares one array per key, so a write would reach them all
+    for arr in (crit._diagonal_classes(FlagShape.from_string("2;4")),
+                crit._entry_diagonals(4), crit._lift_frame(FlagShape.from_string("2;4"))[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_lift_batch_one_row_and_empty():
     # the test-side multistart lifts one row at a time through the same function
     shape, q = FlagShape.from_string("2;4"), [0.9 + 0.13j]

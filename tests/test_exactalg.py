@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support import as_pyfunc, fraction_inverse, laplace_det, reference_lu
+from tests_support import as_pyfunc, fraction_inverse, laplace_det, minor, reference_lu
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure
@@ -18,9 +18,8 @@ from flagmirror.exactalg import (
     eigenvalues,
     leading_minors,
     lu_unipotent,
-    minor,
 )
-from flagmirror.mirror import superpotential
+from flagmirror.mirror import superpotential, z_from_vector
 from flagmirror.schubring import normal_form, quantum_H, quantum_schubert, xq_table
 
 TAB = VarTable.make([("x1", "x", 1), ("x2", "x", 1), ("q1", "q", 2)])
@@ -61,12 +60,22 @@ def test_derivative_and_substitute():
 
 
 def test_minor_basics():
+    # a minor is det of the selected submatrix
     eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     assert minor(eye, [2], [2]) == 1
-    assert minor(eye, [], []) == 1
+    assert minor(eye, [], []) == det([]) == 1
     assert minor([[1, 2], [3, 4]], [0], [1]) == 2  # rows {1}, cols {2}
     with pytest.raises(DimensionMismatch):
         minor(eye, [0, 1], [0])
+    # the +-1 anti-diagonal identity blocks of a chart matrix, through LAPACK:
+    # block j of 1,3;5 is (-1)^{n_{j-1}} I_{a_j} in columns n-n_j..n-n_{j-1}-1
+    shape = FlagShape(5, (1, 3))
+    z = z_from_vector(shape, np.arange(1, shape.dim + 1))
+    for j in range(1, shape.r + 2):
+        rows = range(shape.nj(j - 1), shape.nj(j))
+        cols = range(shape.n - shape.nj(j), shape.n - shape.nj(j - 1))
+        sign = (-1) ** (shape.nj(j - 1) * shape.block_sizes[j - 1])
+        assert np.linalg.det(z[np.ix_(rows, cols)]) == sign
 
 
 def test_det_matches_recursive_laplace_random_rational():

@@ -1,10 +1,12 @@
 """Import hygiene, checked with ``ast`` and a fresh interpreter: no unused
 imports (no linter runs on this repository), no scipy, fractions or decimal
-at run time, and every name the benchmark in ``perfbench/`` imports or
-patches still exists."""
+at run time, every name in an ``__all__`` exists, and every name the
+benchmark in ``perfbench/`` imports or patches still exists."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +50,17 @@ def test_scan_sees_unused_and_reexported_names():
            "print(tau)\n")
     assert _unused_imports(src) == [(3, "os"), (4, "system"), (5, "pi")]
     assert _unused_imports(src, is_package_init=True) == [(3, "os"), (4, "system")]
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks only `from flagmirror.<module> import *`
+    import flagmirror
+
+    modules = [flagmirror] + [importlib.import_module(f"flagmirror.{m.name}")
+                              for m in pkgutil.iter_modules(flagmirror.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert len(modules) > 8 and not missing, missing
 
 
 def _scipy_imports(source: str) -> list[int]:

@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from tests_support import LambdaChart, as_pyfunc, laplace_det, reduced_word, young_view_L
+from tests_support import (LambdaChart, as_pyfunc, laplace_det, minor, reduced_word,
+                           young_view_L)
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import BadSubsetSize, NearPole, OffChart, PivotFailure
-from flagmirror.exactalg import MPoly, leading_minors, minor
+from flagmirror.exactalg import MPoly, leading_minors
 from flagmirror.mirror import (
     POLE_GUARD,
     _evaluator_source,
     _poly_src,
     chart_table,
+    chart_vector,
     divisor_equations,
     f_minus_chart,
     f_minus_eval,
     f_minus_eval_uv,
-    f_minus_grad,
     index_term_to_young,
     pluecker,
     pluecker_name,
@@ -149,6 +150,12 @@ def test_divisor_equation_cases():
     assert divs[1] == _pvar(shape, "17")
 
 
+def test_divisor_equations_are_fresh_per_call():
+    shape = FlagShape(7, (2, 4))
+    divisor_equations(shape).pop(1)
+    assert divisor_equations(shape)[1] == _pvar(shape, "17")
+
+
 def test_divisor_bijection_small():
     for n in range(2, 7):
         for shape in all_shapes(n):
@@ -171,9 +178,17 @@ def test_pluecker_basics():
     s = FlagShape(3, (1,))
     z3 = z_from_vector(s, [0.3 + 0.1j, 0.7])
     assert abs(pluecker(z3, [0], s) - z3[0, 0]) < 1e-15
-    # Laplace consistency with the generic minor routine
+    # Laplace consistency with the exact determinant of the submatrix
     got = pluecker(z, [0, 2, 4, 6], shape)
     assert abs(got - minor(z, range(4), [0, 2, 4, 6])) < 1e-12
+
+
+def test_pluecker_rejects_columns_outside_or_repeated():
+    shape = FlagShape(3, (2,))
+    for cols in ([0, 5], [-1, 1], [0, 3], [0, 0], [2, 2]):
+        with pytest.raises(BadSubsetSize, match=r"\[0, 3\)"):
+            pluecker(np.eye(3), cols, shape)
+    assert pluecker(np.eye(3), [1, 0], shape) == 1
 
 
 def test_symbolic_z_and_chart():
@@ -190,6 +205,13 @@ def test_symbolic_z_and_chart():
                     v = M[i][j]
                     got = v.substitute(list(vec)) if isinstance(v, MPoly) else v
                     assert abs(complex(got) - z2[i, j]) < 1e-12
+
+
+def test_symbolic_z_is_fresh_per_call():
+    shape = FlagShape(4, (2,))
+    symbolic_z(shape)[0][0] = 7
+    M = symbolic_z(shape)
+    assert type(M[0][0]) is MPoly and M[0][0] == MPoly.var(chart_table(shape), "z1_1")
 
 
 def test_chart_minors_match_recursive_laplace():
@@ -307,7 +329,7 @@ def test_route_agreement_and_gradient():
             except (NearPole, PivotFailure):
                 continue
             assert abs(a - b) <= 1e-9 * (1 + abs(a))
-            g = f_minus_grad(z, q, shape)
+            g = f_minus_chart(shape).gradient(chart_vector(shape, z), q)
             h = 1e-6
             for idx in range(min(3, shape.dim)):
                 zp, zm = np.array(zv, complex), np.array(zv, complex)

@@ -59,6 +59,17 @@ def test_key_identity_sweep_n5():
     assert reports and all(r.ok for r in reports)
 
 
+def test_key_identity_sweep_checks_n_before_any_identity(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("checked an identity")
+
+    monkeypatch.setattr(verify, "check_key_identity", no_check)
+    for n in (9, 12):
+        with pytest.raises(SizeCap, match=f"2 <= n <= 8, got {n}"):
+            key_identity_sweep(n)
+    assert key_identity_sweep(2) == []
+
+
 def test_key_identity_instances_enumeration():
     inst = key_identity_instances(6)
     assert (FlagShape(7, (2, 4)), 1, 4) not in inst
@@ -178,7 +189,7 @@ def test_det_formula_identity_case():
 def test_tau_symmetry_shapes():
     for s in ("1,2;4", "2,4;7"):
         rep = check_tau_symmetry(FlagShape.from_string(s), samples=20, seed=2)
-        assert rep.ok and rep.G_checked == 20
+        assert rep.ok is True and rep.G_checked == 20
     rep = check_tau_symmetry(FlagShape(7, (2, 4)), samples=10, seed=0)
     assert rep.complementary_steps == (3, 5)
 
@@ -228,6 +239,7 @@ def test_mirror_spectrum_small():
     assert rep.passed and len(rep.critical_values) == 6
     js = rep.to_json()
     assert js["passed"] and len(js["eigenvalues"]) == 6
+    assert type(rep.passed) is bool and json.loads(json.dumps({"passed": rep.passed}))
     assert js["elapsed"] == rep.elapsed > 0
 
 
@@ -299,6 +311,7 @@ def test_equivalence_route():
     assert rep.ok and rep.max_residual < 1e-7
     rep = check_equivalence_route(FlagShape(5, (2, 4)), [1.1, 0.9])
     assert rep.ok
+    assert type(rep.ok) is bool and json.loads(json.dumps({"ok": rep.ok}))
 
 
 def test_v_entry_formula_at_generic_points():

@@ -9,6 +9,7 @@ is checked against, the per-pair quantum Chevalley rule that the tables of
 by the L-operator sums that `flagmirror.mirror.young_view` is checked
 against, the recursive first-row Laplace determinant that
 `flagmirror.exactalg.det` and the chart minors are checked against, the
+minor of a submatrix by `flagmirror.exactalg.det`, the
 per-matrix Crout loop that the batched `flagmirror.exactalg.lu_unipotent` is
 checked against, the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, the per-candidate chart lift and
@@ -33,7 +34,7 @@ from flagmirror.errors import (
     PivotFailure,
     SizeCap,
 )
-from flagmirror.exactalg import MPoly, leading_minors
+from flagmirror.exactalg import MPoly, det, leading_minors
 from flagmirror.mirror import (
     POLE_GUARD,
     SuperpotentialTerm,
@@ -74,6 +75,13 @@ def laplace_det(rows):
         term = rows[0][j] * laplace_det(sub)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def minor(M, rows, cols):
+    """det of the submatrix of M on the given 0-based rows and columns, in
+    the order given; 1 for empty sets, DimensionMismatch for sets of
+    different sizes."""
+    return det([[M[i][j] for j in cols] for i in rows])
 
 
 def fraction_inverse(A):
