@@ -4,7 +4,6 @@ verification that critical values match the first-Chern-class spectrum."""
 
 from .combinat import (
     FlagShape,
-    Partition,
     Permutation,
     SkewShape,
     all_shapes,
@@ -49,7 +48,7 @@ from .verify import (
 )
 
 __all__ = [
-    "FlagShape", "Partition", "Permutation", "SkewShape", "all_shapes",
+    "FlagShape", "Permutation", "SkewShape", "all_shapes",
     "build_xi_and_wJ", "code", "minimal_reps", "skew_shape_321", "CritConfig",
     "CritPoint", "find_critical_points", "toeplitz_residual", "MPoly",
     "VarTable", "det", "eigenvalues", "lu_unipotent", "SuperpotentialTerm",

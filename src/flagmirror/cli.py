@@ -111,8 +111,10 @@ def cmd_crit(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     ok = True
-    if args.sweep_max_n:
+    if args.sweep_max_n is not None:
         reports = key_identity_sweep(args.sweep_max_n, strict=False)
+        if not reports:
+            raise ValueError(f"no key identity has n <= {args.sweep_max_n}")
         for r in reports:
             ok = ok and r.ok
             print(f"{'PASS' if r.ok else 'FAIL'} shape {r.shape} j={r.j} i={r.i} "
@@ -268,7 +270,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.command == "verify-identity" and not args.sweep_max_n:
+        if args.command == "verify-identity" and args.sweep_max_n is None:
             if not (args.shape and args.j is not None and args.i is not None):
                 ap.error("verify-identity needs --shape/--j/--i or --sweep-max-n")
     except SystemExit as exc:

@@ -3,7 +3,9 @@
 Conventions: permutation one-line words store the values ``0..n-1`` and all
 in-memory index sets are 0-based.  Flag steps ``n_j``, block labels ``j`` and
 the integers printed in serialized form are the 1-based quantities of the
-underlying formulas; conversion happens only at parse/print time.
+underlying formulas; conversion happens only at parse/print time.  A
+partition is a plain tuple of weakly decreasing parts, as
+`partition_of_columns` returns lambda(J).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "Permutation",
     "word_length",
     "avoids_321",
-    "Partition",
     "SkewShape",
     "code",
     "skew_shape_321",
@@ -204,43 +205,6 @@ def avoids_321(ol: tuple[int, ...]) -> bool:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing nonnegative parts, optionally bounded in a k x (n-k) box."""
-
-    parts: tuple[int, ...]
-    rows: int | None = None
-    cols: int | None = None
-
-    def __post_init__(self):
-        p = self.parts
-        if any(a < b for a, b in zip(p, p[1:])) or (p and p[-1] < 0):
-            raise ValueError(f"not weakly decreasing nonnegative: {p}")
-        if self.rows is not None and len(self.trimmed()) > self.rows:
-            raise ValueError(f"{p} has more than {self.rows} rows")
-        if self.cols is not None and p and p[0] > self.cols:
-            raise ValueError(f"{p} is wider than {self.cols}")
-
-    def trimmed(self) -> tuple[int, ...]:
-        p = self.parts
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def conjugate(self) -> "Partition":
-        p = self.trimmed()
-        if not p:
-            return Partition(())
-        return Partition(tuple(sum(1 for a in p if a > m) for m in range(p[0])))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.trimmed()) + ")"
-
-
-@dataclass(frozen=True)
 class SkewShape:
     """Skew shape lambda/mu with a strictly increasing row flag (1-based)."""
 
@@ -372,10 +336,10 @@ def all_shapes(n: int) -> list[FlagShape]:
     return out
 
 
-def partition_of_columns(cols, n: int) -> Partition:
-    """Partition lambda(J) attached to a 0-based column subset of [0, n)."""
-    ks = sorted(cols)
-    m = len(ks)
-    parts = tuple(ks[m - 1 - t] - (m - 1 - t) for t in range(m))
-    return Partition(parts, rows=m, cols=n - m)
-
+def partition_of_columns(cols) -> tuple[int, ...]:
+    """The parts of the partition lambda(J) of a 0-based column set J, trailing
+    zeros included: part t is the (t+1)-th largest column minus the number of
+    columns below it.  A k-subset of [0, n) gives a partition inside the
+    k x (n-k) box."""
+    ks = sorted(cols, reverse=True)
+    return tuple(c - (len(ks) - 1 - t) for t, c in enumerate(ks))

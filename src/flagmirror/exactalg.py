@@ -37,29 +37,21 @@ Exp = tuple
 
 @dataclass(frozen=True)
 class VarTable:
-    """Named indeterminates with kinds 'x' (weight 1), 'q' (even weight) or
-    'chart' (weight 0).  The weights define the graded part of the monomial
-    order used for canonical printing and leading terms."""
+    """Named indeterminates with nonnegative integer weights.  The weights
+    define the graded part of the monomial order used for canonical printing
+    and leading terms."""
 
     names: tuple[str, ...]
-    kinds: tuple[str, ...]
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        if not (len(self.names) == len(self.kinds) == len(self.weights)):
-            raise ValueError("names/kinds/weights length mismatch")
+        if len(self.names) != len(self.weights):
+            raise ValueError("names/weights length mismatch")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
-        for name, kind, wt in zip(self.names, self.kinds, self.weights):
-            if kind == "x" and wt != 1:
-                raise ValueError(f"x-variable {name} must have weight 1")
-            if kind == "q" and wt < 0:
-                # partial-flag q-degrees n_{j+1} - n_{j-1} can be odd
-                raise ValueError(f"q-variable {name} must have weight >= 0")
-            if kind == "chart" and wt != 0:
-                raise ValueError(f"chart variable {name} must have weight 0")
-            if kind not in ("x", "q", "chart"):
-                raise ValueError(f"unknown kind {kind!r}")
+        for name, wt in zip(self.names, self.weights):
+            if wt < 0:
+                raise ValueError(f"variable {name} must have weight >= 0")
 
     @property
     def size(self) -> int:
@@ -69,9 +61,9 @@ class VarTable:
         return self.names.index(name)
 
     @classmethod
-    def make(cls, spec: list[tuple[str, str, int]]) -> "VarTable":
-        names, kinds, weights = zip(*spec) if spec else ((), (), ())
-        return cls(tuple(names), tuple(kinds), tuple(weights))
+    def make(cls, spec: list[tuple[str, int]]) -> "VarTable":
+        names, weights = zip(*spec) if spec else ((), ())
+        return cls(tuple(names), tuple(weights))
 
 
 def _aszero(table: VarTable) -> Exp:
@@ -266,22 +258,17 @@ class MPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def monomial_string(self, exp: Exp) -> str:
-        factors = []
-        for name, k in zip(self.table.names, exp):
-            if k == 1:
-                factors.append(name)
-            elif k:
-                factors.append(f"{name}^{k}")
-        return "*".join(factors) if factors else "1"
+    def _monomial(self, exp: Exp, names, times: str, power: str) -> str:
+        return times.join(name if k == 1 else power.format(name, k)
+                          for name, k in zip(names, exp) if k) or "1"
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
+    def format(self, names, times: str, power: str) -> str:
+        """The terms in canonical order over the variable names ``names``: the
+        coefficient and the factors of a monomial joined by ``times``, x^k
+        written ``power.format(x, k)``, and a constant as its coefficient."""
         bits = []
         for e in self.monomials():
-            c = self.terms[e]
-            m = self.monomial_string(e)
+            c, m = self.terms[e], self._monomial(e, names, times, power)
             if m == "1":
                 bits.append(str(c))
             elif c == 1:
@@ -289,14 +276,17 @@ class MPoly:
             elif c == -1:
                 bits.append(f"-{m}")
             else:
-                bits.append(f"{c}*{m}")
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+                bits.append(f"{c}{times}{m}")
+        return " + ".join(bits).replace("+ -", "- ") or "0"
+
+    def __str__(self) -> str:
+        return self.format(self.table.names, "*", "{}^{}")
 
     __repr__ = __str__
 
     def to_json(self) -> dict[str, str]:
-        return {self.monomial_string(e): str(self.terms[e]) for e in self.monomials()}
+        return {self._monomial(e, self.table.names, "*", "{}^{}"): str(self.terms[e])
+                for e in self.monomials()}
 
 
 def _as_rows(M):

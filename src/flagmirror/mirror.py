@@ -6,7 +6,15 @@ chart evaluator of F_- with its gradient and Hessian (which raises NearPole
 at a denominator within POLE_GUARD of a pole), and the LU/uv factorization
 route used as an evaluation oracle.  Each term denominator and divisor
 equation has leading coefficient +-1 and is made monic by multiplying by it,
-so all of them stay over the integers.
+so all of them stay over the integers.  `superpotential` builds fresh terms
+per call.
+
+The symbols are listed once, in one order: q_{n_j} for each step, then p_K
+for each column set K of `pluecker_columns`.  `pluecker_table` and
+`young_table` are that list under two naming rules, so a Young term is its
+Plucker term's exponent dicts over the other table, and the evaluator reads
+each symbol's chart value by position.  Text and LaTeX go through the one
+printer, `MPoly.format`.
 
 Index sets are 0-based in code; the 1-based quantities of the formulas appear
 only in comments and in printed variable names like ``p_1467``.
@@ -17,7 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +45,7 @@ __all__ = [
     "random_z_vector",
     "wPw0_matrix",
     "w0_matrix",
+    "pluecker_columns",
     "pluecker_table",
     "pluecker_name",
     "pluecker",
@@ -72,7 +81,7 @@ def zchart(shape: FlagShape) -> tuple[tuple[int, int], ...]:
 
 
 def chart_table(shape: FlagShape) -> VarTable:
-    return VarTable.make([(f"z{r + 1}_{c + 1}", "chart", 0) for (r, c) in zchart(shape)])
+    return VarTable.make([(f"z{r + 1}_{c + 1}", 0) for (r, c) in zchart(shape)])
 
 
 @lru_cache(maxsize=None)
@@ -149,14 +158,24 @@ def pluecker_name(cols, n: int) -> str:
     return f"p_{body}"
 
 
+def pluecker_columns(shape: FlagShape) -> tuple[tuple[int, ...], ...]:
+    """The 0-based column set K of each Plucker symbol p_K in table order: for
+    each step size k, the k-subsets of [0, n) in lexicographic order."""
+    return tuple(K for k in shape.steps for K in itertools.combinations(range(shape.n), k))
+
+
+def _symbol_table(shape: FlagShape, pname) -> VarTable:
+    """The one ordered symbol list under a naming rule: q_{n_j}, of weight
+    n_{j+1} - n_{j-1}, for each step n_j, then p_K, of weight 0, named
+    pname(K) for each K of `pluecker_columns`."""
+    return VarTable.make([(f"q{nj}", d) for nj, d in zip(shape.steps, shape.qdegs)]
+                         + [(pname(K), 0) for K in pluecker_columns(shape)])
+
+
 @lru_cache(maxsize=None)
 def pluecker_table(shape: FlagShape) -> VarTable:
-    """Formal Plucker symbols p_K for every step size, plus the q symbols."""
-    spec = [(f"q{shape.nj(j)}", "q", shape.qdegs[j - 1]) for j in range(1, shape.r + 1)]
-    for k in shape.steps:
-        for K in itertools.combinations(range(shape.n), k):
-            spec.append((pluecker_name(K, shape.n), "chart", 0))
-    return VarTable.make(spec)
+    """The symbol list with p_K named by its 1-based columns, as ``p_146``."""
+    return _symbol_table(shape, lambda K: pluecker_name(K, shape.n))
 
 
 def pluecker(z, cols, shape: FlagShape):
@@ -243,9 +262,9 @@ def _mid_sums(shape: FlagShape, i: int, j: int):
     return num, den
 
 
-@lru_cache(maxsize=None)
 def superpotential(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
-    """All n-1+r summands, canonically normalized, in divisor order.
+    """All n-1+r summands, canonically normalized, in divisor order, built
+    afresh per call, so a caller may change what it gets back.
 
     Families: u-terms left of the first step, the quadratic middle terms
     S_i^(j), u-terms right of the last step, the u-terms at the steps
@@ -350,11 +369,6 @@ def f_minus_eval_uv(z, q, shape: FlagShape) -> complex:
 POLE_GUARD = 1e-10  # |D| below this times 1 + |N| is a pole of the term N/D
 
 
-def _columns_of_pname(name: str) -> list[int]:
-    body = name[2:]
-    return [int(c) - 1 for c in (body.split(",") if "," in body else body)]
-
-
 class FMinusChart:
     """The superpotential as a rational function of the free chart coordinates,
     each term N/D expanded into exact chart polynomials, evaluated by one
@@ -367,12 +381,11 @@ class FMinusChart:
     def __init__(self, shape: FlagShape):
         self.shape = shape
         t0 = time.perf_counter()
-        ptab = pluecker_table(shape)
-        # chart-coordinate value of every Plucker symbol; q = 1 strips the q
-        # prefactor of the quantum numerators, which is re-applied numerically
+        # chart-coordinate value of every Plucker symbol, by position; q = 1
+        # strips the q prefactor of the quantum numerators, which is
+        # re-applied numerically
         minors = leading_minors(symbolic_z(shape), shape.steps[-1])
-        pvals = [1 if kind == "q" else minors[tuple(_columns_of_pname(name))]
-                 for name, kind in zip(ptab.names, ptab.kinds)]
+        pvals = [1] * shape.r + [minors[K] for K in pluecker_columns(shape)]
         self.terms = [(t, t.numerator.substitute(pvals), t.denominator.substitute(pvals))
                       for t in superpotential(shape)]
         src, self.emitted = _evaluator_source(self.terms, shape.dim)
@@ -529,36 +542,23 @@ def f_minus_eval(z, q, shape: FlagShape) -> complex:
 
 
 def young_name(k: int, parts) -> str:
-    trimmed = list(parts)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    return f"p({k})(" + ",".join(map(str, trimmed)) + ")"
+    return f"p({k})(" + ",".join(str(a) for a in parts if a) + ")"
 
 
 @lru_cache(maxsize=None)
 def young_table(shape: FlagShape) -> VarTable:
-    spec = [(f"q{shape.nj(j)}", "q", shape.qdegs[j - 1]) for j in range(1, shape.r + 1)]
-    for k in shape.steps:
-        for K in itertools.combinations(range(shape.n), k):
-            lam = partition_of_columns(K, shape.n)
-            spec.append((young_name(k, lam.parts), "chart", 0))
-    return VarTable.make(spec)
+    """The symbol list with p_K named by |K| and lambda(K), as ``p(3)(3,2)``."""
+    return _symbol_table(shape, lambda K: young_name(len(K), partition_of_columns(K)))
 
 
 def index_term_to_young(term: SuperpotentialTerm, shape: FlagShape) -> SuperpotentialTerm:
-    """Re-index a Plucker-symbol term through the bijection J <-> lambda(J)."""
-    ptab, ytab = pluecker_table(shape), young_table(shape)
-    mapping = {}
-    for idx, (name, kind) in enumerate(zip(ptab.names, ptab.kinds)):
-        if kind == "q":
-            mapping[idx] = (ytab.index(name), 1)
-        else:
-            cols = _columns_of_pname(name)
-            lam = partition_of_columns(cols, shape.n)
-            mapping[idx] = (ytab.index(young_name(len(cols), lam.parts)), 1)
-    num = term.numerator.map_vars(mapping, ytab)
-    den = term.denominator.map_vars(mapping, ytab)
-    return SuperpotentialTerm(term.family, term.index, num, den, term.divisor_k).normalized(shape)
+    """Re-index a Plucker-symbol term through the bijection J <-> lambda(J).
+    The Young table lists the same symbols in the same order with the same
+    weights, so the exponent dicts carry over unchanged, and with them the
+    monomial order and the leading coefficients."""
+    ytab = young_table(shape)
+    return replace(term, numerator=MPoly(ytab, term.numerator.terms),
+                   denominator=MPoly(ytab, term.denominator.terms))
 
 
 def young_view(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
@@ -570,33 +570,17 @@ def young_view(shape: FlagShape) -> tuple[SuperpotentialTerm, ...]:
 # -- rendering --------------------------------------------------------------------
 
 
-def _poly_latex(p: MPoly) -> str:
-    bits = []
-    for e in p.monomials():
-        c = p.terms[e]
-        factors = []
-        for name, k in zip(p.table.names, e):
-            if not k:
-                continue
-            if name.startswith("p_"):
-                sym = f"p_{{{name[2:]}}}"
-            elif name.startswith("q"):
-                sym = f"q_{{{name[1:]}}}"
-            else:
-                sym = name
-            factors.append(sym if k == 1 else f"{sym}^{{{k}}}")
-        body = " ".join(factors) if factors else "1"
-        if c == 1:
-            bits.append(body)
-        elif c == -1:
-            bits.append(f"-{body}")
-        else:
-            bits.append(f"{c} {body}")
-    return " + ".join(bits).replace("+ -", "- ")
+def _latex_symbol(name: str) -> str:
+    """p_146 as p_{146} and q4 as q_{4}; a Young symbol p(3)(3,2) as it is."""
+    if name.startswith("p_"):
+        return f"p_{{{name[2:]}}}"
+    return f"q_{{{name[1:]}}}" if name.startswith("q") else name
 
 
 def term_to_latex(term: SuperpotentialTerm) -> str:
-    return f"\\frac{{{_poly_latex(term.numerator)}}}{{{_poly_latex(term.denominator)}}}"
+    num, den = (p.format([_latex_symbol(v) for v in p.table.names], " ", "{}^{{{}}}")
+                for p in (term.numerator, term.denominator))
+    return f"\\frac{{{num}}}{{{den}}}"
 
 
 def term_to_json(term: SuperpotentialTerm) -> dict:

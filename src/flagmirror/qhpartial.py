@@ -45,13 +45,13 @@ def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
     return (1 + 2 * between) * (1 if va < vb else -1)
 
 
-def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) -> dict:
-    """Column -> ((row, q-exponent vector), ...) of sigma_{s_{n_j}} * sigma_w
-    over the basis.  The q-degree d(a,b) and the length change 1 - drop of a
-    quantum term depend on the transposition alone, so they are computed once
-    per shape; a pair with l(w) + jump < l(w) + 1 - drop cannot give one,
-    since l(min rep of w t_ab) <= l(w t_ab).  Only the blocks of a and b need
-    sorting, and lengths are read off the basis."""
+def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) -> tuple:
+    """Per column w of the basis, the ((row, q-exponent vector), ...) of
+    sigma_{s_{n_j}} * sigma_w.  The q-degree d(a,b) and the length change
+    1 - drop of a quantum term depend on the transposition alone, so they are
+    computed once per shape; a pair with l(w) + jump < l(w) + 1 - drop cannot
+    give one, since l(min rep of w t_ab) <= l(w t_ab).  Only the blocks of a
+    and b need sorting, and lengths are read off the basis."""
     n, r = shape.n, shape.r
     nj, qdegs = shape.nj(j), shape.qdegs
     blocks = [slice(shape.nj(m - 1), shape.nj(m)) for m in range(1, r + 2)]
@@ -65,7 +65,7 @@ def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) ->
     index = {w.oneline: i for i, w in enumerate(basis)}
     lengths = [w.length for w in basis]
     zero = (0,) * r
-    cols = {}
+    cols = []
     for ci, w in enumerate(basis):
         ol = w.oneline
         entries = []
@@ -84,8 +84,8 @@ def _chevalley_cols(shape: FlagShape, basis: tuple[Permutation, ...], j: int) ->
             row = index[tuple(swapped)]
             if lengths[row] == lengths[ci] + need:
                 entries.append((row, d))
-        cols[ci] = tuple(entries)
-    return cols
+        cols.append(tuple(entries))
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class PartialRing:
 
     shape: FlagShape
     basis: tuple[Permutation, ...]
-    chevalley_cols: tuple  # per j: dict col -> ((row, qexp), ...)
+    chevalley_cols: tuple  # per j, per col: ((row, qexp), ...)
 
     @property
     def dim(self) -> int:
@@ -113,7 +113,7 @@ class PartialRing:
         _check_per_step(self.shape, q, "quantum parameter")
         dim = self.dim
         M = np.zeros((dim, dim), dtype=complex)
-        for col, entries in self.chevalley_cols[j - 1].items():
+        for col, entries in enumerate(self.chevalley_cols[j - 1]):
             for row, d in entries:
                 val = 1.0 + 0j
                 for dm, qv in zip(d, q):

@@ -60,15 +60,15 @@ _MAX_N = 8
 @lru_cache(maxsize=None)
 def xq_table(n: int) -> VarTable:
     """x_1..x_n (weight 1) and q_1..q_{n-1} (weight 2)."""
-    spec = [(f"x{i}", "x", 1) for i in range(1, n + 1)]
-    spec += [(f"q{i}", "q", 2) for i in range(1, n)]
+    spec = [(f"x{i}", 1) for i in range(1, n + 1)]
+    spec += [(f"q{i}", 2) for i in range(1, n)]
     return VarTable.make(spec)
 
 
 @lru_cache(maxsize=None)
 def q_table(n: int) -> VarTable:
     """q_1..q_{n-1} only; the coefficient ring of QH*(Fl_n)."""
-    return VarTable.make([(f"q{i}", "q", 2) for i in range(1, n)])
+    return VarTable.make([(f"q{i}", 2) for i in range(1, n)])
 
 
 def _x(n: int, i: int) -> MPoly:

@@ -1,8 +1,15 @@
+import hashlib
 import json
 import re
 
 from flagmirror.cli import _parse_q, main
+from flagmirror.combinat import all_shapes
 from flagmirror.verify import ACCEPTANCE_SHAPES
+
+# sha256 of the concatenated stdout of `superpotential` (text, json and latex,
+# each without and with --young) and `divisors` (text and json), in that order
+# per shape, for every shape with 2 <= n <= 7 in `all_shapes` order
+SYMBOLIC_OUTPUT_SHA256 = "29951ba711922e26e92b37fc5894389bb827e55a8b8b9090cf3f16a3c8903a70"
 
 
 def run(capsys, *argv):
@@ -51,6 +58,22 @@ def test_superpotential_young(capsys):
     assert [d["divisor_k"] for d in data] == list(range(1, 9))
     assert "p(2)(5,1)" in out and "p(4)(3,3,2)" in out and "p_" not in out
     assert [d["family"] for d in data].count("u-mid") == 1
+
+
+def test_symbolic_outputs_match_golden_digest(capsys):
+    # every printed polynomial, byte for byte, over 960 runs
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for shape in all_shapes(n):
+            s = shape.to_string()
+            runs = [("superpotential", "--shape", s, "--format", f, *young)
+                    for f in ("text", "json", "latex") for young in ((), ("--young",))]
+            runs += [("divisors", "--shape", s, "--format", f) for f in ("text", "json")]
+            for argv in runs:
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                digest.update(out.encode())
+    assert digest.hexdigest() == SYMBOLIC_OUTPUT_SHA256
 
 
 def test_divisors(capsys):
@@ -113,7 +136,12 @@ def test_verify_identity(capsys):
                        "--j", "1", "--i", "4")
     assert code == 0 and out.startswith("PASS")
     code, out, _ = run(capsys, "verify-identity", "--sweep-max-n", "4")
-    assert code == 0
+    assert code == 0 and out.startswith("PASS shape 1,3;4 j=1 i=2 (2 terms, ")
+    # below n = 4 there is no key identity: a sweep that checks nothing is a
+    # usage error, not a PASS
+    for n in ("3", "2", "0", "-3"):
+        code, out, err = run(capsys, "verify-identity", "--sweep-max-n", n)
+        assert (code, out, err) == (2, "", f"error: no key identity has n <= {n}\n")
     # past the cap the error names the n asked for, and nothing is checked first
     code, out, err = run(capsys, "verify-identity", "--sweep-max-n", "12")
     assert (code, out, err) == (2, "", "error: monk operators support 2 <= n <= 8, got 12\n")

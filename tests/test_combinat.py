@@ -187,16 +187,15 @@ def test_case1_with_J1_starts_at_one():
 
 
 def test_partition_bijection():
-    p = partition_of_columns({0, 3, 5}, 7)
-    assert p.trimmed() == (3, 2)
+    assert partition_of_columns({0, 3, 5}) == (3, 2, 0)
     # J -> lambda(J) is a bijection from the k-subsets of [0, n) onto the
     # partitions in the k x (n-k) box, of which there are C(n, k)
     for n in range(2, 8):
         for k in range(1, n):
-            lams = {partition_of_columns(K, n).parts
-                    for K in itertools.combinations(range(n), k)}
+            lams = {partition_of_columns(K) for K in itertools.combinations(range(n), k)}
             assert len(lams) == comb(n, k)
-            assert all(len(lam) == k and lam[0] <= n - k for lam in lams)
+            assert all(len(lam) == k and lam[0] <= n - k and lam[-1] >= 0 for lam in lams)
+            assert all(a >= b for lam in lams for a, b in zip(lam, lam[1:]))
 
 
 def test_flagshape_derived_data():

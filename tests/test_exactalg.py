@@ -22,7 +22,7 @@ from flagmirror.exactalg import (
 from flagmirror.mirror import superpotential, z_from_vector
 from flagmirror.schubring import normal_form, quantum_H, quantum_schubert, xq_table
 
-TAB = VarTable.make([("x1", "x", 1), ("x2", "x", 1), ("q1", "q", 2)])
+TAB = VarTable.make([("x1", 1), ("x2", 1), ("q1", 2)])
 
 
 def _vars():
@@ -48,6 +48,22 @@ def test_canonical_order_and_json():
     p = x2 + x1 + q1 + 3
     # graded order: q1 (weight 2) first, then x1, x2, then the constant
     assert list(p.to_json().items()) == [("q1", "1"), ("x1", "1"), ("x2", "1"), ("1", "3")]
+    assert str(p) == "q1 + x1 + x2 + 3"
+    # one formatter prints text and LaTeX: names, product and power notation
+    p = 2 * x1 ** 2 * q1 - x2 - 1
+    assert str(p) == "2*x1^2*q1 - x2 - 1"
+    assert p.format(["a", "b", "c"], " ", "{}^{{{}}}") == "2 a^{2} c - b - 1"
+    assert str(MPoly.zero(TAB)) == "0" and str(-MPoly.const(TAB, 4)) == "-4"
+
+
+def test_var_table_checks():
+    with pytest.raises(ValueError, match="length mismatch"):
+        VarTable(("x1", "x2"), (1,))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        VarTable.make([("x1", 1), ("x1", 2)])
+    with pytest.raises(ValueError, match="variable q1 must have weight >= 0"):
+        VarTable.make([("x1", 1), ("q1", -2)])
+    assert VarTable.make([]).size == 0
 
 
 def test_derivative_and_substitute():

@@ -24,6 +24,7 @@ from flagmirror.mirror import (
     f_minus_eval_uv,
     index_term_to_young,
     pluecker,
+    pluecker_columns,
     pluecker_name,
     pluecker_table,
     random_z_vector,
@@ -35,6 +36,7 @@ from flagmirror.mirror import (
     w0_matrix,
     wPw0_matrix,
     young_name,
+    young_table,
     young_view,
     z_from_vector,
     zchart,
@@ -402,6 +404,37 @@ def test_young_bijection_names():
     yt = index_term_to_young(t, shape)
     assert str(yt.denominator) == "p(4)()"
     assert str(yt.numerator) == "p(4)(1)"
+
+
+def test_young_view_relabels_the_superpotential():
+    # both tables are the one symbol list, q_{n_j} then p_K for K in
+    # pluecker_columns, with p_K named by its columns or by |K| and lambda(K);
+    # so a Young term has its Plucker term's exponent dicts, unchanged
+    for n in range(2, 8):
+        for shape in all_shapes(n):
+            ptab, ytab, cols = pluecker_table(shape), young_table(shape), pluecker_columns(shape)
+            assert len(cols) == ptab.size - shape.r and ptab.weights == ytab.weights
+            assert ptab.names[:shape.r] == ytab.names[:shape.r] == tuple(
+                f"q{nj}" for nj in shape.steps)
+            for K, pname, yname in zip(cols, ptab.names[shape.r:], ytab.names[shape.r:]):
+                # lambda_t counts the columns outside K below its t-th largest
+                lam = [sum(x not in K for x in range(c)) for c in sorted(K, reverse=True)]
+                assert (pname, yname) == (pluecker_name(K, n), young_name(len(K), lam))
+            for p, y in zip(superpotential(shape), young_view(shape), strict=True):
+                assert (y.family, y.index, y.divisor_k) == (p.family, p.index, p.divisor_k)
+                for a, b in ((p.numerator, y.numerator), (p.denominator, y.denominator)):
+                    assert (a.table, b.table, b.terms) == (ptab, ytab, a.terms), (shape, p)
+
+
+def test_superpotential_is_built_per_call():
+    # no memo hands two callers the same polynomials: clearing one call's
+    # numerator leaves the next call's intact
+    shape = FlagShape(4, (2,))
+    first = superpotential(shape)
+    want = str(first[0].numerator)
+    first[0].numerator.terms.clear()
+    assert str(first[0].numerator) == "0" != want
+    assert str(superpotential(shape)[0].numerator) == want
 
 
 def test_young_view_equals_index_view():

@@ -201,10 +201,7 @@ def test_chevalley_operators_commute_symbolically():
         for shape in all_shapes(n):
             ring = partial_ring(shape)
             dim = ring.dim
-            mats = []
-            for j in range(1, shape.r + 1):
-                m = [dict(ring.chevalley_cols[j - 1][c]) for c in range(dim)]
-                mats.append([{row: d for row, d in col.items()} for col in m])
+            mats = [[dict(col) for col in cols] for cols in ring.chevalley_cols]
             for a in range(shape.r):
                 for b in range(a + 1, shape.r):
                     ab = _sym_matmul(mats[a], mats[b], dim, shape.r)
@@ -256,8 +253,8 @@ def test_chevalley_tables_match_per_pair_rule(n):
         ring = partial_ring(shape)
         index = {w: i for i, w in enumerate(ring.basis)}
         for j in range(1, shape.r + 1):
-            want = {ci: tuple((index[t], d) for t, d in chevalley_terms(w, j, shape))
-                    for ci, w in enumerate(ring.basis)}
+            want = tuple(tuple((index[t], d) for t, d in chevalley_terms(w, j, shape))
+                         for w in ring.basis)
             assert ring.chevalley_cols[j - 1] == want, (shape, j)
 
 

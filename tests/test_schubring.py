@@ -67,7 +67,7 @@ def test_quantum_E_examples():
 def _E_via_det(i, k, n):
     # coefficient of t^i in det(1 + t G_k), with an auxiliary weight-0 variable
     base = xq_table(n)
-    spec = list(zip(base.names, base.kinds, base.weights)) + [("t", "chart", 0)]
+    spec = list(zip(base.names, base.weights)) + [("t", 0)]
     tab = VarTable.make(spec)
     lift = {}
     for idx in range(base.size):

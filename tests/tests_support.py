@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from flagmirror.combinat import Partition, Permutation, is_minimal_rep, min_rep_of
+from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
 from flagmirror.errors import (
     InvalidRange,
@@ -38,9 +38,9 @@ from flagmirror.exactalg import MPoly, det, leading_minors
 from flagmirror.mirror import (
     POLE_GUARD,
     SuperpotentialTerm,
-    _columns_of_pname,
     _fixed_entries,
     index_term_to_young,
+    pluecker_columns,
     pluecker_table,
     superpotential,
     symbolic_z,
@@ -459,6 +459,11 @@ def _yvar_or_zero(shape, k: int, parts) -> MPoly:
     return _yvar(shape, k, parts)
 
 
+def _conjugate(parts) -> tuple[int, ...]:
+    """The conjugate partition, without trailing zeros."""
+    return tuple(sum(1 for a in parts if a > m) for m in range(max(parts, default=0)))
+
+
 def _partitions_in_box(rows: int, cols: int):
     """All partitions with at most `rows` parts, each at most `cols`."""
     def rec(remaining_rows, maxpart):
@@ -490,8 +495,7 @@ def _L_denominator(shape, j: int, m: int) -> MPoly:
     for mu in _partitions_in_box(k, m):
         sgn = (-1) ** (sum(mu) + k * m)
         tail = tuple(m - mu[k - 1 - t] for t in range(k))  # (m-mu_k, ..., m-mu_1)
-        nu = Partition(tail).conjugate().parts
-        joined = _join_rect_above(shape, l, l - m, list(nu))
+        joined = _join_rect_above(shape, l, l - m, list(_conjugate(tail)))
         if joined.is_zero():
             continue
         out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined
@@ -513,7 +517,7 @@ def _L_numerator(shape, j: int, m: int) -> MPoly:
         else:
             tail = tuple(m - mu[k - 1 - t] for t in range(k)) + (1,)
             sgn = (-1) ** (sum(mu) + k * m)
-        joined = _join_rect_above(shape, l, l - m, list(Partition(tail).conjugate().parts))
+        joined = _join_rect_above(shape, l, l - m, list(_conjugate(tail)))
         if joined.is_zero():
             continue
         out = out + sgn * _yvar_or_zero(shape, k, list(mu)) * joined
@@ -566,14 +570,13 @@ class LambdaChart:
         self.r, self.dim = shape.r, shape.dim
         ptab = pluecker_table(shape)
         minors = leading_minors(symbolic_z(shape), shape.steps[-1])
-        pvals = [0 if kind == "q" else minors[tuple(_columns_of_pname(name))]
-                 for name, kind in zip(ptab.names, ptab.kinds)]
+        pvals = [0] * shape.r + [minors[K] for K in pluecker_columns(shape)]
         self.terms = []
         for term in superpotential(shape):
             qj = term.index[0] if term.family == "quantum" else None
             num = term.numerator
             if qj is not None:
-                qidx = ptab.index(f"q{shape.nj(qj)}")
+                qidx = qj - 1  # q_{n_j} is symbol j - 1 of the table
                 stripped = {}
                 for e, c in num.terms.items():
                     assert e[qidx] == 1
