@@ -13,13 +13,7 @@ from .combinat import (
     skew_shape_321,
 )
 from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_residual
-from .exactalg import (
-    MPoly,
-    VarTable,
-    det,
-    eigenvalues,
-    lu_unipotent,
-)
+from .exactalg import MPoly, VarTable, det, lu_unipotent
 from .mirror import (
     SuperpotentialTerm,
     divisor_equations,
@@ -51,7 +45,7 @@ __all__ = [
     "FlagShape", "Permutation", "SkewShape", "all_shapes",
     "build_xi_and_wJ", "code", "minimal_reps", "skew_shape_321", "CritConfig",
     "CritPoint", "find_critical_points", "toeplitz_residual", "MPoly",
-    "VarTable", "det", "eigenvalues", "lu_unipotent", "SuperpotentialTerm",
+    "VarTable", "det", "lu_unipotent", "SuperpotentialTerm",
     "divisor_equations", "f_minus_eval", "pluecker", "superpotential",
     "uv_from_z", "young_view", "PartialRing", "c1_spectrum", "partial_ring",
     "MonkOperators", "QHClass", "class_product", "monk_operators",

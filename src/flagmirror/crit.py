@@ -1,15 +1,17 @@
 """The fiberwise critical points of the superpotential at fixed quantum
 parameters: Toeplitz candidates read off the characters of quantum
-cohomology (solved for on the family of each eigenvalue cluster), lifted to
-the chart and polished by damped Newton, with deterministic deduplication,
-the multiplicity of each degenerate point read off a nearby fiber, and the
+cohomology (the eigenvectors of ``qhpartial.fiber_spectrum``, whose one
+eigensolve per fiber gives c_1's spectrum too; solved for on the family of
+each eigenvalue cluster), lifted to the chart and polished by damped
+Newton, with deterministic deduplication (one lexsort and one pairwise
+distance matrix), the multiplicity of each degenerate point (a Hessian
+singular relative to its own scale) read off a nearby fiber, and the
 Toeplitz criterion residual for each accepted point."""
 
 from __future__ import annotations
 
 import logging
 import math
-import random
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ from .combinat import FlagShape, Permutation, min_rep_of
 from .errors import NearPole
 from .exactalg import complex_to_json, lu_unipotent
 from .mirror import chart_vector, f_minus_chart, wPw0_matrix, z_from_vector
-from .qhpartial import partial_ring, validate_q
+from .qhpartial import fiber_spectrum, partial_ring, validate_q
 
 log = logging.getLogger("flagmirror")
 
@@ -42,10 +44,8 @@ DEDUPE_RADIUS = 1e-6  # polished points this close (relative) are merged
 # to the largest entry; absolute for diag U = 1, which keeps one root x_0 per
 # character: the roots of other fibers miss it by at least 0.2)
 LIFT_TOL = 1e-5
-# seed of the divisor combination whose eigenvectors are the characters (the
-# points found do not depend on it); eigenvalues of that combination closer
-# than CLUSTER_RADIUS (relative) are counted as one cluster
-CHARACTER_SEED = 0
+# eigenvalues of the divisor combination of ``qhpartial.fiber_spectrum``
+# closer than CLUSTER_RADIUS (relative) are counted as one cluster
 CLUSTER_RADIUS = 1e-4
 # a cluster's family of characters has the dimension p of the singular values
 # above CLUSTER_RANK_TOL (relative); its refined Toeplitz roots are kept when
@@ -288,18 +288,15 @@ def _characters(shape: FlagShape, q):
     come from, as columns, and the eigenvalue clusters of dimension > 1, as
     sorted tuples of column indices.
 
-    The candidates are the left eigenvectors of one fixed random complex
-    combination of the divisor matrices, scaled to 1 at the identity class.
-    Inside a cluster an eigenvector may mix characters; its Toeplitz
-    candidates then fail the lift or the gradient screen, and the cluster
-    step of ``_Search`` solves for the cluster's characters instead.
+    The candidates are the left eigenvectors of the seeded divisor
+    combination of ``qhpartial.fiber_spectrum`` (the eigensolve that gives
+    c_1's spectrum too), scaled to 1 at the identity class.  Inside a
+    cluster an eigenvector may mix characters; its Toeplitz candidates then
+    fail the lift or the gradient screen, and the cluster step of
+    ``_Search`` solves for the cluster's characters instead.
     """
-    ring = partial_ring(shape)
-    rng = random.Random(CHARACTER_SEED)
-    M = ring.divisor_combination(
-        [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(shape.r)], q)
-    lam, V = np.linalg.eig(M.T)
-    one = ring.index(Permutation.identity(shape.n))
+    lam, V, _ = fiber_spectrum(shape, q)
+    one = partial_ring(shape).index(Permutation.identity(shape.n))
     keep = np.abs(V[one]) > 1e-12 * np.abs(V).max(axis=0)
     close = np.abs(lam[:, None] - lam[None, :]) <= \
         CLUSTER_RADIUS * (1 + float(np.abs(lam).max()))
@@ -350,6 +347,32 @@ def _cluster_family(shape: FlagShape, V, cluster) -> tuple[np.ndarray, np.ndarra
     kernel = np.linalg.svd(b[None])[2][1:].conj().T
     U, sv, _ = np.linalg.svd(B[1:] @ kernel)
     return B[1:] @ a, U[:, :int((sv > CLUSTER_RANK_TOL * np.linalg.norm(B, 2)).sum())]
+
+
+def _merge(found: list[tuple], dim: int) -> tuple[list[tuple], np.ndarray]:
+    """The representatives of the polished points found ((value, z, |grad
+    F|) triples) and their chart coordinates.  The points are taken in
+    (value, z) order, each coordinate by real then imaginary part (one
+    lexsort), and each is kept unless it lies within DEDUPE_RADIUS (1 +
+    |z_j|) of a kept z_j, read off one pairwise-distance matrix (its lower
+    triangle, in row blocks of at most 2^20 coordinate differences)."""
+    values = np.reshape([v for v, _, _ in found], (-1, 1)).astype(complex)
+    Z = np.reshape([z for _, z, _ in found], (-1, dim)).astype(complex)
+    order = np.lexsort(np.hstack([values.view(float), Z.view(float)]).T[::-1])
+    Z = Z[order]
+    radius = DEDUPE_RADIUS * (1 + np.linalg.norm(Z, axis=1))
+    close = np.zeros((len(Z), len(Z)), dtype=bool)  # close[i, j]: |Z_i - Z_j| <= radius_j
+    step = max(1, 2 ** 20 // max(1, Z.size))
+    for i in range(0, len(Z), step):
+        close[i:i + step, :i + step] = np.linalg.norm(
+            Z[:i + step] - Z[i:i + step, None], axis=2) <= radius[:i + step]
+    keep: list[int] = []
+    covered = np.zeros(len(Z), dtype=bool)  # within the radius of a kept point
+    for i in range(len(Z)):
+        if not covered[i]:
+            keep.append(i)
+            covered |= close[:, i]
+    return [found[order[i]] for i in keep], Z[keep]
 
 
 class _Search:
@@ -457,22 +480,13 @@ class _Search:
         t1 = time.perf_counter()
         self.stats["polish_s"] += t1 - t0
 
-        # deterministic merge order, then greedy clustering in chart coordinates
-        found = sorted(self.found, key=lambda t: (t[0].real, t[0].imag,
-                                                  tuple((v.real, v.imag) for v in t[1])))
-        Z = np.reshape([z for _, z, _ in found], (-1, self.shape.dim))
-        radius = DEDUPE_RADIUS * (1 + np.linalg.norm(Z, axis=1))
-        keep: list[int] = []
-        for i, z in enumerate(Z):
-            if not np.any(np.linalg.norm(Z[keep] - z, axis=1) <= radius[keep]):
-                keep.append(i)
-        reps, Z = [found[i] for i in keep], Z[keep]
+        reps, Z = _merge(self.found, self.shape.dim)
         deg = np.zeros(len(reps), dtype=bool)
         if self.measure:
             H = np.reshape([fm.hessian(z, q) for z in Z],
                            (-1, self.shape.dim, self.shape.dim))
             sv = np.linalg.svd(H, compute_uv=False)
-            deg = sv[:, -1] < 1e-6 * np.maximum(1.0, sv[:, 0])
+            deg = sv[:, -1] < 1e-6 * sv[:, 0]
         t2 = time.perf_counter()
         self.stats["merge_s"] += t2 - t1
 

@@ -4,9 +4,9 @@ Every polynomial the paper's checks build has integer coefficients, so an
 `MPoly` coefficient is a Python ``int`` and nothing else: the symbolic path
 has no float and no division.  `det` is one division-free Laplace
 expansion, `leading_minors`, for entries of any ring; the chart's Plucker
-coordinates come from it too.  The numeric path (eigenvalues, and
-the unipotent LU of one complex matrix or a stack of them) uses complex
-double precision, and numeric callers take their determinants from LAPACK.
+coordinates come from it too.  The numeric path, the unipotent LU of one
+complex matrix or a stack of them, uses complex double precision, and
+numeric callers take their determinants and eigenvalues from LAPACK.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    PivotFailure,
-)
+from .errors import DimensionMismatch, PivotFailure
 
 __all__ = [
     "VarTable",
@@ -29,7 +25,6 @@ __all__ = [
     "leading_minors",
     "det",
     "lu_unipotent",
-    "eigenvalues",
 ]
 
 Exp = tuple
@@ -366,26 +361,6 @@ def lu_unipotent(A):
     L = np.tril(A)
     L[bad] = U[bad] = np.nan
     return L, U
-
-
-def eigenvalues(M) -> np.ndarray:
-    """Eigenvalues with multiplicity of a square complex matrix.
-
-    Delegates to LAPACK's nonsymmetric QR (numpy.linalg.eigvals); the trace
-    consistency check guards against a silently bad result.
-    """
-    arr = np.array(M, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {arr.shape}")
-    try:
-        vals = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from None
-    tr = np.trace(arr)
-    scale = 1.0 + float(np.sum(np.abs(vals)))
-    if abs(vals.sum() - tr) > 1e-8 * scale:
-        raise ConvergenceFailure("eigenvalue sum disagrees with trace")
-    return vals
 
 
 def complex_to_json(z: complex) -> list[float]:

@@ -13,28 +13,42 @@ divisor operator is built from it by ``PartialRing.divisor_combination``.
 The cross-checks run on that table: the Grassmannian quantum Pieri rule,
 the classical limit, the complete-flag quantum Monk rule, the rule applied
 one transposition at a time, and the mirror spectrum tests.
+
+``fiber_spectrum`` solves one fiber once: each eigenvector of a seeded
+divisor combination is a character of QH*_q, a joint eigenvector of the
+commuting divisor operators (Rietsch, Adv. Math. 217, 2008).  ``crit``
+seeds its search with them, and c_1's spectrum is their Rayleigh quotients.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import random
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .combinat import FlagShape, Permutation, minimal_reps
-from .errors import InvalidRange
-from .exactalg import complex_to_json, eigenvalues
+from .errors import ConvergenceFailure, InvalidRange
+from .exactalg import complex_to_json
+
+log = logging.getLogger("flagmirror")
 
 __all__ = [
     "PartialRing",
     "partial_ring",
     "c1_matrix",
     "c1_spectrum",
+    "fiber_spectrum",
     "spectrum_report",
+    "trace_gap",
     "validate_q",
 ]
+
+CHARACTER_SEED = 0  # of fiber_spectrum's combination; no result depends on it
 
 
 def _length_jump(ol: tuple[int, ...], a: int, b: int) -> int:
@@ -165,9 +179,45 @@ def validate_q(shape: FlagShape, q) -> list[complex]:
     return q
 
 
+def fiber_spectrum(shape: FlagShape, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one eigensolve of QH*_q, memoised for the last fiber and
+    read-only: the eigenvalues of the divisor combination with seeded complex
+    weights, its left eigenvectors V (columns), and c_1's eigenvalue on each,
+    v^H C_1^T v / v^H v.  Raises ConvergenceFailure where LAPACK fails or
+    those miss tr C_1 by more than ``trace_gap``'s bound."""
+    return _fiber_spectrum(shape, tuple(validate_q(shape, q)))
+
+
+@lru_cache(maxsize=1)
+def _fiber_spectrum(shape: FlagShape, q: tuple):
+    t0, rng = time.perf_counter(), random.Random(CHARACTER_SEED)
+    M = partial_ring(shape).divisor_combination(
+        [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(shape.r)], q)
+    try:
+        lam, V = np.linalg.eig(M.T)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
+    C1 = c1_matrix(shape, q)
+    c1 = (V.conj() * (C1.T @ V)).sum(axis=0) / (V.conj() * V).sum(axis=0).real
+    gap, bound = trace_gap(c1, np.trace(C1))
+    log.debug("spectrum %s: N=%d, %.3fs, c1 trace gap %.1e, bound %.1e",
+              shape.to_string(), len(c1), time.perf_counter() - t0, gap, bound)
+    if not gap <= bound:
+        raise ConvergenceFailure(f"c_1 eigenvalue sum misses the trace by {gap:.1e}")
+    for arr in (lam, V, c1):
+        arr.flags.writeable = False
+    return lam, V, c1
+
+
+def trace_gap(values: np.ndarray, trace: complex = 0j) -> tuple[float, float]:
+    """|sum(values) - trace| and its bound 1e-8 (1 + sum |values|).  The trace
+    of c_1* is 0: each divisor operator raises the degree by 1."""
+    return float(abs(values.sum() - trace)), 1e-8 * (1.0 + float(np.abs(values).sum()))
+
+
 def c1_spectrum(shape: FlagShape, q) -> np.ndarray:
     """Eigenvalues (with multiplicity) of quantum multiplication by c_1."""
-    return eigenvalues(c1_matrix(shape, validate_q(shape, q)))
+    return fiber_spectrum(shape, q)[2].copy()
 
 
 def spectrum_report(shape: FlagShape, q) -> dict:

@@ -26,7 +26,7 @@ from .crit import CritConfig, CritPoint, find_critical_points, toeplitz_scaling
 from .errors import FormulaViolation, IdentityViolation, PivotFailure
 from .exactalg import MPoly, complex_to_json, det, lu_unipotent
 from .mirror import random_z_vector, uv_from_z, w0_matrix, z_from_vector
-from .qhpartial import c1_spectrum
+from .qhpartial import c1_spectrum, trace_gap
 from . import schubring
 from .schubring import (QHClass, monk_operators, normal_form, product_vec, quantum_H,
                         signed_sum, vec_to_class, xq_table)
@@ -282,6 +282,7 @@ class MirrorSpectrumReport:
     elapsed: float = 0.0
 
     def to_json(self):
+        gap, bound = trace_gap(self.eigenvalues)
         return {
             "shape": self.shape.to_string(),
             "q": [complex_to_json(complex(v)) for v in self.q],
@@ -293,6 +294,9 @@ class MirrorSpectrumReport:
             # null, not the non-standard Infinity, when the counts differ
             "max_distance": self.max_distance if math.isfinite(self.max_distance) else None,
             "tolerance": self.tolerance,
+            # the eigensolve's own check: |sum of the c_1 values - tr c_1|
+            "trace_gap": gap,
+            "trace_bound": bound,
             "points": [p.to_json() for p in self.points],
             "elapsed": self.elapsed,
         }

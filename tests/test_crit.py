@@ -1,12 +1,13 @@
 import logging
 import random
+import re
 import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from flagmirror import crit
+from flagmirror import crit, qhpartial
 from flagmirror.combinat import FlagShape, Permutation, all_shapes, min_rep_of
 from flagmirror.crit import (
     CritPoint,
@@ -21,7 +22,8 @@ from flagmirror.crit import (
 )
 from flagmirror.exactalg import lu_unipotent
 from flagmirror.mirror import chart_vector, f_minus_chart, random_z_vector, z_from_vector
-from flagmirror.qhpartial import partial_ring
+from flagmirror.errors import ConvergenceFailure
+from flagmirror.qhpartial import c1_spectrum, fiber_spectrum, partial_ring
 from flagmirror.verify import ACCEPTANCE_SHAPES, _min_cost_assignment, check_mirror_spectrum
 from tests_support import chart_point_from_toeplitz, multistart_points, toeplitz_residual_loop
 
@@ -276,14 +278,19 @@ def _debug_stats(line):
 
 def test_debug_log_line(caplog):
     f_minus_chart.cache_clear()
+    qhpartial._fiber_spectrum.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="flagmirror"):
         find_critical_points(FlagShape(4, (2,)), [1.0])
     lines = [r.getMessage() for r in caplog.records if r.name == "flagmirror"]
-    # the chart evaluator logs its compile, then the search its counts
-    assert len(lines) == 2
+    # the chart evaluator logs its compile, the eigensolve its size, seconds
+    # and trace check, then the search its counts
+    assert len(lines) == 3
     assert lines[0].startswith("chart 2;4:")
-    assert lines[1].startswith("crit 2;4: ")
-    stats = _debug_stats(lines[1])
+    got = re.fullmatch(r"spectrum 2;4: N=6, \d+\.\d{3}s, c1 trace gap (\S+), bound (\S+)", lines[1])
+    # the bound is 1e-8 (1 + sum |lambda|) for the spectrum 4 sqrt(2) i^k, 0, 0
+    assert got and float(got[1]) <= float(got[2]) == pytest.approx(2.4e-7)
+    assert lines[2].startswith("crit 2;4: ")
+    stats = _debug_stats(lines[2])
     # the line carries exactly the counts of the report, in its order
     assert list(stats) == list(crit_report(FlagShape(4, (2,)), [1.0])["search"])
     assert {k: stats[k] for k in ("characters", "clusters", "roots_tried", "eliminated",
@@ -391,16 +398,76 @@ def test_closed_formula_at_multistart_points(sstr):
             assert _character_misfit(shape, q, x) < 1e-9, (q, p.value)
 
 
+@pytest.fixture
+def fresh_spectrum():
+    """An empty ``fiber_spectrum`` memo before the test and after it, so that
+    no patched eigensolve or seed outlives the test."""
+    qhpartial._fiber_spectrum.cache_clear()
+    yield qhpartial._fiber_spectrum
+    qhpartial._fiber_spectrum.cache_clear()
+
+
+def _spectrum_distance(a, b):
+    """The largest distance of the min-sum pairing of two spectra."""
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = _min_cost_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
 @pytest.mark.parametrize("sstr", [s for s in ACCEPTANCE_SHAPES if "," in s])
-def test_combination_seed_independence(sstr, monkeypatch):
+def test_combination_seed_independence(sstr, monkeypatch, fresh_spectrum):
     shape = FlagShape.from_string(sstr)
     for q in _fibers(sstr):
         reference = find_critical_points(shape, q)
+        c1 = c1_spectrum(shape, q)
         for seed in range(10):
-            monkeypatch.setattr(crit, "CHARACTER_SEED", seed)
+            monkeypatch.setattr(qhpartial, "CHARACTER_SEED", seed)
+            fresh_spectrum.cache_clear()
             points, stats = crit._search(shape, q)
             assert stats["cluster_dims"] == [], (q, seed)
             assert _same_multiset(points, reference), (q, seed)
+            # c_1's values are Rayleigh quotients of the combination's
+            # eigenvectors, so they must not depend on its weights either
+            got = c1_spectrum(shape, q)
+            assert _spectrum_distance(got, c1) <= 1e-12 * (1 + np.abs(c1).max()), (q, seed)
+
+
+def test_mirror_check_solves_each_fiber_once(monkeypatch, fresh_spectrum):
+    # one N x N eig per fiber: c1_spectrum solves, find_critical_points reads
+    # the memo; a degenerate fiber (1,3;4 at q = 1) solves its nearby fiber too
+    calls = []
+    for name in ("eig", "eigvals"):
+        def counted(a, _name=name, _fn=getattr(np.linalg, name)):
+            calls.append((_name, np.shape(a)))
+            return _fn(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for sstr, solves in (("2;4", 1), ("1,3;4", 2)):
+        shape = FlagShape.from_string(sstr)
+        N = shape.basis_size
+        calls.clear()
+        assert check_mirror_spectrum(shape, [1.0] * shape.r).passed
+        assert [c for c in calls if c[1] == (N, N)] == [("eig", (N, N))] * solves, sstr
+    # a desk sweep: every check hits the memo once, and only 1,3;4 at q = 1
+    # solves a nearby fiber
+    fresh_spectrum.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sstr in ("1;2", "1;3", "2;4", "1,2;3", "1,2;4", "1,3;4", "1,2,3;4"):
+            for q in _fibers(sstr):
+                assert check_mirror_spectrum(FlagShape.from_string(sstr), q).passed
+    info = fresh_spectrum.cache_info()
+    assert (info.hits, info.misses) == (21, 22)
+
+
+def test_eigensolve_failure_is_a_convergence_failure(monkeypatch, fresh_spectrum):
+    def eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    shape = FlagShape.from_string("1,2;4")
+    for call in (c1_spectrum, find_critical_points):
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            call(shape, [1.0, 1.0])
 
 
 def test_fill_in_completes_colliding_characters_gr26():
@@ -563,7 +630,8 @@ def test_singular_lift_is_rejected_as_stratum():
 def test_memoised_crit_arrays_are_read_only():
     # every caller shares one array per key, so a write would reach them all
     for arr in (crit._diagonal_classes(FlagShape.from_string("2;4")),
-                crit._entry_diagonals(4), crit._lift_frame(FlagShape.from_string("2;4"))[0]):
+                crit._entry_diagonals(4), crit._lift_frame(FlagShape.from_string("2;4"))[0],
+                *fiber_spectrum(FlagShape.from_string("2;4"), [1.0])):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
@@ -625,3 +693,65 @@ def test_batched_residuals_match_per_point_loop():
         one = [toeplitz_residual(CritPoint(z=v, value=0j, gradient_norm=0.0), shape, q)
                for v in vecs]
         assert np.array_equal(one, got)
+
+
+def _merge_loop(found, dim):
+    """``crit._merge`` as a sort with tuple keys and one norm per point: the
+    reference it is checked against."""
+    found = sorted(found, key=lambda t: (t[0].real, t[0].imag,
+                                         tuple((v.real, v.imag) for v in t[1])))
+    Z = np.reshape([z for _, z, _ in found], (-1, dim))
+    radius = crit.DEDUPE_RADIUS * (1 + np.linalg.norm(Z, axis=1))
+    keep = []
+    for i, z in enumerate(Z):
+        if not np.any(np.linalg.norm(Z[keep] - z, axis=1) <= radius[keep]):
+            keep.append(i)
+    return [found[i] for i in keep], Z[keep]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_merge_matches_per_point_loop(seed):
+    # clustered clouds: samples at 0.1 to 10 times the merge radius around a
+    # few centres, exact duplicates, values shared by different z (so the z
+    # keys decide the order), rounded coordinates that tie, and -0.0 beside 0.0
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 13))
+    found = []
+    for _ in range(int(rng.integers(1, 8))):
+        centre = np.round(rng.normal(size=dim) + 1j * rng.normal(size=dim), 1) * 10.0 ** rng.integers(-1, 3)
+        value = complex(np.round(rng.normal(), 1), 0.0 if rng.random() < 0.5 else -0.0)
+        for _ in range(int(rng.integers(1, 9))):
+            scale = crit.DEDUPE_RADIUS * (1 + np.linalg.norm(centre)) * 10 ** rng.uniform(-1, 1)
+            z = centre + scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim)) / np.sqrt(2 * dim)
+            if rng.random() < 0.3:
+                z[0] = centre[0]  # ties on the first coordinate's key
+            found.append((value if rng.random() < 0.5 else value + 1e-15, z, 0.0))
+            if rng.random() < 0.3:
+                found.append((value, z.copy(), 0.0))
+    rng.shuffle(found)
+    got, want = crit._merge(found, dim), _merge_loop(found, dim)
+    assert len(got[0]) == len(want[0]) and all(a is b for a, b in zip(got[0], want[0]))
+    assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
+    assert 0 < len(got[0]) < len(found)
+    empty = crit._merge([], dim)
+    assert empty[0] == [] and empty[1].shape == (0, dim)
+
+
+def test_merge_radius_is_the_kept_points():
+    # 0 is kept first; the second point lies outside 0's radius 1e-6 but
+    # inside its own, so it is kept too
+    a, b = (0j, np.zeros(1, dtype=complex), 0.0), (1j, np.full(1, 1.0000005e-6 + 0j), 0.0)
+    for found in ([a, b], [b, a]):
+        assert crit._merge(found, 1)[0] == [a, b] == _merge_loop(found, 1)[0]
+
+
+@pytest.mark.parametrize("sstr, q", [("1,2,3;4", [0.01] * 3), ("1,2;3", [1e-4] * 2)])
+def test_degeneracy_test_is_scale_free_at_small_q(sstr, q):
+    # at small q the Hessians are small; a floor of 1 on the largest singular
+    # value made the test absolute and grouped simple points into one
+    # multiple point (20 degenerate points in 11 groups on 1,2,3;4)
+    shape = FlagShape.from_string(sstr)
+    rep = check_mirror_spectrum(shape, q)
+    assert rep.passed, rep.max_distance
+    assert all(p.multiplicity == 1 for p in rep.points)
+    assert len(rep.points) == shape.basis_size

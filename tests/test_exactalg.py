@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests_support import as_pyfunc, fraction_inverse, laplace_det, minor, reference_lu
+from tests_support import (
+    as_pyfunc,
+    eigenvalues,
+    fraction_inverse,
+    laplace_det,
+    minor,
+    reference_lu,
+)
 
 from flagmirror.combinat import FlagShape, Permutation, all_shapes
 from flagmirror.errors import ConvergenceFailure, DimensionMismatch, PivotFailure
@@ -15,7 +22,6 @@ from flagmirror.exactalg import (
     MPoly,
     VarTable,
     det,
-    eigenvalues,
     leading_minors,
     lu_unipotent,
 )

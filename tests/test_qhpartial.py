@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from tests_support import chevalley_terms, monk_column
+from tests_support import chevalley_terms, eigenvalues, monk_column
 
 from flagmirror.combinat import (
     FlagShape,
@@ -25,6 +25,7 @@ from flagmirror.qhpartial import (
     validate_q,
 )
 from flagmirror.schubring import class_product
+from flagmirror.verify import _min_cost_assignment
 
 
 def P(s):
@@ -319,6 +320,29 @@ def test_c1_spectrum_examples():
     assert np.allclose(sorted(c1_spectrum(FlagShape(2, (1,)), [1.0]).real), [-2, 2])
 
 
+def _check_against_eigvals(shape):
+    # c_1's values are Rayleigh quotients of the eigenvectors of the seeded
+    # divisor combination; the oracle is LAPACK's eigvals of c1_matrix
+    for q in ([1.0] * shape.r, [0.9 + 0.13j * j for j in range(1, shape.r + 1)]):
+        want = eigenvalues(c1_matrix(shape, q))
+        got = c1_spectrum(shape, q)
+        cost = np.abs(got[:, None] - want[None, :])
+        rows, cols = _min_cost_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-12 * (1 + np.abs(want).max()), q
+
+
+@pytest.mark.parametrize("shape", [s for n in range(2, 6) for s in all_shapes(n)],
+                         ids=FlagShape.to_string)
+def test_c1_spectrum_matches_eigvals(shape):
+    _check_against_eigvals(shape)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", all_shapes(6), ids=FlagShape.to_string)
+def test_c1_spectrum_matches_eigvals_n6(shape):
+    _check_against_eigvals(shape)
+
+
 def test_trace_zero():
     rng = random.Random(0)
     for n in range(2, 6):
@@ -338,7 +362,6 @@ def test_spectrum_invariance_under_basis_permutation():
     perm = rng.permutation(M.shape[0])
     Q = np.eye(M.shape[0])[perm]
     a = sorted(c1_spectrum(shape, q), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    from flagmirror.exactalg import eigenvalues
     b = sorted(eigenvalues(Q @ M @ Q.T),
                key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     assert np.abs(np.array(a) - np.array(b)).max() < 1e-8

@@ -241,6 +241,8 @@ def test_mirror_spectrum_small():
     assert js["passed"] and len(js["eigenvalues"]) == 6
     assert type(rep.passed) is bool and json.loads(json.dumps({"passed": rep.passed}))
     assert js["elapsed"] == rep.elapsed > 0
+    # the QH side's own check: the c_1 values sum to tr c_1 = 0
+    assert 0 <= js["trace_gap"] <= js["trace_bound"] == pytest.approx(1e-8 * (1 + 16 * 2 ** 0.5))
 
 
 def _assignment_inputs():

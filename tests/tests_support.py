@@ -14,8 +14,10 @@ per-matrix Crout loop that the batched `flagmirror.exactalg.lu_unipotent` is
 checked against, the lambda evaluator that the generated chart evaluator of
 `flagmirror.mirror` is checked against, the per-candidate chart lift and
 per-point Toeplitz residual that the batched ones of `flagmirror.crit` are
-checked against, and the random Toeplitz multistart that the character route
-of `flagmirror.crit` is checked against."""
+checked against, the random Toeplitz multistart that the character route
+of `flagmirror.crit` is checked against, and the LAPACK eigenvalues that
+the c_1 spectrum of `flagmirror.qhpartial.fiber_spectrum` is checked
+against."""
 
 import itertools
 import random
@@ -27,6 +29,8 @@ import numpy as np
 from flagmirror.combinat import Permutation, is_minimal_rep, min_rep_of
 from flagmirror.crit import _lift_frame, _Search, _toeplitz_system, toeplitz_scaling
 from flagmirror.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
     InvalidRange,
     NearPole,
     NotInGroup,
@@ -720,6 +724,22 @@ def reference_lu(A):
         for jj in range(j + 1, n):
             U[j, jj] = (A[j, jj] - sum((L[j, k] * U[k, jj] for k in range(j)), 0j)) / L[j, j]
     return L, U
+
+
+def eigenvalues(M) -> np.ndarray:
+    """Eigenvalues with multiplicity of a square complex matrix, by LAPACK's
+    nonsymmetric QR (numpy.linalg.eigvals); the trace consistency check
+    guards against a silently bad result."""
+    arr = np.array(M, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got {arr.shape}")
+    try:
+        vals = np.linalg.eigvals(arr)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from None
+    if abs(vals.sum() - np.trace(arr)) > 1e-8 * (1.0 + float(np.sum(np.abs(vals)))):
+        raise ConvergenceFailure("eigenvalue sum disagrees with trace")
+    return vals
 
 
 def toeplitz_residual_loop(shape, vec, q) -> float:
